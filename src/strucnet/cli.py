@@ -26,6 +26,7 @@ from .network import (
     extract_topology,
     is_network_controllable,
     load_network,
+    topology_dict,
     topology_necessary_check,
 )
 from .oracle import AuditConfig, audit_network
@@ -110,9 +111,7 @@ def _cmd_check(args) -> int:
     network = load_network(args.path)
     report = analyze(network)
     if not report.valid:
-        for violation in report.violations:
-            print(f"error: {violation}", file=sys.stderr)
-        return 2
+        raise AssumptionViolated(report.violations)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))
     else:
@@ -125,17 +124,8 @@ def _cmd_rank(args) -> int:
     graph = build_graph(pattern)
     result = color_change(graph)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "full_row_rank": result.colorable,
-                    "derived_set": sorted(result.derived_set),
-                    "forcing_sequence": [list(step) for step in result.forcing_sequence],
-                    "uncolored": sorted(result.uncolored(graph.row_count)),
-                },
-                indent=2,
-            )
-        )
+        payload = {"full_row_rank": result.colorable, **result.to_dict(graph.row_count)}
+        print(json.dumps(payload, indent=2))
     else:
         print(f"full row rank: {'yes' if result.colorable else 'no'}")
         print(f"derived set: {sorted(result.derived_set)}")
@@ -149,21 +139,8 @@ def _cmd_topo(args) -> int:
     network = load_network(args.path)
     w_tilde, h_tilde = extract_topology(network)
     colorable, coloring = topology_necessary_check(network)
-    q = w_tilde.cols + h_tilde.cols
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "W": w_tilde.to_tokens(),
-                    "H": h_tilde.to_tokens(),
-                    "weakly_colorable": colorable,
-                    "derived_set": sorted(coloring.derived_set),
-                    "forcing_sequence": [list(step) for step in coloring.forcing_sequence],
-                    "unreached": sorted(coloring.uncolored(q)),
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(topology_dict(w_tilde, h_tilde, coloring), indent=2))
     else:
         print("W~:")
         print(w_tilde)
@@ -172,6 +149,7 @@ def _cmd_topo(args) -> int:
         print(f"weakly colorable: {'yes' if colorable else 'no'}")
         print(f"reachability trace: {[tuple(step) for step in coloring.forcing_sequence]}")
         if not colorable:
+            q = w_tilde.cols + h_tilde.cols
             print(f"unreached vertices: {sorted(coloring.uncolored(q))}")
     return 0 if colorable else 1
 

@@ -44,13 +44,6 @@ class PatternGraph:
                     f"(sources 1..{self.num_vertices}, targets 1..{self.row_count})"
                 )
 
-    @property
-    def edges(self) -> frozenset[tuple[int, int]]:
-        return self.edges_star | self.edges_any
-
-    def out_neighbors(self, v: int) -> set[int]:
-        return {dst for src, dst in self.edges if src == v}
-
 
 @dataclass(frozen=True)
 class ColoringResult:
@@ -69,6 +62,15 @@ class ColoringResult:
     def uncolored(self, num_vertices: int) -> set[int]:
         """Vertices of 1..num_vertices that never turned black."""
         return set(range(1, num_vertices + 1)) - self.derived_set
+
+    def to_dict(self, num_vertices: int) -> dict:
+        """JSON form of the certificate; uncolored ranges over 1..num_vertices."""
+        return {
+            "colorable": self.colorable,
+            "derived_set": sorted(self.derived_set),
+            "forcing_sequence": [list(step) for step in self.forcing_sequence],
+            "uncolored": sorted(self.uncolored(num_vertices)),
+        }
 
 
 def build_graph(m: PatternMatrix) -> PatternGraph:
@@ -105,7 +107,7 @@ def color_change(graph: PatternGraph) -> ColoringResult:
     """
     out: dict[int, list[int]] = {v: [] for v in range(1, graph.num_vertices + 1)}
     sources_of: dict[int, list[int]] = {v: [] for v in range(1, graph.num_vertices + 1)}
-    for src, dst in sorted(graph.edges):
+    for src, dst in sorted(graph.edges_star | graph.edges_any):
         out[src].append(dst)
         sources_of[dst].append(src)
 

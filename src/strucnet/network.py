@@ -18,9 +18,7 @@ colorable.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import AssumptionViolated, DimensionMismatch, NetworkFormatError, PatternParseError
 from .graph import ColoringResult, build_graph, color_change, weak_color_change
@@ -34,6 +32,7 @@ from .pattern import (
     pat_add,
     pat_identity,
     pat_mul,
+    read_json,
 )
 
 
@@ -140,36 +139,22 @@ class SystemCheck:
     shifted: ColoringResult
 
 
-def _check_single_star_columns(m: PatternMatrix, node: int, name: str) -> list[Violation]:
+def _check_single_star(m: PatternMatrix, node: int, name: str, by_row: bool) -> list[Violation]:
+    """One '*' and no '?' in every column of m, or in every row when by_row."""
+    kind = "row" if by_row else "column"
+    lines = m.entries if by_row else [m.column(j) for j in range(m.cols)]
     violations = []
-    for j in range(m.cols):
-        col = m.column(j)
-        anys = [i for i, s in enumerate(col) if s is ANY]
-        for i in anys:
-            violations.append(
-                Violation(node, name, f"'?' entry at row {i + 1}, column {j + 1} is not allowed")
-            )
-        stars = sum(1 for s in col if s is STAR)
+    for a, line in enumerate(lines, start=1):
+        for b, symbol in enumerate(line, start=1):
+            if symbol is ANY:
+                i, j = (a, b) if by_row else (b, a)
+                violations.append(
+                    Violation(node, name, f"'?' entry at row {i}, column {j} is not allowed")
+                )
+        stars = line.count(STAR)
         if stars != 1:
             violations.append(
-                Violation(node, name, f"column {j + 1} has {stars} '*' entries, expected exactly one")
-            )
-    return violations
-
-
-def _check_single_star_rows(m: PatternMatrix, node: int, name: str) -> list[Violation]:
-    violations = []
-    for i in range(m.rows):
-        row = m.row(i)
-        anys = [j for j, s in enumerate(row) if s is ANY]
-        for j in anys:
-            violations.append(
-                Violation(node, name, f"'?' entry at row {i + 1}, column {j + 1} is not allowed")
-            )
-        stars = sum(1 for s in row if s is STAR)
-        if stars != 1:
-            violations.append(
-                Violation(node, name, f"row {i + 1} has {stars} '*' entries, expected exactly one")
+                Violation(node, name, f"{kind} {a} has {stars} '*' entries, expected exactly one")
             )
     return violations
 
@@ -196,8 +181,8 @@ def validate(network: StructuredNetwork) -> list[Violation]:
             violations.append(
                 Violation(k, "C", f"has {node.C.cols} columns, expected {n} to match A")
             )
-        violations.extend(_check_single_star_columns(node.B, k, "B"))
-        violations.extend(_check_single_star_rows(node.C, k, "C"))
+        violations.extend(_check_single_star(node.B, k, "B", by_row=False))
+        violations.extend(_check_single_star(node.C, k, "C", by_row=True))
 
     r = network.total_inputs
     p = network.total_outputs
@@ -234,6 +219,13 @@ def assemble(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
     return plain, shifted
 
 
+def _decide(plain_pattern: PatternMatrix, shifted_pattern: PatternMatrix) -> SystemCheck:
+    """Controllable iff the graphs of both patterns are colorable."""
+    plain = color_change(build_graph(plain_pattern))
+    shifted = color_change(build_graph(shifted_pattern))
+    return SystemCheck(plain.colorable and shifted.colorable, plain, shifted)
+
+
 def check_structured_system(a: PatternMatrix, b: PatternMatrix) -> SystemCheck:
     """Decide strong structural controllability of the pair (a, b).
 
@@ -246,17 +238,12 @@ def check_structured_system(a: PatternMatrix, b: PatternMatrix) -> SystemCheck:
         raise DimensionMismatch(
             f"input pattern has {b.rows} rows, expected {a.rows} to match the state pattern"
         )
-    plain = color_change(build_graph(hstack(a, b)))
-    shifted = color_change(build_graph(hstack(pat_add(a, pat_identity(a.rows)), b)))
-    return SystemCheck(plain.colorable and shifted.colorable, plain, shifted)
+    return _decide(hstack(a, b), hstack(pat_add(a, pat_identity(a.rows)), b))
 
 
 def is_network_controllable(network: StructuredNetwork) -> SystemCheck:
     """Decide strong structural controllability of the whole network."""
-    plain_pattern, shifted_pattern = assemble(network)
-    plain = color_change(build_graph(plain_pattern))
-    shifted = color_change(build_graph(shifted_pattern))
-    return SystemCheck(plain.colorable and shifted.colorable, plain, shifted)
+    return _decide(*assemble(network))
 
 
 def node_necessary_check(network: StructuredNetwork) -> list[tuple[int, SystemCheck]]:
@@ -349,21 +336,15 @@ class AnalysisReport:
         if self.network_check is not None:
             states = self.assembled[0].rows  # only row vertices can be forced
             out["checks"] = {
-                "assembled": _coloring_dict(self.network_check.plain, states),
-                "assembled_shifted": _coloring_dict(self.network_check.shifted, states),
+                "assembled": self.network_check.plain.to_dict(states),
+                "assembled_shifted": self.network_check.shifted.to_dict(states),
             }
         if self.node_checks is not None:
             out["node_checks"] = [
                 {"node": k, "controllable": check.controllable} for k, check in self.node_checks
             ]
         if self.topology is not None:
-            w_tilde, h_tilde = self.topology
-            out["topology"] = {
-                "W": w_tilde.to_tokens(),
-                "H": h_tilde.to_tokens(),
-                "weakly_colorable": self.topology_colorable,
-                **_coloring_dict(self.topology_coloring, w_tilde.cols + h_tilde.cols),
-            }
+            out["topology"] = topology_dict(*self.topology, self.topology_coloring)
         return out
 
     def to_text(self) -> str:
@@ -390,12 +371,13 @@ class AnalysisReport:
         return "\n".join(lines) + "\n"
 
 
-def _coloring_dict(coloring: ColoringResult, num_vertices: int) -> dict:
+def topology_dict(w_tilde: PatternMatrix, h_tilde: PatternMatrix, coloring: ColoringResult) -> dict:
+    """JSON form of the topology screen: the summary [W~ H~] and its certificate."""
     return {
-        "colorable": coloring.colorable,
-        "derived_set": sorted(coloring.derived_set),
-        "forcing_sequence": [list(step) for step in coloring.forcing_sequence],
-        "uncolored": sorted(coloring.uncolored(num_vertices)),
+        "W": w_tilde.to_tokens(),
+        "H": h_tilde.to_tokens(),
+        "weakly_colorable": coloring.colorable,
+        **coloring.to_dict(w_tilde.cols + h_tilde.cols),
     }
 
 
@@ -416,9 +398,7 @@ def analyze(network: StructuredNetwork) -> AnalysisReport:
         return AnalysisReport(violations=violations)
     report = AnalysisReport(violations=[])
     report.assembled = assemble(network)
-    plain = color_change(build_graph(report.assembled[0]))
-    shifted = color_change(build_graph(report.assembled[1]))
-    report.network_check = SystemCheck(plain.colorable and shifted.colorable, plain, shifted)
+    report.network_check = _decide(*report.assembled)
     report.node_checks = node_necessary_check(network)
     report.topology = extract_topology(network)
     report.topology_colorable, report.topology_coloring = topology_necessary_check(network)
@@ -475,9 +455,4 @@ def network_to_dict(network: StructuredNetwork) -> dict:
 
 def load_network(path) -> StructuredNetwork:
     """Read a structured network from a JSON file."""
-    text = Path(path).read_text()
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkFormatError(f"{path}: not valid JSON: {exc}") from None
-    return network_from_dict(obj)
+    return network_from_dict(read_json(path, NetworkFormatError))

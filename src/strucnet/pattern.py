@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -150,9 +150,6 @@ class PatternMatrix:
     def to_tokens(self) -> list[list[str]]:
         return [[entry.token for entry in row] for row in self.entries]
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_tokens())
-
     def __getitem__(self, key: tuple[int, int]) -> PatternSymbol:
         i, j = key
         return self.entries[i][j]
@@ -230,44 +227,6 @@ def pat_identity(n: int) -> PatternMatrix:
     return PatternMatrix(
         tuple(tuple(STAR if i == j else ZERO for j in range(n)) for i in range(n))
     )
-
-
-class ProductExactness(Enum):
-    """Which structural condition makes a pattern product class-exact.
-
-    The class of the pattern product always contains every product of
-    realizations; it equals the set of such products when each row of the
-    right factor, or each column of the left factor, selects a single '*'
-    entry with all remaining entries zero.
-    """
-
-    ROW_CONDITION = "row"
-    COLUMN_CONDITION = "column"
-    BOTH = "both"
-    NEITHER = "neither"
-
-
-def _single_star_lines(lines: Iterable[tuple[PatternSymbol, ...]]) -> bool:
-    return all(
-        line.count(STAR) == 1 and line.count(ANY) == 0 for line in lines
-    )
-
-
-def exact_product_condition(m: PatternMatrix, n: PatternMatrix) -> ProductExactness:
-    """Check the single-star row/column conditions for a product m @ n."""
-    if m.cols != n.rows:
-        raise DimensionMismatch(
-            f"cannot multiply patterns of shapes {m.shape} and {n.shape}"
-        )
-    row_ok = _single_star_lines(n.entries)
-    col_ok = _single_star_lines(m.column(j) for j in range(m.cols))
-    if row_ok and col_ok:
-        return ProductExactness.BOTH
-    if row_ok:
-        return ProductExactness.ROW_CONDITION
-    if col_ok:
-        return ProductExactness.COLUMN_CONDITION
-    return ProductExactness.NEITHER
 
 
 def is_member(values: np.ndarray, m: PatternMatrix) -> bool:
@@ -353,41 +312,14 @@ def block_diag(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
     return PatternMatrix(tuple(tuple(row) for row in grid))
 
 
-def assemble_blocks(grid: Sequence[Sequence[PatternMatrix]]) -> PatternMatrix:
-    """Assemble a block grid of patterns into one pattern.
-
-    Every block in a grid row must share its height and every block in a
-    grid column its width; the error names the first offending block.
-    """
-    if not grid or not grid[0]:
-        raise DimensionMismatch("assemble_blocks needs at least one block")
-    widths = [block.cols for block in grid[0]]
-    rows: list[tuple[PatternSymbol, ...]] = []
-    for bi, block_row in enumerate(grid):
-        if len(block_row) != len(widths):
-            raise DimensionMismatch(
-                f"block row {bi + 1} has {len(block_row)} blocks, expected {len(widths)}"
-            )
-        height = block_row[0].rows
-        for bj, block in enumerate(block_row):
-            if block.rows != height:
-                raise DimensionMismatch(
-                    f"block ({bi + 1}, {bj + 1}) has {block.rows} rows, expected {height}"
-                )
-            if block.cols != widths[bj]:
-                raise DimensionMismatch(
-                    f"block ({bi + 1}, {bj + 1}) has {block.cols} columns, expected {widths[bj]}"
-                )
-        for i in range(height):
-            rows.append(tuple(entry for block in block_row for entry in block.entries[i]))
-    return PatternMatrix(tuple(rows))
+def read_json(path, error: type[ValueError]):
+    """Parse a UTF-8 JSON file; undecodable or over-nested text raises error."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise error(f"{path}: not valid JSON: {exc}") from None
 
 
 def load_pattern(path) -> PatternMatrix:
     """Read a pattern matrix from a JSON file of token grids."""
-    text = Path(path).read_text()
-    try:
-        grid = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PatternParseError(f"{path}: not valid JSON: {exc}") from None
-    return PatternMatrix.from_tokens(grid)
+    return PatternMatrix.from_tokens(read_json(path, PatternParseError))

@@ -4,12 +4,18 @@ The reference implementations here deliberately avoid the library's
 worklist scheduling: they rescan the whole graph for applicable forcings
 at every step and can apply them in any (possibly randomized) order, so
 they double as order-invariance probes and as an oracle for the fixpoint.
+The single-star product conditions live here too: they state the
+class-exactness theorem that network assembly relies on, and only tests
+check them.
 """
 
 from __future__ import annotations
 
-from strucnet import NodeSystem, PatternGraph, StructuredNetwork
-from strucnet.pattern import STAR, SYMBOLS, ZERO, PatternMatrix
+from enum import Enum
+from typing import Iterable
+
+from strucnet import DimensionMismatch, NodeSystem, PatternGraph, StructuredNetwork
+from strucnet.pattern import ANY, STAR, SYMBOLS, ZERO, PatternMatrix, PatternSymbol
 
 
 def random_pattern(rng, rows, cols, weights=(0.5, 0.35, 0.15)) -> PatternMatrix:
@@ -68,6 +74,44 @@ def random_network(rng) -> StructuredNetwork:
     else:
         h = random_pattern(rng, r, m, (0.5, 0.4, 0.1))
     return StructuredNetwork(tuple(nodes), w, h)
+
+
+class ProductExactness(Enum):
+    """Which structural condition makes a pattern product class-exact.
+
+    The class of the pattern product always contains every product of
+    realizations; it equals the set of such products when each row of the
+    right factor, or each column of the left factor, selects a single '*'
+    entry with all remaining entries zero. Network assembly relies on this:
+    node output patterns meet the row condition, input patterns the column
+    condition.
+    """
+
+    ROW_CONDITION = "row"
+    COLUMN_CONDITION = "column"
+    BOTH = "both"
+    NEITHER = "neither"
+
+
+def _single_star_lines(lines: Iterable[tuple[PatternSymbol, ...]]) -> bool:
+    return all(line.count(STAR) == 1 and line.count(ANY) == 0 for line in lines)
+
+
+def exact_product_condition(m: PatternMatrix, n: PatternMatrix) -> ProductExactness:
+    """Check the single-star row/column conditions for a product m @ n."""
+    if m.cols != n.rows:
+        raise DimensionMismatch(
+            f"cannot multiply patterns of shapes {m.shape} and {n.shape}"
+        )
+    row_ok = _single_star_lines(n.entries)
+    col_ok = _single_star_lines(m.column(j) for j in range(m.cols))
+    if row_ok and col_ok:
+        return ProductExactness.BOTH
+    if row_ok:
+        return ProductExactness.ROW_CONDITION
+    if col_ok:
+        return ProductExactness.COLUMN_CONDITION
+    return ProductExactness.NEITHER
 
 
 def _out_neighbors(graph: PatternGraph) -> dict[int, set[int]]:

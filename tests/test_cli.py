@@ -8,6 +8,9 @@ from strucnet.cli import main
 from conftest import INTERCONNECTION_FILE, NETWORK_FILE, NO_INPUT_NETWORK_FILE
 
 
+CERTIFICATE_KEYS = ["colorable", "derived_set", "forcing_sequence", "uncolored"]
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
@@ -34,6 +37,9 @@ def test_check_json_round_trips_and_is_stable(capsys):
     payload = json.loads(out1)
     assert payload["controllable"] is True
     assert payload["checks"]["assembled"]["derived_set"] == list(range(1, 13))
+    for entry in payload["checks"].values():
+        assert list(entry) == CERTIFICATE_KEYS
+    assert list(payload["topology"]) == ["W", "H", "weakly_colorable", *CERTIFICATE_KEYS]
     _, out2, _ = run(capsys, "check", NETWORK_FILE, "--json")
     assert out1 == out2
 
@@ -49,6 +55,25 @@ def test_check_malformed_token_cites_position(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "row 1, column 1" in err
+
+
+def _write_non_utf8(path):
+    path.write_bytes(b'{"nodes": "\xff\xfe"}')
+
+
+def _write_deeply_nested(path):
+    path.write_text("[" * 100_000 + "]" * 100_000)
+
+
+@pytest.mark.parametrize("command", ["check", "rank"])
+@pytest.mark.parametrize("write", [_write_non_utf8, _write_deeply_nested], ids=["non-utf8", "deep"])
+def test_unreadable_json_is_input_error(tmp_path, capsys, command, write):
+    bad = tmp_path / "bad.json"
+    write(bad)
+    code, out, err = run(capsys, command, bad)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: not valid JSON")
 
 
 def test_check_missing_file(capsys):
@@ -96,6 +121,8 @@ def test_rank_json_certificate(capsys):
     payload = json.loads(out)
     assert payload["full_row_rank"] is False
     assert payload["uncolored"] == [6]
+    assert list(payload) == ["full_row_rank", *CERTIFICATE_KEYS]
+    assert payload["colorable"] is False
 
 
 def test_topo_demo_network(capsys):
@@ -120,6 +147,15 @@ def test_topo_json(capsys):
     assert payload["W"] == [["0", "0", "0"], ["*", "0", "0"], ["0", "*", "0"]]
     assert payload["H"] == [["*", "*"], ["0", "0"], ["0", "0"]]
     assert payload["weakly_colorable"] is True
+
+
+@pytest.mark.parametrize("path", [NETWORK_FILE, NO_INPUT_NETWORK_FILE])
+def test_topo_json_matches_check_topology_block(capsys, path):
+    topo_code, topo_out, _ = run(capsys, "topo", path, "--json")
+    _, check_out, _ = run(capsys, "check", path, "--json")
+    topology = json.loads(check_out)["topology"]
+    assert json.loads(topo_out) == topology
+    assert topo_code == (0 if topology["weakly_colorable"] else 1)
 
 
 def test_audit_consistent_run(capsys):

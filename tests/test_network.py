@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strucnet import (
     ANY,
@@ -16,6 +18,7 @@ from strucnet import (
     analyze,
     assemble,
     block_diag,
+    build_graph,
     check_structured_system,
     extract_topology,
     hstack,
@@ -24,6 +27,7 @@ from strucnet import (
     network_from_dict,
     network_to_dict,
     node_necessary_check,
+    pat_add,
     pat_identity,
     pat_mul,
     topology_necessary_check,
@@ -40,7 +44,7 @@ from conftest import (
     W_PATTERN,
 )
 
-from helpers import random_network, random_pattern
+from helpers import random_network, random_pattern, standard_forced_set
 
 
 def build_demo_network() -> StructuredNetwork:
@@ -79,6 +83,42 @@ def test_validate_flags_any_in_output_pattern():
     assert any(v.matrix == "C" and "'?'" in v.message for v in violations)
     # the '?' also leaves row 1 without its single star
     assert any(v.matrix == "C" and "row 1" in v.message for v in violations)
+
+
+@pytest.mark.parametrize(
+    "b, c, expected",
+    [
+        (
+            B_NODE.with_entry(2, 0, ANY),
+            C_NODE,
+            ["node 1, matrix B: '?' entry at row 3, column 1 is not allowed"],
+        ),
+        (
+            B_NODE,
+            C_NODE.with_entry(0, 2, ANY),
+            [
+                "node 1, matrix C: '?' entry at row 1, column 3 is not allowed",
+                "node 1, matrix C: row 1 has 0 '*' entries, expected exactly one",
+            ],
+        ),
+        (
+            B_NODE.with_entry(3, 1, STAR),
+            C_NODE,
+            ["node 1, matrix B: column 2 has 2 '*' entries, expected exactly one"],
+        ),
+        (
+            B_NODE,
+            C_NODE.with_entry(1, 0, STAR),
+            ["node 1, matrix C: row 2 has 2 '*' entries, expected exactly one"],
+        ),
+    ],
+    ids=["B-any", "C-any", "B-stars", "C-stars"],
+)
+def test_validate_one_star_messages_are_exact(b, c, expected):
+    net = StructuredNetwork(
+        (NodeSystem(A1, b, c, index=1),), PatternMatrix.zeros(2, 2), pat_identity(2)
+    )
+    assert [str(v) for v in validate(net)] == expected
 
 
 def test_validate_flags_dimension_problems():
@@ -166,6 +206,33 @@ def test_check_structured_system_shape_errors():
         check_structured_system(PatternMatrix.zeros(2, 3), PatternMatrix.zeros(2, 1))
     with pytest.raises(DimensionMismatch):
         check_structured_system(pat_identity(2), PatternMatrix.zeros(3, 1))
+
+
+@st.composite
+def system_pairs(draw):
+    """A random n x n state pattern and n x m input pattern, n <= 4, m <= 3."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 3))
+    symbols = st.sampled_from([ZERO, STAR, ANY])
+
+    def grid(rows, cols):
+        return PatternMatrix(tuple(tuple(draw(symbols) for _ in range(cols)) for _ in range(rows)))
+
+    return grid(n, n), grid(n, m)
+
+
+def _reference_full_row_rank(pattern):
+    return standard_forced_set(build_graph(pattern)) >= set(range(1, pattern.rows + 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(system_pairs())
+def test_system_check_matches_reference_forcing(pair):
+    a, b = pair
+    expected = _reference_full_row_rank(hstack(a, b)) and _reference_full_row_rank(
+        hstack(pat_add(a, pat_identity(a.rows)), b)
+    )
+    assert check_structured_system(a, b).controllable is expected
 
 
 def test_network_controllable_demo(demo_network):

@@ -15,11 +15,8 @@ from strucnet import (
     PatternMatrix,
     PatternParseError,
     PatternSymbol,
-    ProductExactness,
-    assemble_blocks,
     block_diag,
     enumerate_patterns,
-    exact_product_condition,
     hstack,
     is_member,
     load_pattern,
@@ -30,9 +27,9 @@ from strucnet import (
     sym_add,
     sym_mul,
 )
-from conftest import A1, C_NODE, W_PATTERN
+from conftest import A1, C_NODE
 
-from helpers import random_pattern
+from helpers import ProductExactness, exact_product_condition, random_pattern
 
 # The full symbol tables, transcribed independently of the implementation.
 ADD_TABLE = {
@@ -357,19 +354,7 @@ def test_block_diag_of_node_states(demo_network):
     assert full.submatrix(8, 12, 4, 8) == PatternMatrix.zeros(4, 4)
 
 
-def test_assemble_blocks_reconstructs_interconnection():
-    blocks = [
-        [W_PATTERN.submatrix(2 * i, 2 * i + 2, 2 * j, 2 * j + 2) for j in range(3)]
-        for i in range(3)
-    ]
-    assert assemble_blocks(blocks) == W_PATTERN
-
-
-def test_assemble_blocks_reports_offending_block():
-    good = PatternMatrix.zeros(2, 2)
-    tall = PatternMatrix.zeros(3, 2)
-    with pytest.raises(DimensionMismatch, match=r"block \(1, 2\)"):
-        assemble_blocks([[good, tall]])
+def test_block_diag_rejects_empty_block_list():
     with pytest.raises(DimensionMismatch):
         block_diag([])
 

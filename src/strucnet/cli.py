@@ -3,7 +3,8 @@
 Subcommands operate on JSON files (pattern grids or network objects) and
 print reports with machine-checkable certificates. Exit codes: 0 for a
 positive verdict (or a consistent audit), 1 for a negative one, 2 for
-input or usage errors.
+input or usage errors and for an audit whose numeric rank test breaks
+down.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .errors import (
     BadShape,
     DimensionMismatch,
     NetworkFormatError,
+    NumericBreakdown,
     PatternParseError,
 )
 from .graph import build_graph, color_change, export_dot
@@ -37,6 +39,7 @@ _INPUT_ERRORS = (
     BadShape,
     DimensionMismatch,
     NetworkFormatError,
+    NumericBreakdown,
     PatternParseError,
     OSError,
 )

@@ -19,6 +19,10 @@ class NetworkFormatError(ValueError):
     """A network description file is malformed; the message names the offending field."""
 
 
+class NumericBreakdown(ValueError):
+    """A numeric routine failed on a sampled realization; the message names the trial."""
+
+
 class AssumptionViolated(ValueError):
     """A structured network fails validation; carries the list of violations."""
 

@@ -89,29 +89,6 @@ class StructuredNetwork:
     def num_external_inputs(self) -> int:
         return self.H.cols
 
-    def _input_offsets(self) -> list[int]:
-        offsets = [0]
-        for node in self.nodes:
-            offsets.append(offsets[-1] + node.num_inputs)
-        return offsets
-
-    def _output_offsets(self) -> list[int]:
-        offsets = [0]
-        for node in self.nodes:
-            offsets.append(offsets[-1] + node.num_outputs)
-        return offsets
-
-    def interconnection_block(self, i: int, j: int) -> PatternMatrix:
-        """Block W^(ij): rows of node i's inputs, columns of node j's outputs (1-based)."""
-        rows = self._input_offsets()
-        cols = self._output_offsets()
-        return self.W.submatrix(rows[i - 1], rows[i], cols[j - 1], cols[j])
-
-    def input_block(self, i: int, j: int) -> PatternMatrix:
-        """Block H^(ij): rows of node i's inputs, the single column of input j."""
-        rows = self._input_offsets()
-        return self.H.submatrix(rows[i - 1], rows[i], j - 1, j)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -258,36 +235,37 @@ def node_necessary_check(network: StructuredNetwork) -> list[tuple[int, SystemCh
     return [(node.index, check_structured_system(node.A, node.B)) for node in network.nodes]
 
 
-def _summarize_block(block: PatternMatrix):
-    has_star = any(entry is STAR for row in block.entries for entry in row)
-    has_any = any(entry is ANY for row in block.entries for entry in row)
-    if has_star:
-        return STAR
-    if has_any:
-        return ANY
-    return ZERO
-
-
 def extract_topology(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
     """Summarize (W, H) block-by-block into N x N and N x m patterns.
 
     A block that contains a '*' maps to '*', an all-zero block to '0', and
-    a block whose only nonzero entries are '?' maps to '?'.
+    a block whose only nonzero entries are '?' maps to '?'. One pass over
+    W and H sends each nonzero to its block through the input->node and
+    output->node index lists.
     """
     violations = validate(network)
     if violations:
         raise AssumptionViolated(violations)
+    input_node = [k for k, node in enumerate(network.nodes) for _ in range(node.num_inputs)]
+    output_node = [k for k, node in enumerate(network.nodes) for _ in range(node.num_outputs)]
     n = network.num_nodes
-    m = network.num_external_inputs
-    w_rows = tuple(
-        tuple(_summarize_block(network.interconnection_block(i, j)) for j in range(1, n + 1))
-        for i in range(1, n + 1)
+    w_grid = [[ZERO] * n for _ in range(n)]
+    h_grid = [[ZERO] * network.num_external_inputs for _ in range(n)]
+    for summary, pattern, col_block in (
+        (w_grid, network.W, output_node),
+        (h_grid, network.H, range(network.num_external_inputs)),
+    ):
+        for row_node, row in zip(input_node, pattern.entries):
+            target = summary[row_node]
+            for col, symbol in zip(col_block, row):
+                if symbol is STAR:
+                    target[col] = STAR
+                elif symbol is ANY and target[col] is ZERO:
+                    target[col] = ANY
+    return (
+        PatternMatrix(tuple(map(tuple, w_grid))),
+        PatternMatrix(tuple(map(tuple, h_grid))),
     )
-    h_rows = tuple(
-        tuple(_summarize_block(network.input_block(i, j)) for j in range(1, m + 1))
-        for i in range(1, n + 1)
-    )
-    return PatternMatrix(w_rows), PatternMatrix(h_rows)
 
 
 def topology_necessary_check(network: StructuredNetwork) -> tuple[bool, ColoringResult]:

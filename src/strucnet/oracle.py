@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolated, BadShape
+from .errors import AssumptionViolated, BadShape, NumericBreakdown
 from .network import StructuredNetwork, validate
 from .pattern import (
     SYMBOLS,
@@ -144,7 +144,8 @@ def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
     Each trial draws A, B, C, W, H from their pattern classes with a seed
     derived from (cfg.seed, trial), forms A + B W C and B H numerically,
     and tests controllability. Trials are independent, so the outcome does
-    not depend on execution order.
+    not depend on execution order. A trial whose rank computation fails
+    raises NumericBreakdown naming that trial.
     """
     violations = validate(network)
     if violations:
@@ -163,7 +164,12 @@ def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
         h = sample_realization(network.H, rng)
         closed = a + b @ w @ c
         inputs = b @ h
-        rank = _controllability_rank(closed, inputs, cfg.rank_tolerance)
+        try:
+            rank = _controllability_rank(closed, inputs, cfg.rank_tolerance)
+        except np.linalg.LinAlgError as exc:
+            raise NumericBreakdown(
+                f"numeric breakdown in trial {trial} (seed {cfg.seed}): {exc}"
+            ) from None
         failure = None
         if rank < n:
             failure = f"controllability rank {rank} < {n}"

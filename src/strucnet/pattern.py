@@ -188,35 +188,40 @@ def pat_add(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     """Entrywise sum of two equally sized pattern matrices."""
     if m.shape != n.shape:
         raise DimensionMismatch(f"cannot add patterns of shapes {m.shape} and {n.shape}")
+    # the rule of sym_add: '0' is the identity, two nonzero terms give '?'
     return PatternMatrix(
         tuple(
-            tuple(sym_add(a, b) for a, b in zip(mrow, nrow))
+            tuple(a if b is ZERO else b if a is ZERO else ANY for a, b in zip(mrow, nrow))
             for mrow, nrow in zip(m.entries, n.entries)
         )
     )
 
 
 def pat_mul(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
-    """Pattern product: entry (i, j) folds sym_mul terms with sym_add.
+    """Pattern product: entry (i, j) is the sym_add fold of m[i, k] * n[k, j].
 
-    The fold runs left to right over the inner index; the result does not
-    depend on the order because the symbol operations are associative and
-    commutative.
+    Only nonzero terms are folded, since '0' is the additive identity: each
+    nonzero m[i, k] meets the nonzeros of row k of n, listed once. The
+    first nonzero term of an entry is its sym_mul product and a second one
+    makes it '?', because any sum of two nonzero symbols is '?'. The cost
+    is one scan of m and of n, the nonzero products, and the output size.
     """
     if m.cols != n.rows:
         raise DimensionMismatch(
             f"cannot multiply patterns of shapes {m.shape} and {n.shape}"
         )
-    n_cols = [n.column(j) for j in range(n.cols)]
+    n_nonzeros = [
+        [(j, b) for j, b in enumerate(nrow) if b is not ZERO] for nrow in n.entries
+    ]
     out = []
     for mrow in m.entries:
-        out_row = []
-        for ncol in n_cols:
-            acc = ZERO
-            for a, b in zip(mrow, ncol):
-                acc = sym_add(acc, sym_mul(a, b))
-            out_row.append(acc)
-        out.append(tuple(out_row))
+        acc = [ZERO] * n.cols
+        for a, nonzeros in zip(mrow, n_nonzeros):
+            if a is ZERO:
+                continue
+            for j, b in nonzeros:
+                acc[j] = sym_mul(a, b) if acc[j] is ZERO else ANY
+        out.append(tuple(acc))
     return PatternMatrix(tuple(out))
 
 

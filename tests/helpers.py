@@ -6,7 +6,10 @@ at every step and can apply them in any (possibly randomized) order, so
 they double as order-invariance probes and as an oracle for the fixpoint.
 The single-star product conditions live here too: they state the
 class-exactness theorem that network assembly relies on, and only tests
-check them.
+check them. So do the dense references for the sparse library code: the
+left-to-right fold over every inner index that defines the pattern
+product, and the per-block slicing of W and H that defines the topology
+summary.
 """
 
 from __future__ import annotations
@@ -15,7 +18,16 @@ from enum import Enum
 from typing import Iterable
 
 from strucnet import DimensionMismatch, NodeSystem, PatternGraph, StructuredNetwork
-from strucnet.pattern import ANY, STAR, SYMBOLS, ZERO, PatternMatrix, PatternSymbol
+from strucnet.pattern import (
+    ANY,
+    STAR,
+    SYMBOLS,
+    ZERO,
+    PatternMatrix,
+    PatternSymbol,
+    sym_add,
+    sym_mul,
+)
 
 
 def random_pattern(rng, rows, cols, weights=(0.5, 0.35, 0.15)) -> PatternMatrix:
@@ -74,6 +86,47 @@ def random_network(rng) -> StructuredNetwork:
     else:
         h = random_pattern(rng, r, m, (0.5, 0.4, 0.1))
     return StructuredNetwork(tuple(nodes), w, h)
+
+
+def pat_mul_fold(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
+    """Reference pattern product: entry (i, j) folds sym_mul(m[i, k], n[k, j])
+    with sym_add over every inner index k, left to right."""
+    if m.cols != n.rows:
+        raise DimensionMismatch(
+            f"cannot multiply patterns of shapes {m.shape} and {n.shape}"
+        )
+    n_cols = [n.column(j) for j in range(n.cols)]
+    out = []
+    for mrow in m.entries:
+        out_row = []
+        for ncol in n_cols:
+            acc = ZERO
+            for a, b in zip(mrow, ncol):
+                acc = sym_add(acc, sym_mul(a, b))
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return PatternMatrix(tuple(out))
+
+
+def _offsets(sizes: Iterable[int]) -> list[int]:
+    """Start of each block along one axis, then the total."""
+    offsets = [0]
+    for size in sizes:
+        offsets.append(offsets[-1] + size)
+    return offsets
+
+
+def interconnection_block(network: StructuredNetwork, i: int, j: int) -> PatternMatrix:
+    """Block W^(ij): rows of node i's inputs, columns of node j's outputs (1-based)."""
+    rows = _offsets(node.num_inputs for node in network.nodes)
+    cols = _offsets(node.num_outputs for node in network.nodes)
+    return network.W.submatrix(rows[i - 1], rows[i], cols[j - 1], cols[j])
+
+
+def input_block(network: StructuredNetwork, i: int, j: int) -> PatternMatrix:
+    """Block H^(ij): rows of node i's inputs, the single column of input j."""
+    rows = _offsets(node.num_inputs for node in network.nodes)
+    return network.H.submatrix(rows[i - 1], rows[i], j - 1, j)
 
 
 class ProductExactness(Enum):

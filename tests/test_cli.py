@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from strucnet.cli import main
@@ -182,6 +183,17 @@ def test_audit_uncontrollable_network_is_consistent(capsys):
     assert payload["symbolic_controllable"] is False
     assert payload["audit"]["failures"] == 10
     assert payload["consistent"] is True
+
+
+def test_audit_numeric_breakdown_is_error(capsys, monkeypatch):
+    def broken_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", broken_svd)
+    code, out, err = run(capsys, "audit", NETWORK_FILE, "--trials", "3", "--seed", "5")
+    assert code == 2
+    assert out == ""
+    assert err == "error: numeric breakdown in trial 0 (seed 5): SVD did not converge\n"
 
 
 def test_audit_rejects_zero_trials(capsys):

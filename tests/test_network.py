@@ -44,7 +44,13 @@ from conftest import (
     W_PATTERN,
 )
 
-from helpers import random_network, random_pattern, standard_forced_set
+from helpers import (
+    input_block,
+    interconnection_block,
+    random_network,
+    random_pattern,
+    standard_forced_set,
+)
 
 
 def build_demo_network() -> StructuredNetwork:
@@ -301,7 +307,7 @@ def test_extract_topology_matches_per_block_scan():
         n = net.num_nodes
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                block = net.interconnection_block(i, j)
+                block = interconnection_block(net, i, j)
                 symbols = [s for row in block.entries for s in row]
                 if STAR in symbols:
                     assert w_tilde[i - 1, j - 1] is STAR
@@ -310,7 +316,7 @@ def test_extract_topology_matches_per_block_scan():
                 else:
                     assert w_tilde[i - 1, j - 1].token == "0"
             for j in range(1, net.num_external_inputs + 1):
-                block = net.input_block(i, j)
+                block = input_block(net, i, j)
                 symbols = [s for row in block.entries for s in row]
                 if STAR in symbols:
                     assert h_tilde[i - 1, j - 1] is STAR
@@ -437,9 +443,9 @@ def test_network_from_dict_errors():
 
 
 def test_block_accessors(demo_network):
-    assert demo_network.interconnection_block(2, 1) == PatternMatrix.from_text("* 0\n? *")
-    assert demo_network.interconnection_block(1, 3) == PatternMatrix.zeros(2, 2)
-    assert demo_network.input_block(1, 2) == PatternMatrix.from_text("0\n*")
+    assert interconnection_block(demo_network, 2, 1) == PatternMatrix.from_text("* 0\n? *")
+    assert interconnection_block(demo_network, 1, 3) == PatternMatrix.zeros(2, 2)
+    assert input_block(demo_network, 1, 2) == PatternMatrix.from_text("0\n*")
     assert demo_network.num_external_inputs == 2
     assert demo_network.total_states == 12
     assert demo_network.total_inputs == 6

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strucnet import (
     ANY,
@@ -29,7 +31,7 @@ from strucnet import (
 )
 from conftest import A1, C_NODE
 
-from helpers import ProductExactness, exact_product_condition, random_pattern
+from helpers import ProductExactness, exact_product_condition, pat_mul_fold, random_pattern
 
 # The full symbol tables, transcribed independently of the implementation.
 ADD_TABLE = {
@@ -155,6 +157,54 @@ def test_pat_mul_associative_random_shapes():
         n = random_pattern(rng, b, c)
         p = random_pattern(rng, c, d)
         assert pat_mul(pat_mul(m, n), p) == pat_mul(m, pat_mul(n, p))
+
+
+@st.composite
+def sparse_patterns(draw, rows, cols):
+    """A rows x cols pattern whose nonzero share runs from none to all, with
+    some rows and columns forced entirely zero."""
+    tenths = draw(st.integers(0, 10))  # share of nonzero entries, in tenths
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    nonzero = st.sampled_from((STAR, ANY))
+
+    def entry(i, j):
+        if i in zero_rows or j in zero_cols or draw(st.integers(0, 9)) >= tenths:
+            return ZERO
+        return draw(nonzero)
+
+    return PatternMatrix(tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows)))
+
+
+@st.composite
+def product_operands(draw):
+    """Conformable factors m (r x k) and n (k x c), every size up to 8."""
+    r, k, c = (draw(st.integers(1, 8)) for _ in range(3))
+    return draw(sparse_patterns(r, k)), draw(sparse_patterns(k, c))
+
+
+@settings(max_examples=400, deadline=None)
+@given(product_operands())
+def test_pat_mul_matches_reference_fold(operands):
+    m, n = operands
+    assert pat_mul(m, n) == pat_mul_fold(m, n)
+
+
+@st.composite
+def sum_operands(draw):
+    """Two patterns of one shape, every size up to 8 x 8."""
+    r, c = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    return draw(sparse_patterns(r, c)), draw(sparse_patterns(r, c))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sum_operands())
+def test_pat_add_matches_entrywise_sym_add(operands):
+    m, n = operands
+    total = pat_add(m, n)
+    for i in range(m.rows):
+        for j in range(m.cols):
+            assert total[i, j] is sym_add(m[i, j], n[i, j])
 
 
 def test_pat_identity_layout():

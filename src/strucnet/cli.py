@@ -21,10 +21,9 @@ from .errors import (
     NumericBreakdown,
     PatternParseError,
 )
-from .graph import build_graph, color_change, export_dot
+from .graph import build_graph, export_dot, is_full_row_rank
 from .network import (
     analyze,
-    assemble,
     extract_topology,
     is_network_controllable,
     load_network,
@@ -32,7 +31,7 @@ from .network import (
     topology_necessary_check,
 )
 from .oracle import AuditConfig, audit_network
-from .pattern import hstack, load_pattern
+from .pattern import PatternMatrix, hstack, load_pattern
 
 _INPUT_ERRORS = (
     AssumptionViolated,
@@ -43,36 +42,6 @@ _INPUT_ERRORS = (
     PatternParseError,
     OSError,
 )
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _seed(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"seed must be non-negative, got {value}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"tolerance must lie in (0, 1), got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,9 +65,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="numeric sampling audit of the symbolic verdict")
     audit.add_argument("path", help="network JSON file")
-    audit.add_argument("--trials", type=_positive_int, default=100)
-    audit.add_argument("--seed", type=_seed, default=0)
-    audit.add_argument("--tol", type=_tolerance, default=1e-8)
+    audit.add_argument("--trials", type=int, default=100)
+    audit.add_argument("--seed", type=int, default=0)
+    audit.add_argument("--tol", type=float, default=1e-8)
 
     dot = sub.add_parser("export-dot", help="emit a DOT rendering of one of the graphs")
     dot.add_argument("path", help="network JSON file")
@@ -123,25 +92,23 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    pattern = load_pattern(args.path)
-    graph = build_graph(pattern)
-    result = color_change(graph)
+    result = is_full_row_rank(load_pattern(args.path))
     if args.json:
-        payload = {"full_row_rank": result.colorable, **result.to_dict(graph.row_count)}
+        payload = {"full_row_rank": result.colorable, **result.to_dict()}
         print(json.dumps(payload, indent=2))
     else:
         print(f"full row rank: {'yes' if result.colorable else 'no'}")
         print(f"derived set: {sorted(result.derived_set)}")
         print(f"forcing sequence: {[tuple(step) for step in result.forcing_sequence]}")
         if not result.colorable:
-            print(f"uncolored vertices: {sorted(result.uncolored(graph.row_count))}")
+            print(f"uncolored vertices: {sorted(result.uncolored)}")
     return 0 if result.colorable else 1
 
 
 def _cmd_topo(args) -> int:
     network = load_network(args.path)
     w_tilde, h_tilde = extract_topology(network)
-    colorable, coloring = topology_necessary_check(network)
+    coloring = topology_necessary_check(network)
     if args.json:
         print(json.dumps(topology_dict(w_tilde, h_tilde, coloring), indent=2))
     else:
@@ -149,17 +116,20 @@ def _cmd_topo(args) -> int:
         print(w_tilde)
         print("H~:")
         print(h_tilde)
-        print(f"weakly colorable: {'yes' if colorable else 'no'}")
+        print(f"weakly colorable: {'yes' if coloring.colorable else 'no'}")
         print(f"reachability trace: {[tuple(step) for step in coloring.forcing_sequence]}")
-        if not colorable:
-            q = w_tilde.cols + h_tilde.cols
-            print(f"unreached vertices: {sorted(coloring.uncolored(q))}")
-    return 0 if colorable else 1
+        if not coloring.colorable:
+            print(f"unreached vertices: {sorted(coloring.uncolored)}")
+    return 0 if coloring.colorable else 1
 
 
 def _cmd_audit(args) -> int:
+    try:
+        cfg = AuditConfig(trials=args.trials, seed=args.seed, rank_tolerance=args.tol)
+    except ValueError as exc:  # a bad option value is a usage error
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
     network = load_network(args.path)
-    cfg = AuditConfig(trials=args.trials, seed=args.seed, rank_tolerance=args.tol)
     verdict = is_network_controllable(network)
     outcome = audit_network(network, cfg)
     consistent = not (verdict.controllable and outcome.failures > 0)
@@ -181,14 +151,15 @@ def _cmd_export_dot(args) -> int:
     network = load_network(args.path)
     if args.which == "interconnection":
         pattern = hstack(network.W, network.H)
-        graph = build_graph(pattern)
+        missing = pattern.rows - pattern.cols
+        if missing > 0:  # a tall [W H] is drawn on vertices 1..r; zero columns add no edges
+            pattern = hstack(pattern, PatternMatrix.zeros(pattern.rows, missing))
     elif args.which == "topology":
-        w_tilde, h_tilde = extract_topology(network)
-        graph = build_graph(hstack(w_tilde, h_tilde))
+        pattern = hstack(*extract_topology(network))
     else:
-        plain, shifted = assemble(network)
-        graph = build_graph(plain if args.which == "assembled" else shifted)
-    print(export_dot(graph), end="")
+        plain, shifted = is_network_controllable(network).patterns
+        pattern = plain if args.which == "assembled" else shifted
+    print(export_dot(build_graph(pattern)), end="")
     return 0
 
 

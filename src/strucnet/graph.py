@@ -51,25 +51,27 @@ class ColoringResult:
 
     forcing_sequence lists (forcer, forced) pairs in the order they were
     applied; each forced vertex appears exactly once and derived_set is
-    the seeds plus the forced vertices.
+    the seeds plus the forced vertices. uncolored holds the vertices the
+    rule had to reach but left white: the row vertices 1..p for the
+    standard rule, every vertex 1..q for the weak rule.
     """
 
     derived_set: frozenset[int]
     forcing_sequence: tuple[tuple[int, int], ...]
-    colorable: bool
+    uncolored: frozenset[int]
     seeds: frozenset[int] = field(default_factory=frozenset)
 
-    def uncolored(self, num_vertices: int) -> set[int]:
-        """Vertices of 1..num_vertices that never turned black."""
-        return set(range(1, num_vertices + 1)) - self.derived_set
+    @property
+    def colorable(self) -> bool:
+        return not self.uncolored
 
-    def to_dict(self, num_vertices: int) -> dict:
-        """JSON form of the certificate; uncolored ranges over 1..num_vertices."""
+    def to_dict(self) -> dict:
+        """JSON form of the certificate."""
         return {
             "colorable": self.colorable,
             "derived_set": sorted(self.derived_set),
             "forcing_sequence": [list(step) for step in self.forcing_sequence],
-            "uncolored": sorted(self.uncolored(num_vertices)),
+            "uncolored": sorted(self.uncolored),
         }
 
 
@@ -132,11 +134,10 @@ def color_change(graph: PatternGraph) -> ColoringResult:
             if white_count[u] == 1:
                 queue.append(u)
 
-    derived = frozenset(black)
     return ColoringResult(
-        derived_set=derived,
+        derived_set=frozenset(black),
         forcing_sequence=tuple(forced),
-        colorable=derived >= set(range(1, graph.row_count + 1)),
+        uncolored=frozenset(range(1, graph.row_count + 1)) - black,
     )
 
 
@@ -165,24 +166,21 @@ def weak_color_change(graph: PatternGraph) -> ColoringResult:
                 forced.append((v, target))
                 queue.append(target)
 
-    derived = frozenset(black)
     return ColoringResult(
-        derived_set=derived,
+        derived_set=frozenset(black),
         forcing_sequence=tuple(forced),
-        colorable=len(derived) == graph.num_vertices,
+        uncolored=frozenset(range(1, graph.num_vertices + 1)) - black,
         seeds=seeds,
     )
 
 
-def is_full_row_rank(m: PatternMatrix) -> tuple[bool, ColoringResult]:
+def is_full_row_rank(m: PatternMatrix) -> ColoringResult:
     """Decide whether every realization of m has full row rank.
 
-    Returns the verdict together with the coloring certificate: the
-    pattern has full row rank for all realizations iff its graph is
-    colorable.
+    The pattern has full row rank for all realizations iff its graph is
+    colorable, so the coloring certificate carries the verdict.
     """
-    result = color_change(build_graph(m))
-    return result.colorable, result
+    return color_change(build_graph(m))
 
 
 def export_dot(graph: PatternGraph, coloring: ColoringResult | None = None) -> str:

@@ -5,6 +5,9 @@ input, and output patterns, through an interconnection pattern W (node
 outputs to node inputs) and an input pattern H (external inputs to node
 inputs). The compact dynamics have state pattern A + B W C and input
 pattern B H, where A, B, C are the block diagonals of the node patterns.
+The network is decided by the same two-pattern test as a single pair
+(A_k, B_k): both [X Y] and [X+I Y] must be colorable, with X = A+BWC and
+Y = BH.
 
 Every node input must drive exactly one state and every node output read
 exactly one state (one '*' per column of each B block and per row of each
@@ -108,12 +111,17 @@ class SystemCheck:
     """Verdict of the two-pattern rank test, with coloring certificates.
 
     plain certifies the unshifted pattern [A B]; shifted certifies
-    [A+I B]. Controllable means both graphs are colorable.
+    [A+I B]; patterns holds those two patterns. Controllable means both
+    graphs are colorable.
     """
 
-    controllable: bool
     plain: ColoringResult
     shifted: ColoringResult
+    patterns: tuple[PatternMatrix, PatternMatrix]
+
+    @property
+    def controllable(self) -> bool:
+        return self.plain.colorable and self.shifted.colorable
 
 
 def _check_single_star(m: PatternMatrix, node: int, name: str, by_row: bool) -> list[Violation]:
@@ -175,7 +183,7 @@ def validate(network: StructuredNetwork) -> list[Violation]:
 
 
 def assemble(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
-    """Build the two network-level patterns [A+BWC BH] and [A+I+BWC BH].
+    """Build the compact pair (A+BWC, BH) of the network.
 
     The product is associated as B (W C); each step meets a single-star
     condition (C has one '*' per row, B one per column), so the pattern
@@ -188,19 +196,7 @@ def assemble(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
     b_blk = block_diag([node.B for node in network.nodes])
     c_blk = block_diag([node.C for node in network.nodes])
     coupling = pat_mul(b_blk, pat_mul(network.W, c_blk))
-    input_pattern = pat_mul(b_blk, network.H)
-    plain = hstack(pat_add(a_blk, coupling), input_pattern)
-    shifted = hstack(
-        pat_add(pat_add(a_blk, pat_identity(a_blk.rows)), coupling), input_pattern
-    )
-    return plain, shifted
-
-
-def _decide(plain_pattern: PatternMatrix, shifted_pattern: PatternMatrix) -> SystemCheck:
-    """Controllable iff the graphs of both patterns are colorable."""
-    plain = color_change(build_graph(plain_pattern))
-    shifted = color_change(build_graph(shifted_pattern))
-    return SystemCheck(plain.colorable and shifted.colorable, plain, shifted)
+    return pat_add(a_blk, coupling), pat_mul(b_blk, network.H)
 
 
 def check_structured_system(a: PatternMatrix, b: PatternMatrix) -> SystemCheck:
@@ -215,12 +211,19 @@ def check_structured_system(a: PatternMatrix, b: PatternMatrix) -> SystemCheck:
         raise DimensionMismatch(
             f"input pattern has {b.rows} rows, expected {a.rows} to match the state pattern"
         )
-    return _decide(hstack(a, b), hstack(pat_add(a, pat_identity(a.rows)), b))
+    plain = hstack(a, b)
+    shifted = hstack(pat_add(a, pat_identity(a.rows)), b)
+    return SystemCheck(
+        color_change(build_graph(plain)), color_change(build_graph(shifted)), (plain, shifted)
+    )
 
 
 def is_network_controllable(network: StructuredNetwork) -> SystemCheck:
-    """Decide strong structural controllability of the whole network."""
-    return _decide(*assemble(network))
+    """Decide strong structural controllability of the whole network.
+
+    The network is controllable iff its compact pair (A+BWC, BH) is.
+    """
+    return check_structured_system(*assemble(network))
 
 
 def node_necessary_check(network: StructuredNetwork) -> list[tuple[int, SystemCheck]]:
@@ -268,16 +271,14 @@ def extract_topology(network: StructuredNetwork) -> tuple[PatternMatrix, Pattern
     )
 
 
-def topology_necessary_check(network: StructuredNetwork) -> tuple[bool, ColoringResult]:
+def topology_necessary_check(network: StructuredNetwork) -> ColoringResult:
     """Weak colorability of the summarized topology [W~ H~].
 
     A controllable network must have every node reachable from the
     external-input vertices along star edges of the summary graph, so a
     negative answer here certifies the network is not controllable.
     """
-    w_tilde, h_tilde = extract_topology(network)
-    result = weak_color_change(build_graph(hstack(w_tilde, h_tilde)))
-    return result.colorable, result
+    return weak_color_change(build_graph(hstack(*extract_topology(network))))
 
 
 @dataclass
@@ -285,11 +286,9 @@ class AnalysisReport:
     """Everything the full pipeline produces for one network."""
 
     violations: list[Violation]
-    assembled: tuple[PatternMatrix, PatternMatrix] | None = None
     network_check: SystemCheck | None = None
     node_checks: list[tuple[int, SystemCheck]] | None = None
     topology: tuple[PatternMatrix, PatternMatrix] | None = None
-    topology_colorable: bool | None = None
     topology_coloring: ColoringResult | None = None
 
     @property
@@ -306,16 +305,15 @@ class AnalysisReport:
             "violations": [str(v) for v in self.violations],
             "controllable": self.controllable,
         }
-        if self.assembled is not None:
-            out["patterns"] = {
-                "assembled": self.assembled[0].to_tokens(),
-                "assembled_shifted": self.assembled[1].to_tokens(),
-            }
         if self.network_check is not None:
-            states = self.assembled[0].rows  # only row vertices can be forced
+            plain, shifted = self.network_check.patterns
+            out["patterns"] = {
+                "assembled": plain.to_tokens(),
+                "assembled_shifted": shifted.to_tokens(),
+            }
             out["checks"] = {
-                "assembled": self.network_check.plain.to_dict(states),
-                "assembled_shifted": self.network_check.shifted.to_dict(states),
+                "assembled": self.network_check.plain.to_dict(),
+                "assembled_shifted": self.network_check.shifted.to_dict(),
             }
         if self.node_checks is not None:
             out["node_checks"] = [
@@ -332,19 +330,17 @@ class AnalysisReport:
             lines.extend(f"  - {v}" for v in self.violations)
             return "\n".join(lines) + "\n"
         assert self.network_check and self.node_checks and self.topology_coloring
-        states = self.assembled[0].rows
         lines.append(f"controllable: {'yes' if self.controllable else 'no'}")
-        lines.append("  " + _coloring_text("[A+BWC BH]", self.network_check.plain, states))
-        lines.append("  " + _coloring_text("[A+I+BWC BH]", self.network_check.shifted, states))
+        lines.append("  " + _coloring_text("[A+BWC BH]", self.network_check.plain))
+        lines.append("  " + _coloring_text("[A+I+BWC BH]", self.network_check.shifted))
         node_bits = ", ".join(
             f"{k}: {'ok' if check.controllable else 'FAIL'}" for k, check in self.node_checks
         )
         lines.append(f"node systems: {node_bits}")
-        if self.topology_colorable:
+        if self.topology_coloring.colorable:
             lines.append("topology [W~ H~]: weakly colorable")
         else:
-            topo_q = self.topology[0].cols + self.topology[1].cols
-            missing = sorted(self.topology_coloring.uncolored(topo_q))
+            missing = sorted(self.topology_coloring.uncolored)
             lines.append(f"topology [W~ H~]: not weakly colorable, unreached vertices {missing}")
         return "\n".join(lines) + "\n"
 
@@ -355,14 +351,14 @@ def topology_dict(w_tilde: PatternMatrix, h_tilde: PatternMatrix, coloring: Colo
         "W": w_tilde.to_tokens(),
         "H": h_tilde.to_tokens(),
         "weakly_colorable": coloring.colorable,
-        **coloring.to_dict(w_tilde.cols + h_tilde.cols),
+        **coloring.to_dict(),
     }
 
 
-def _coloring_text(label: str, coloring: ColoringResult, num_vertices: int) -> str:
+def _coloring_text(label: str, coloring: ColoringResult) -> str:
     if coloring.colorable:
         return f"{label}: colorable"
-    missing = sorted(coloring.uncolored(num_vertices))
+    missing = sorted(coloring.uncolored)
     return f"{label}: not colorable, uncolored vertices {missing}"
 
 
@@ -374,13 +370,13 @@ def analyze(network: StructuredNetwork) -> AnalysisReport:
     violations = validate(network)
     if violations:
         return AnalysisReport(violations=violations)
-    report = AnalysisReport(violations=[])
-    report.assembled = assemble(network)
-    report.network_check = _decide(*report.assembled)
-    report.node_checks = node_necessary_check(network)
-    report.topology = extract_topology(network)
-    report.topology_colorable, report.topology_coloring = topology_necessary_check(network)
-    return report
+    return AnalysisReport(
+        violations=[],
+        network_check=is_network_controllable(network),
+        node_checks=node_necessary_check(network),
+        topology=extract_topology(network),
+        topology_coloring=topology_necessary_check(network),
+    )
 
 
 def network_from_dict(obj: dict) -> StructuredNetwork:

@@ -186,11 +186,10 @@ def enumerate_patterns(rows: int, cols: int):
 
 
 def _violates_shift_exclusion(m: PatternMatrix) -> bool:
-    plain, _ = is_full_row_rank(m)
-    if not plain:
-        return False
-    shifted, _ = is_full_row_rank(pat_add(m, pat_identity(m.rows)))
-    return shifted
+    return (
+        is_full_row_rank(m).colorable
+        and is_full_row_rank(pat_add(m, pat_identity(m.rows))).colorable
+    )
 
 
 def shift_exclusion_exhaustive(size: int) -> bool:

@@ -8,14 +8,17 @@ The single-star product conditions live here too: they state the
 class-exactness theorem that network assembly relies on, and only tests
 check them. So do the dense references for the sparse library code: the
 left-to-right fold over every inner index that defines the pattern
-product, and the per-block slicing of W and H that defines the topology
-summary.
+product, the per-block slicing of W and H that defines the topology
+summary, and the block-by-block assembly of the network patterns. The
+hypothesis strategy for random patterns is shared here as well.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from typing import Iterable
+
+from hypothesis import strategies as st
 
 from strucnet import DimensionMismatch, NodeSystem, PatternGraph, StructuredNetwork
 from strucnet.pattern import (
@@ -33,6 +36,23 @@ from strucnet.pattern import (
 def random_pattern(rng, rows, cols, weights=(0.5, 0.35, 0.15)) -> PatternMatrix:
     draws = rng.choice(3, size=(rows, cols), p=list(weights))
     return PatternMatrix(tuple(tuple(SYMBOLS[v] for v in row) for row in draws))
+
+
+@st.composite
+def sparse_patterns(draw, rows, cols):
+    """A rows x cols pattern whose nonzero share runs from none to all, with
+    some rows and columns forced entirely zero."""
+    tenths = draw(st.integers(0, 10))  # share of nonzero entries, in tenths
+    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
+    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
+    nonzero = st.sampled_from((STAR, ANY))
+
+    def entry(i, j):
+        if i in zero_rows or j in zero_cols or draw(st.integers(0, 9)) >= tenths:
+            return ZERO
+        return draw(nonzero)
+
+    return PatternMatrix(tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows)))
 
 
 def single_star_cols(rng, rows, cols) -> PatternMatrix:
@@ -127,6 +147,39 @@ def input_block(network: StructuredNetwork, i: int, j: int) -> PatternMatrix:
     """Block H^(ij): rows of node i's inputs, the single column of input j."""
     rows = _offsets(node.num_inputs for node in network.nodes)
     return network.H.submatrix(rows[i - 1], rows[i], j - 1, j)
+
+
+def assembled_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
+    """Reference [A+BWC BH] and [A+I+BWC BH], one block at a time.
+
+    Block (i, j) of A+BWC is B_i W^(ij) C_j, plus A_i when i = j; block
+    (i, k) of BH is B_i H^(ik). Products are the reference fold, sums the
+    entrywise sym_add, and the shift adds '*' to each diagonal entry.
+    """
+    nodes = network.nodes
+    plain_rows: list[tuple[PatternSymbol, ...]] = []
+    for i, node in enumerate(nodes, start=1):
+        blocks = [
+            pat_mul_fold(pat_mul_fold(node.B, interconnection_block(network, i, j)), other.C)
+            for j, other in enumerate(nodes, start=1)
+        ]
+        blocks[i - 1] = PatternMatrix(
+            tuple(
+                tuple(sym_add(a, b) for a, b in zip(a_row, bwc_row))
+                for a_row, bwc_row in zip(node.A.entries, blocks[i - 1].entries)
+            )
+        )
+        blocks += [
+            pat_mul_fold(node.B, input_block(network, i, k))
+            for k in range(1, network.num_external_inputs + 1)
+        ]
+        for r in range(node.num_states):
+            plain_rows.append(tuple(symbol for block in blocks for symbol in block.entries[r]))
+    plain = PatternMatrix(tuple(plain_rows))
+    shifted = plain
+    for v in range(plain.rows):
+        shifted = shifted.with_entry(v, v, sym_add(plain[v, v], STAR))
+    return plain, shifted
 
 
 class ProductExactness(Enum):

@@ -97,9 +97,9 @@ def test_criterion_2_demo_network_end_to_end():
 def test_criterion_3_interconnection_not_full_rank():
     start = time.perf_counter()
     pattern = load_pattern(INTERCONNECTION_FILE)
-    full, cert = is_full_row_rank(pattern)
+    cert = is_full_row_rank(pattern)
     elapsed = time.perf_counter() - start
-    ok = (not full) and 6 in cert.uncolored(pattern.rows)
+    ok = (not cert.colorable) and 6 in cert.uncolored
     _report(3, ok, "interconnection [W H] not full row rank, vertex 6 uncolored", elapsed, budget=1.0)
 
 
@@ -107,7 +107,7 @@ def test_criterion_4_topology_extraction():
     start = time.perf_counter()
     network = load_network(NETWORK_FILE)
     w_tilde, h_tilde = extract_topology(network)
-    weakly, _ = topology_necessary_check(network)
+    weakly = topology_necessary_check(network).colorable
     elapsed = time.perf_counter() - start
     ok = (
         w_tilde == PatternMatrix.from_text("0 0 0\n* 0 0\n0 * 0")
@@ -147,7 +147,7 @@ def test_criterion_6_necessary_condition_implications(random_suite):
         controllable += 1
         if not all(chk.controllable for _, chk in node_necessary_check(network)):
             counterexamples += 1
-        if not topology_necessary_check(network)[0]:
+        if not topology_necessary_check(network).colorable:
             counterexamples += 1
     elapsed = time.perf_counter() - start
     ok = counterexamples == 0 and len(networks) >= 200

@@ -229,6 +229,28 @@ def test_export_dot_interconnection(capsys):
     assert "4 -> 6 [style=dashed];" in out
 
 
+def test_export_dot_tall_interconnection(tmp_path, capsys):
+    # three node inputs against one node output and one external input:
+    # [W H] is 3 x 2 and is drawn on vertices 1..3, one edge per nonzero
+    path = tmp_path / "tall.json"
+    path.write_text(
+        json.dumps(
+            {
+                "nodes": [{"A": [["*"]], "B": [["*", "*", "*"]], "C": [["*"]]}],
+                "W": [["*"], ["0"], ["?"]],
+                "H": [["0"], ["*"], ["0"]],
+            }
+        )
+    )
+    code, out, err = run(capsys, "export-dot", path, "--which", "interconnection")
+    assert (code, err) == (0, "")
+    assert out == (
+        "digraph pattern {\n  rankdir=LR;\n  1;\n  2;\n  3;\n"
+        "  1 -> 1 [style=solid];\n  2 -> 2 [style=solid];\n  1 -> 3 [style=dashed];\n}\n"
+    )
+    assert run(capsys, "check", path)[0] in (0, 1)  # the network is valid
+
+
 def test_export_dot_assembled_variants(capsys):
     code, out_plain, _ = run(capsys, "export-dot", NETWORK_FILE, "--which", "assembled")
     assert code == 0

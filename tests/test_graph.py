@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from strucnet import (
     ANY,
@@ -23,6 +25,7 @@ from helpers import (
     random_pattern,
     replay_standard,
     replay_weak,
+    sparse_patterns,
     standard_forced_set,
     star_reachable,
     weak_forced_set,
@@ -73,7 +76,7 @@ def test_color_change_interconnection_misses_vertex_six():
     result = color_change(build_graph(INTERCONNECTION))
     assert 6 not in result.derived_set
     assert not result.colorable
-    assert result.uncolored(6) == {6}
+    assert result.uncolored == {6}
 
 
 def test_color_change_only_row_vertices_turn_black():
@@ -86,21 +89,46 @@ def test_color_change_only_row_vertices_turn_black():
         assert result.derived_set <= set(range(1, rows + 1))
 
 
+@st.composite
+def graph_patterns(draw):
+    """A p x q pattern with p <= q, square ones included, up to 6 x 9."""
+    p = draw(st.integers(1, 6))
+    q = draw(st.integers(p, p + 3))
+    return draw(sparse_patterns(p, q))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_patterns())
+@example(PatternMatrix.zeros(3, 3))
+@example(PatternMatrix.zeros(2, 4))
+@example(pat_identity(3))
+def test_uncolored_is_what_each_rule_had_to_reach(pattern):
+    # the standard rule must reach the row vertices 1..p, the weak rule
+    # every vertex 1..q
+    graph = build_graph(pattern)
+    p, q = pattern.shape
+    for result, must_reach in (
+        (color_change(graph), range(1, p + 1)),
+        (weak_color_change(graph), range(1, q + 1)),
+    ):
+        assert result.uncolored == set(must_reach) - result.derived_set
+        assert result.colorable == (not result.uncolored)
+
+
 def test_is_full_row_rank_identity():
-    ok, cert = is_full_row_rank(pat_identity(4))
-    assert ok and cert.derived_set == {1, 2, 3, 4}
+    cert = is_full_row_rank(pat_identity(4))
+    assert cert.colorable and cert.derived_set == {1, 2, 3, 4}
 
 
 def test_is_full_row_rank_zero():
-    ok, _ = is_full_row_rank(PatternMatrix.zeros(1, 1))
-    assert not ok
+    assert not is_full_row_rank(PatternMatrix.zeros(1, 1)).colorable
 
 
 def test_is_full_row_rank_lone_any():
     # the only edge is a '?' edge, so nothing forces; the zero realization
     # confirms the verdict numerically
-    ok, cert = is_full_row_rank(PatternMatrix(((ANY,),)))
-    assert not ok
+    cert = is_full_row_rank(PatternMatrix(((ANY,),)))
+    assert not cert.colorable
     assert cert.derived_set == frozenset()
     assert np.linalg.matrix_rank(np.zeros((1, 1))) == 0
 
@@ -108,10 +136,8 @@ def test_is_full_row_rank_lone_any():
 def test_any_edge_counts_as_neighbor_but_cannot_force():
     # with a '?' at (2,1) vertex 1 ends with a single white out-neighbor it
     # cannot force; upgrading that entry to '*' makes the pattern colorable
-    ok, _ = is_full_row_rank(PatternMatrix.from_text("* *\n? 0"))
-    assert not ok
-    ok, _ = is_full_row_rank(PatternMatrix.from_text("* *\n* 0"))
-    assert ok
+    assert not is_full_row_rank(PatternMatrix.from_text("* *\n? 0")).colorable
+    assert is_full_row_rank(PatternMatrix.from_text("* *\n* 0")).colorable
 
 
 def test_weak_color_change_topology_example():

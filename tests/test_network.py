@@ -45,6 +45,7 @@ from conftest import (
 )
 
 from helpers import (
+    assembled_per_block,
     input_block,
     interconnection_block,
     random_network,
@@ -141,7 +142,7 @@ def test_validate_flags_dimension_problems():
 
 
 def test_assemble_shapes_and_coupling_block(demo_network):
-    plain, shifted = assemble(demo_network)
+    plain, shifted = is_network_controllable(demo_network).patterns
     assert plain.shape == (12, 14)
     assert shifted.shape == (12, 14)
     # coupling block feeding node 2 from node 1's outputs
@@ -161,7 +162,7 @@ def test_assemble_single_node_without_coupling():
         PatternMatrix.zeros(2, 2),
         pat_identity(2),
     )
-    plain, _ = assemble(net)
+    plain, _ = is_network_controllable(net).patterns
     assert plain == hstack(A1, pat_mul(B_NODE, pat_identity(2)))
 
 
@@ -172,6 +173,18 @@ def test_assemble_association_order_is_immaterial(demo_network):
         b = block_diag([node.B for node in net.nodes])
         c = block_diag([node.C for node in net.nodes])
         assert pat_mul(b, pat_mul(net.W, c)) == pat_mul(pat_mul(b, net.W), c)
+
+
+def test_network_check_certifies_the_assembled_pair(demo_network):
+    # assemble returns the compact pair (X, Y) = (A+BWC, BH); the network
+    # check forms and certifies [X Y] and [X+I Y], which the per-block
+    # reference rebuilds from the node blocks and the blocks of W and H
+    rng = np.random.default_rng(25)
+    for net in [demo_network] + [random_network(rng) for _ in range(40)]:
+        x, y = assemble(net)
+        patterns = is_network_controllable(net).patterns
+        assert patterns == (hstack(x, y), hstack(pat_add(x, pat_identity(x.rows)), y))
+        assert patterns == assembled_per_block(net)
 
 
 def test_assemble_rejects_invalid_network():
@@ -339,16 +352,16 @@ def test_extract_topology_stable_under_noop_refinement(demo_network):
 
 
 def test_topology_necessary_check_demo(demo_network):
-    colorable, coloring = topology_necessary_check(demo_network)
-    assert colorable
+    coloring = topology_necessary_check(demo_network)
+    assert coloring.colorable
     assert coloring.derived_set == {1, 2, 3, 4, 5}
     assert coloring.seeds == {4, 5}
 
 
 def test_topology_necessary_check_no_inputs(no_input_network):
-    colorable, coloring = topology_necessary_check(no_input_network)
-    assert not colorable
-    assert coloring.uncolored(5) == {1, 2, 3}
+    coloring = topology_necessary_check(no_input_network)
+    assert not coloring.colorable
+    assert coloring.uncolored == {1, 2, 3}
 
 
 def test_topology_necessary_check_single_node():
@@ -357,8 +370,7 @@ def test_topology_necessary_check_single_node():
         PatternMatrix.zeros(1, 1),
         PatternMatrix.from_text("*"),
     )
-    colorable, _ = topology_necessary_check(net)
-    assert colorable
+    assert topology_necessary_check(net).colorable
 
 
 def test_necessary_conditions_follow_from_controllability():
@@ -370,7 +382,7 @@ def test_necessary_conditions_follow_from_controllability():
         if is_network_controllable(net).controllable:
             controllable_seen += 1
             assert all(chk.controllable for _, chk in node_necessary_check(net))
-            assert topology_necessary_check(net)[0]
+            assert topology_necessary_check(net).colorable
     assert controllable_seen >= 10
 
 
@@ -379,7 +391,7 @@ def test_analyze_demo(demo_network):
     assert report.valid
     assert report.controllable
     assert all(chk.controllable for _, chk in report.node_checks)
-    assert report.topology_colorable
+    assert report.topology_coloring.colorable
     payload = report.to_dict()
     assert payload["controllable"] is True
     assert payload["checks"]["assembled"]["colorable"] is True

@@ -12,11 +12,11 @@ from strucnet import (
     NodeSystem,
     PatternMatrix,
     StructuredNetwork,
-    assemble,
     audit_network,
     audit_rank,
     enumerate_patterns,
     is_full_row_rank,
+    is_network_controllable,
     kalman_controllable,
     pat_add,
     pat_identity,
@@ -91,7 +91,7 @@ def test_audit_rank_lone_any_fails_sometimes():
 
 
 def test_audit_rank_assembled_demo(demo_network):
-    plain, shifted = assemble(demo_network)
+    plain, shifted = is_network_controllable(demo_network).patterns
     assert audit_rank(plain, AuditConfig(trials=50, seed=3)).failures == 0
     assert audit_rank(shifted, AuditConfig(trials=50, seed=4)).failures == 0
 
@@ -110,8 +110,7 @@ def test_colorable_patterns_never_fail_numeric_rank():
         rows = int(rng.integers(1, 5))
         cols = rows + int(rng.integers(0, 4))
         m = random_pattern(rng, rows, cols, (0.45, 0.4, 0.15))
-        ok, _ = is_full_row_rank(m)
-        if not ok:
+        if not is_full_row_rank(m).colorable:
             continue
         certified += 1
         outcome = audit_rank(m, AuditConfig(trials=40, seed=int(rng.integers(10_000))))
@@ -150,7 +149,7 @@ def test_audit_network_rejects_invalid_network():
 def test_audit_samples_are_class_members(demo_network):
     # the network audit draws from the same sampler contract as
     # sample_realization; spot-check the pattern-level membership here
-    plain, _ = assemble(demo_network)
+    plain, _ = is_network_controllable(demo_network).patterns
     from strucnet import is_member
 
     for seed in range(100):
@@ -183,7 +182,7 @@ def test_colorability_matches_brute_force_on_small_patterns():
     # grid drops rank (the grid turns out to witness every deficient case)
     for shape in [(1, 1), (1, 2), (2, 2), (2, 3)]:
         for m in enumerate_patterns(*shape):
-            certified, _ = is_full_row_rank(m)
+            certified = is_full_row_rank(m).colorable
             assert certified == (not _has_rank_deficient_grid_realization(m)), f"\n{m}"
 
 
@@ -201,9 +200,8 @@ def test_shift_exclusion_randomized():
 
 def test_shift_exclusion_scalar_instances():
     star = PatternMatrix(((STAR,),))
-    ok, _ = is_full_row_rank(star)
-    assert ok
-    shifted_ok, _ = is_full_row_rank(pat_add(star, pat_identity(1)))
+    assert is_full_row_rank(star).colorable
+    shifted_ok = is_full_row_rank(pat_add(star, pat_identity(1))).colorable
     assert not shifted_ok  # '*' + '*' is '?', which the zero matrix realizes
 
 

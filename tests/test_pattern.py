@@ -31,7 +31,13 @@ from strucnet import (
 )
 from conftest import A1, C_NODE
 
-from helpers import ProductExactness, exact_product_condition, pat_mul_fold, random_pattern
+from helpers import (
+    ProductExactness,
+    exact_product_condition,
+    pat_mul_fold,
+    random_pattern,
+    sparse_patterns,
+)
 
 # The full symbol tables, transcribed independently of the implementation.
 ADD_TABLE = {
@@ -157,23 +163,6 @@ def test_pat_mul_associative_random_shapes():
         n = random_pattern(rng, b, c)
         p = random_pattern(rng, c, d)
         assert pat_mul(pat_mul(m, n), p) == pat_mul(m, pat_mul(n, p))
-
-
-@st.composite
-def sparse_patterns(draw, rows, cols):
-    """A rows x cols pattern whose nonzero share runs from none to all, with
-    some rows and columns forced entirely zero."""
-    tenths = draw(st.integers(0, 10))  # share of nonzero entries, in tenths
-    zero_rows = draw(st.sets(st.integers(0, rows - 1), max_size=rows))
-    zero_cols = draw(st.sets(st.integers(0, cols - 1), max_size=cols))
-    nonzero = st.sampled_from((STAR, ANY))
-
-    def entry(i, j):
-        if i in zero_rows or j in zero_cols or draw(st.integers(0, 9)) >= tenths:
-            return ZERO
-        return draw(nonzero)
-
-    return PatternMatrix(tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows)))
 
 
 @st.composite

@@ -149,6 +149,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     network = load_network(args.path)
+    coloring = None  # the interconnection graph is drawn uncolored
     if args.which == "interconnection":
         pattern = hstack(network.W, network.H)
         missing = pattern.rows - pattern.cols
@@ -156,10 +157,15 @@ def _cmd_export_dot(args) -> int:
             pattern = hstack(pattern, PatternMatrix.zeros(pattern.rows, missing))
     elif args.which == "topology":
         pattern = hstack(*extract_topology(network))
+        coloring = topology_necessary_check(network)
     else:
-        plain, shifted = is_network_controllable(network).patterns
-        pattern = plain if args.which == "assembled" else shifted
-    print(export_dot(build_graph(pattern)), end="")
+        check = is_network_controllable(network)
+        plain, shifted = check.patterns
+        if args.which == "assembled":
+            pattern, coloring = plain, check.plain
+        else:
+            pattern, coloring = shifted, check.shifted
+    print(export_dot(build_graph(pattern), coloring), end="")
     return 0
 
 

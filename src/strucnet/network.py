@@ -33,8 +33,8 @@ from .pattern import (
     block_diag,
     hstack,
     pat_add,
-    pat_identity,
     pat_mul,
+    pat_shift,
     read_json,
 )
 
@@ -212,7 +212,7 @@ def check_structured_system(a: PatternMatrix, b: PatternMatrix) -> SystemCheck:
             f"input pattern has {b.rows} rows, expected {a.rows} to match the state pattern"
         )
     plain = hstack(a, b)
-    shifted = hstack(pat_add(a, pat_identity(a.rows)), b)
+    shifted = pat_shift(plain)
     return SystemCheck(
         color_change(build_graph(plain)), color_change(build_graph(shifted)), (plain, shifted)
     )
@@ -308,8 +308,8 @@ class AnalysisReport:
         if self.network_check is not None:
             plain, shifted = self.network_check.patterns
             out["patterns"] = {
-                "assembled": plain.to_tokens(),
-                "assembled_shifted": shifted.to_tokens(),
+                "assembled": plain.to_sparse(),
+                "assembled_shifted": shifted.to_sparse(),
             }
             out["checks"] = {
                 "assembled": self.network_check.plain.to_dict(),

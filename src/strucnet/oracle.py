@@ -22,8 +22,7 @@ from .pattern import (
     SYMBOLS,
     PatternMatrix,
     block_diag,
-    pat_add,
-    pat_identity,
+    pat_shift,
     sample_realization,
 )
 from .graph import is_full_row_rank
@@ -188,7 +187,7 @@ def enumerate_patterns(rows: int, cols: int):
 def _violates_shift_exclusion(m: PatternMatrix) -> bool:
     return (
         is_full_row_rank(m).colorable
-        and is_full_row_rank(pat_add(m, pat_identity(m.rows))).colorable
+        and is_full_row_rank(pat_shift(m)).colorable
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -52,6 +53,8 @@ ANY = PatternSymbol.ANY
 #: All three symbols, in a fixed order used by exhaustive sweeps.
 SYMBOLS = (ZERO, STAR, ANY)
 
+_SYMBOL_OF_TOKEN = {symbol.value: symbol for symbol in SYMBOLS}
+
 # The symbol arithmetic. Adding two entries that may both be nonzero gives
 # '?' because cancellation cannot be ruled out; a product is zero as soon
 # as one factor is zero and is only surely nonzero when both factors are.
@@ -84,20 +87,23 @@ class PatternMatrix:
     entries: tuple[tuple[PatternSymbol, ...], ...]
 
     def __post_init__(self):
-        grid = tuple(tuple(row) for row in self.entries)
+        grid = tuple(map(tuple, self.entries))
         if not grid or not grid[0]:
             raise DimensionMismatch("a pattern matrix needs at least one row and one column")
         width = len(grid[0])
+        # each row's width and symbols are checked by C-level map/all; only
+        # a failing row is scanned again to name the offending column
         for i, row in enumerate(grid):
             if len(row) != width:
                 raise DimensionMismatch(
                     f"row {i + 1} has {len(row)} entries, expected {width}"
                 )
-            for j, entry in enumerate(row):
-                if not isinstance(entry, PatternSymbol):
-                    raise PatternParseError(
-                        f"row {i + 1}, column {j + 1}: {entry!r} is not a pattern symbol"
-                    )
+            if not all(map(isinstance, row, repeat(PatternSymbol))):
+                for j, entry in enumerate(row):
+                    if not isinstance(entry, PatternSymbol):
+                        raise PatternParseError(
+                            f"row {i + 1}, column {j + 1}: {entry!r} is not a pattern symbol"
+                        )
         object.__setattr__(self, "entries", grid)
 
     @property
@@ -124,13 +130,16 @@ class PatternMatrix:
         for i, raw_row in enumerate(grid):
             if not isinstance(raw_row, (list, tuple)):
                 raise PatternParseError(f"row {i + 1}: expected a list of tokens")
-            row = []
-            for j, token in enumerate(raw_row):
-                try:
-                    row.append(PatternSymbol.from_token(token))
-                except PatternParseError as exc:
-                    raise PatternParseError(f"row {i + 1}, column {j + 1}: {exc}") from None
-            rows.append(tuple(row))
+            try:
+                rows.append(tuple(map(_SYMBOL_OF_TOKEN.__getitem__, raw_row)))
+            except (KeyError, TypeError):  # an unknown or unhashable token
+                row = []
+                for j, token in enumerate(raw_row):
+                    try:
+                        row.append(PatternSymbol.from_token(token))
+                    except PatternParseError as exc:
+                        raise PatternParseError(f"row {i + 1}, column {j + 1}: {exc}") from None
+                rows.append(tuple(row))
         return cls(tuple(rows))
 
     @classmethod
@@ -149,6 +158,18 @@ class PatternMatrix:
 
     def to_tokens(self) -> list[list[str]]:
         return [[entry.token for entry in row] for row in self.entries]
+
+    def to_sparse(self) -> dict:
+        """Shape plus the nonzeros as 1-based [row, column, token], row-major."""
+        return {
+            "shape": [self.rows, self.cols],
+            "entries": [
+                [i, j, entry.value]
+                for i, row in enumerate(self.entries, start=1)
+                for j, entry in enumerate(row, start=1)
+                if entry is not ZERO
+            ],
+        }
 
     def __getitem__(self, key: tuple[int, int]) -> PatternSymbol:
         i, j = key
@@ -231,6 +252,23 @@ def pat_identity(n: int) -> PatternMatrix:
         raise DimensionMismatch(f"identity size must be positive, got {n}")
     return PatternMatrix(
         tuple(tuple(STAR if i == j else ZERO for j in range(n)) for i in range(n))
+    )
+
+
+def pat_shift(m: PatternMatrix) -> PatternMatrix:
+    """m + [I 0]: the identity added to the leading square block of m.
+
+    Only the diagonal changes, by the rule of sym_add with '*': '0' becomes
+    '*' and a nonzero entry becomes '?'. Defined for m.rows <= m.cols, so
+    the shift of [a b] with square a is [a+I b].
+    """
+    if m.rows > m.cols:
+        raise DimensionMismatch(f"cannot shift a pattern with more rows than columns, got {m.shape}")
+    return PatternMatrix(
+        tuple(
+            row[:i] + (STAR if row[i] is ZERO else ANY,) + row[i + 1 :]
+            for i, row in enumerate(m.entries)
+        )
     )
 
 

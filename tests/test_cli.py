@@ -5,8 +5,11 @@ import json
 import numpy as np
 import pytest
 
+from strucnet import PatternMatrix, is_network_controllable, load_network, network_to_dict
 from strucnet.cli import main
 from conftest import INTERCONNECTION_FILE, NETWORK_FILE, NO_INPUT_NETWORK_FILE
+
+from helpers import random_network
 
 
 CERTIFICATE_KEYS = ["colorable", "derived_set", "forcing_sequence", "uncolored"]
@@ -56,6 +59,50 @@ def test_check_malformed_token_cites_position(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "row 1, column 1" in err
+
+
+@pytest.mark.parametrize("token", [["x"], 0, None, " *"], ids=["list", "int", "null", "space"])
+def test_check_bad_interconnection_token_is_located(tmp_path, capsys, token):
+    obj = json.loads(NETWORK_FILE.read_text())
+    obj["W"][3][1] = token  # a '*' in the demo network's W
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "check", bad)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: W: row 4, column 2: invalid pattern token {token!r}, "
+        "expected one of '0', '*', '?'\n"
+    )
+
+
+def _dense(block):
+    """Rebuild a dense token grid from the sparse report form."""
+    rows, cols = block["shape"]
+    grid = [["0"] * cols for _ in range(rows)]
+    for i, j, token in block["entries"]:
+        grid[i - 1][j - 1] = token
+    return grid
+
+
+def test_check_json_patterns_are_sparse(tmp_path, capsys):
+    rng = np.random.default_rng(31)
+    networks = [load_network(NETWORK_FILE), load_network(NO_INPUT_NETWORK_FILE)]
+    networks += [random_network(rng) for _ in range(40)]
+    for k, net in enumerate(networks):
+        path = tmp_path / f"net{k}.json"
+        path.write_text(json.dumps(network_to_dict(net)))
+        code, out, _ = run(capsys, "check", path, "--json")
+        assert code in (0, 1)
+        patterns = json.loads(out)["patterns"]
+        assert list(patterns) == ["assembled", "assembled_shifted"]
+        expected = is_network_controllable(net).patterns
+        for block, pattern in zip(patterns.values(), expected):
+            assert list(block) == ["shape", "entries"]
+            assert block["shape"] == [pattern.rows, pattern.cols]
+            positions = [(i, j) for i, j, _ in block["entries"]]
+            assert positions == sorted(set(positions))  # row-major, each entry once
+            assert all(token in ("*", "?") for _, _, token in block["entries"])
+            assert PatternMatrix.from_tokens(_dense(block)) == pattern
 
 
 def _write_non_utf8(path):
@@ -214,12 +261,26 @@ def test_audit_rejects_negative_seed(capsys):
     assert excinfo.value.code == 2
 
 
+def _dot(num_vertices, filled, star_edges, any_edges):
+    """The DOT text export_dot writes, spelled out for the tests."""
+    lines = ["digraph pattern {", "  rankdir=LR;"]
+    for v in range(1, num_vertices + 1):
+        lines.append(f"  {v} [style=filled, fillcolor=black, fontcolor=white];" if v in filled else f"  {v};")
+    lines += [f"  {src} -> {dst} [style=solid];" for src, dst in sorted(star_edges)]
+    lines += [f"  {src} -> {dst} [style=dashed];" for src, dst in sorted(any_edges)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 def test_export_dot_topology(capsys):
-    code, out, _ = run(capsys, "export-dot", NETWORK_FILE, "--which", "topology")
-    assert code == 0
-    assert out.startswith("digraph")
-    assert "  5;" in out and "  6;" not in out
-    assert "4 -> 1 [style=solid];" in out
+    # [W~ H~] is 3 x 5; the weak rule's derived set (the seeds 4, 5 plus
+    # every node they reach) is drawn filled
+    edges = {(1, 2), (2, 3), (4, 1), (5, 1)}
+    code, out, err = run(capsys, "export-dot", NETWORK_FILE, "--which", "topology")
+    assert (code, err) == (0, "")
+    assert out == _dot(5, {1, 2, 3, 4, 5}, edges, set())
+    code, out, err = run(capsys, "export-dot", NO_INPUT_NETWORK_FILE, "--which", "topology")
+    assert (code, err) == (0, "")
+    assert out == _dot(5, {4, 5}, {(1, 2), (2, 3)}, set())
 
 
 def test_export_dot_interconnection(capsys):
@@ -251,13 +312,31 @@ def test_export_dot_tall_interconnection(tmp_path, capsys):
     assert run(capsys, "check", path)[0] in (0, 1)  # the network is valid
 
 
-def test_export_dot_assembled_variants(capsys):
-    code, out_plain, _ = run(capsys, "export-dot", NETWORK_FILE, "--which", "assembled")
-    assert code == 0
-    code, out_shifted, _ = run(capsys, "export-dot", NETWORK_FILE, "--which", "assembled-shifted")
-    assert code == 0
-    assert out_plain != out_shifted
-    assert "  14;" in out_plain
+def test_export_dot_assembled_variants(tmp_path, capsys):
+    # each drawing is the graph of the pattern in check --json, with the
+    # derived set of that pattern's certificate filled
+    rng = np.random.default_rng(8)
+    paths = [NETWORK_FILE, NO_INPUT_NETWORK_FILE]
+    for k in range(20):
+        paths.append(tmp_path / f"net{k}.json")
+        paths[-1].write_text(json.dumps(network_to_dict(random_network(rng))))
+    fills = set()
+    for path in paths:
+        report = json.loads(run(capsys, "check", path, "--json")[1])
+        outs, filled = [], []
+        for which, key in (("assembled", "assembled"), ("assembled-shifted", "assembled_shifted")):
+            code, out, err = run(capsys, "export-dot", path, "--which", which)
+            assert (code, err) == (0, "")
+            block = report["patterns"][key]
+            edges = {"*": set(), "?": set()}
+            for i, j, token in block["entries"]:
+                edges[token].add((j, i))
+            filled.append(frozenset(report["checks"][key]["derived_set"]))
+            assert out == _dot(block["shape"][1], filled[-1], edges["*"], edges["?"])
+            outs.append(out)
+        assert outs[0] != outs[1]
+        fills.add(filled[0] == filled[1])
+    assert fills == {True, False}  # some networks fill the two drawings differently
 
 
 def test_export_dot_unknown_choice(capsys):

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strucnet import (
@@ -25,6 +25,7 @@ from strucnet import (
     pat_add,
     pat_identity,
     pat_mul,
+    pat_shift,
     sample_realization,
     sym_add,
     sym_mul,
@@ -194,6 +195,32 @@ def test_pat_add_matches_entrywise_sym_add(operands):
     for i in range(m.rows):
         for j in range(m.cols):
             assert total[i, j] is sym_add(m[i, j], n[i, j])
+
+
+@st.composite
+def shift_operands(draw):
+    """A square a (n x n) and a b (n x m), n up to 8 and m up to 4."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    return draw(sparse_patterns(n, n)), draw(sparse_patterns(n, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shift_operands())
+@example((PatternMatrix.zeros(3, 3), PatternMatrix.filled(3, 2, STAR)))
+@example((PatternMatrix.filled(3, 3, ANY), PatternMatrix.zeros(3, 1)))
+def test_pat_shift_adds_the_identity_to_the_leading_block(operands):
+    a, b = operands
+    expected = hstack(pat_add(a, pat_identity(a.rows)), b)
+    assert pat_shift(hstack(a, b)) == expected
+    assert pat_shift(a) == pat_add(a, pat_identity(a.rows))
+
+
+def test_pat_shift_diagonal_rule():
+    assert pat_shift(PatternMatrix.from_text("0 * ? 0\n* * ? ?\n? 0 ? *")) == PatternMatrix.from_text(
+        "* * ? 0\n* ? ? ?\n? 0 ? *"
+    )
+    with pytest.raises(DimensionMismatch):
+        pat_shift(PatternMatrix.zeros(2, 1))
 
 
 def test_pat_identity_layout():
@@ -411,6 +438,38 @@ def test_pattern_grid_must_be_rectangular():
         PatternMatrix.from_tokens([["0", "*"], ["0"]])
     with pytest.raises(DimensionMismatch):
         PatternMatrix.from_tokens([])
+    with pytest.raises(DimensionMismatch, match="^row 3 has 1 entries, expected 2$"):
+        PatternMatrix(((STAR, ZERO), (ANY, STAR), (ZERO,)))
+    with pytest.raises(DimensionMismatch):
+        PatternMatrix(((),))
+
+
+def test_constructor_names_the_entry_that_is_no_symbol():
+    with pytest.raises(PatternParseError) as excinfo:
+        PatternMatrix(((STAR, "x"),))
+    assert str(excinfo.value) == "row 1, column 2: 'x' is not a pattern symbol"
+    with pytest.raises(PatternParseError) as excinfo:
+        PatternMatrix(((STAR, ZERO), (ANY, None)))
+    assert str(excinfo.value) == "row 2, column 2: None is not a pattern symbol"
+    # the first bad row decides, whether its fault is width or symbols
+    with pytest.raises(PatternParseError, match="^row 1, column 1"):
+        PatternMatrix((("*", ZERO), (ANY,)))
+
+
+def test_from_tokens_matches_per_token_parse():
+    rng = np.random.default_rng(12)
+    tokens = ["0", "*", "?"]
+    for _ in range(50):
+        rows, cols = rng.integers(1, 6, size=2)
+        grid = [[tokens[v] for v in rng.integers(0, 3, size=cols)] for _ in range(rows)]
+        expected = tuple(tuple(PatternSymbol.from_token(t) for t in row) for row in grid)
+        assert PatternMatrix.from_tokens(grid).entries == expected
+    for bad in (["x"], 0, None, " *", "**", True, 1.0):
+        with pytest.raises(PatternParseError) as excinfo:
+            PatternMatrix.from_tokens([["0", "*"], ["?", bad]])
+        assert str(excinfo.value) == (
+            f"row 2, column 2: invalid pattern token {bad!r}, expected one of '0', '*', '?'"
+        )
 
 
 def test_load_pattern_rejects_bad_json(tmp_path):

@@ -4,7 +4,7 @@ The toolkit works over pattern matrices with entries in {0, *, ?}: "0"
 means exactly zero, "*" surely nonzero, "?" arbitrary. It decides whether
 every numeric network consistent with the patterns is controllable, via
 graph color-change certificates, and backs the symbolic verdicts with a
-numeric sampling oracle.
+numeric sampling oracle. Only the oracle needs numpy.
 """
 
 from .errors import (
@@ -42,16 +42,6 @@ from .network import (
     topology_necessary_check,
     validate,
 )
-from .oracle import (
-    AuditConfig,
-    AuditOutcome,
-    audit_network,
-    audit_rank,
-    enumerate_patterns,
-    kalman_controllable,
-    shift_exclusion_exhaustive,
-    shift_exclusion_random,
-)
 from .pattern import (
     ANY,
     STAR,
@@ -73,6 +63,28 @@ from .pattern import (
 )
 
 __version__ = "0.1.0"
+
+# The numeric oracle needs numpy; it is imported on first use of one of its
+# names (PEP 562), so the symbolic checks never load numpy.
+_ORACLE_NAMES = frozenset({
+    "AuditConfig",
+    "AuditOutcome",
+    "audit_network",
+    "audit_rank",
+    "enumerate_patterns",
+    "kalman_controllable",
+    "shift_exclusion_exhaustive",
+    "shift_exclusion_random",
+})
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ANY",

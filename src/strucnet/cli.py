@@ -10,6 +10,7 @@ down.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -30,7 +31,6 @@ from .network import (
     topology_dict,
     topology_necessary_check,
 )
-from .oracle import AuditConfig, audit_network
 from .pattern import PatternMatrix, hstack, load_pattern
 
 _INPUT_ERRORS = (
@@ -79,13 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process; parse_args leaves it unchanged."""
+    return build_parser()
+
+
 def _cmd_check(args) -> int:
     network = load_network(args.path)
     report = analyze(network)
     if not report.valid:
         raise AssumptionViolated(report.violations)
     if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
+        print(json.dumps(report.to_dict()))
     else:
         print(report.to_text(), end="")
     return 0 if report.controllable else 1
@@ -95,7 +101,7 @@ def _cmd_rank(args) -> int:
     result = is_full_row_rank(load_pattern(args.path))
     if args.json:
         payload = {"full_row_rank": result.colorable, **result.to_dict()}
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         print(f"full row rank: {'yes' if result.colorable else 'no'}")
         print(f"derived set: {sorted(result.derived_set)}")
@@ -110,7 +116,7 @@ def _cmd_topo(args) -> int:
     w_tilde, h_tilde = extract_topology(network)
     coloring = topology_necessary_check(network)
     if args.json:
-        print(json.dumps(topology_dict(w_tilde, h_tilde, coloring), indent=2))
+        print(json.dumps(topology_dict(w_tilde, h_tilde, coloring)))
     else:
         print("W~:")
         print(w_tilde)
@@ -124,6 +130,8 @@ def _cmd_topo(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    from .oracle import AuditConfig, audit_network  # loads numpy, which only audit needs
+
     try:
         cfg = AuditConfig(trials=args.trials, seed=args.seed, rank_tolerance=args.tol)
     except ValueError as exc:  # a bad option value is a usage error
@@ -133,17 +141,13 @@ def _cmd_audit(args) -> int:
     verdict = is_network_controllable(network)
     outcome = audit_network(network, cfg)
     consistent = not (verdict.controllable and outcome.failures > 0)
-    print(
-        json.dumps(
-            {
-                "symbolic_controllable": verdict.controllable,
-                "audit": outcome.to_dict(),
-                "consistent": consistent,
-                "note": "sampling is a consistency check, not a proof",
-            },
-            indent=2,
-        )
-    )
+    payload = {
+        "symbolic_controllable": verdict.controllable,
+        "audit": outcome.to_dict(),
+        "consistent": consistent,
+        "note": "sampling is a consistency check, not a proof",
+    }
+    print(json.dumps(payload))
     return 0 if consistent else 1
 
 
@@ -179,8 +183,7 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
     except AssumptionViolated as exc:

@@ -19,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import BadShape
-from .pattern import ANY, STAR, PatternMatrix
+from .pattern import STAR, PatternMatrix
 
 
 @dataclass(frozen=True)
@@ -83,13 +83,8 @@ def build_graph(m: PatternMatrix) -> PatternGraph:
         )
     edges_star = set()
     edges_any = set()
-    for i in range(m.rows):
-        for j in range(m.cols):
-            symbol = m.entries[i][j]
-            if symbol is STAR:
-                edges_star.add((j + 1, i + 1))
-            elif symbol is ANY:
-                edges_any.add((j + 1, i + 1))
+    for i, j, symbol in m.nonzeros:
+        (edges_star if symbol is STAR else edges_any).add((j + 1, i + 1))
     return PatternGraph(
         num_vertices=m.cols,
         row_count=m.rows,

@@ -13,13 +13,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
+from functools import cached_property
+from itertools import compress, repeat
+from operator import is_not
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import DimensionMismatch, PatternParseError
+
+if TYPE_CHECKING:  # numpy is imported where it is used, so the symbolic path never loads it
+    import numpy as np
 
 
 class PatternSymbol(Enum):
@@ -159,16 +162,26 @@ class PatternMatrix:
     def to_tokens(self) -> list[list[str]]:
         return [[entry.token for entry in row] for row in self.entries]
 
+    @cached_property
+    def nonzeros(self) -> tuple[tuple[int, int, PatternSymbol], ...]:
+        """(i, j, symbol) of every nonzero entry, 0-based and row-major.
+
+        Listed on first use and kept, since the matrix is immutable; all-zero
+        rows are skipped by a C-level count.
+        """
+        width = self.cols
+        return tuple(
+            (i, j, symbol)
+            for i, row in enumerate(self.entries)
+            if row.count(ZERO) != width
+            for j, symbol in compress(enumerate(row), map(is_not, row, repeat(ZERO)))
+        )
+
     def to_sparse(self) -> dict:
         """Shape plus the nonzeros as 1-based [row, column, token], row-major."""
         return {
             "shape": [self.rows, self.cols],
-            "entries": [
-                [i, j, entry.value]
-                for i, row in enumerate(self.entries, start=1)
-                for j, entry in enumerate(row, start=1)
-                if entry is not ZERO
-            ],
+            "entries": [[i + 1, j + 1, symbol.value] for i, j, symbol in self.nonzeros],
         }
 
     def __getitem__(self, key: tuple[int, int]) -> PatternSymbol:
@@ -278,6 +291,8 @@ def is_member(values: np.ndarray, m: PatternMatrix) -> bool:
     Zero entries must be exactly 0, star entries exactly nonzero; '?'
     entries are unconstrained.
     """
+    import numpy as np
+
     values = np.asarray(values, dtype=float)
     if values.shape != m.shape:
         raise DimensionMismatch(
@@ -310,21 +325,45 @@ def sample_realization(m: PatternMatrix, seed) -> np.ndarray:
     so callers can thread their own stream. Star entries get magnitude in
     [0.5, 2.0] with a random sign; '?' entries are 0 with probability 0.25
     and otherwise uniform on [-2, 2].
+
+    The nonzeros are visited row-major and each takes the next doubles of
+    the stream: a star its magnitude then its sign, a '?' its zero test
+    then, unless that sets it to 0, its value. The doubles are drawn in
+    bulk, never more than the entries still to come take at least, so the
+    matrix and the Generator's end state equal those of one scalar draw
+    per double (uniform(low, high) is low + (high - low) * random()).
     """
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     values = np.zeros(m.shape)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            symbol = m.entries[i][j]
-            if symbol is STAR:
-                magnitude = rng.uniform(_STAR_MAG_LOW, _STAR_MAG_HIGH)
-                sign = 1.0 if rng.random() < 0.5 else -1.0
-                values[i, j] = sign * magnitude
-            elif symbol is ANY:
-                if rng.random() < _ANY_ZERO_PROB:
-                    values[i, j] = 0.0
-                else:
-                    values[i, j] = rng.uniform(_ANY_LOW, _ANY_HIGH)
+    nonzeros = m.nonzeros
+    if not nonzeros:
+        return values
+    # doubles still to draw at least: two per star, one per '?'
+    owed = len(nonzeros) + sum(symbol is STAR for _, _, symbol in nonzeros)
+    draws = rng.random(owed).tolist()
+    pos = 0
+    out = []
+    for _, _, symbol in nonzeros:
+        need = 2 if symbol is STAR else 1
+        if pos + need > len(draws):  # earlier '?' entries took a second double
+            draws += rng.random(owed - (len(draws) - pos)).tolist()
+        first = draws[pos]
+        pos += need
+        owed -= need
+        if symbol is STAR:
+            magnitude = _STAR_MAG_LOW + (_STAR_MAG_HIGH - _STAR_MAG_LOW) * first
+            out.append(magnitude if draws[pos - 1] < 0.5 else -magnitude)
+        elif first < _ANY_ZERO_PROB:
+            out.append(0.0)
+        else:
+            if pos == len(draws):
+                draws += rng.random(owed + 1).tolist()
+            out.append(_ANY_LOW + (_ANY_HIGH - _ANY_LOW) * draws[pos])
+            pos += 1
+    rows, cols, _ = zip(*nonzeros)
+    values[rows, cols] = out
     return values
 
 

@@ -9,8 +9,10 @@ class-exactness theorem that network assembly relies on, and only tests
 check them. So do the dense references for the sparse library code: the
 left-to-right fold over every inner index that defines the pattern
 product, the per-block slicing of W and H that defines the topology
-summary, and the block-by-block assembly of the network patterns. The
-hypothesis strategy for random patterns is shared here as well.
+summary, the block-by-block assembly of the network patterns, and the
+one-entry-at-a-time sampler that fixes the random stream of a
+realization. The hypothesis strategy for random patterns is shared here
+as well.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable
 
+import numpy as np
 from hypothesis import strategies as st
 
 from strucnet import DimensionMismatch, NodeSystem, PatternGraph, StructuredNetwork
@@ -126,6 +129,27 @@ def pat_mul_fold(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
             out_row.append(acc)
         out.append(tuple(out_row))
     return PatternMatrix(tuple(out))
+
+
+def sample_realization_loop(m: PatternMatrix, seed) -> np.ndarray:
+    """Reference sampler: every entry in row-major order, one scalar draw
+    per random number. A star draws its magnitude, then its sign; a '?'
+    draws its zero test, then its value unless the test gave 0."""
+    rng = np.random.default_rng(seed)
+    values = np.zeros(m.shape)
+    for i in range(m.rows):
+        for j in range(m.cols):
+            symbol = m.entries[i][j]
+            if symbol is STAR:
+                magnitude = rng.uniform(0.5, 2.0)
+                sign = 1.0 if rng.random() < 0.5 else -1.0
+                values[i, j] = sign * magnitude
+            elif symbol is ANY:
+                if rng.random() < 0.25:
+                    values[i, j] = 0.0
+                else:
+                    values[i, j] = rng.uniform(-2.0, 2.0)
+    return values
 
 
 def _offsets(sizes: Iterable[int]) -> list[int]:

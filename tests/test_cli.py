@@ -1,13 +1,16 @@
 """Exit codes, report formats, and determinism of the command line."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from strucnet import PatternMatrix, is_network_controllable, load_network, network_to_dict
-from strucnet.cli import main
-from conftest import INTERCONNECTION_FILE, NETWORK_FILE, NO_INPUT_NETWORK_FILE
+from strucnet.cli import build_parser, main
+from conftest import INTERCONNECTION_FILE, NETWORK_FILE, NO_INPUT_NETWORK_FILE, REPO_ROOT
 
 from helpers import random_network
 
@@ -46,6 +49,23 @@ def test_check_json_round_trips_and_is_stable(capsys):
     assert list(payload["topology"]) == ["W", "H", "weakly_colorable", *CERTIFICATE_KEYS]
     _, out2, _ = run(capsys, "check", NETWORK_FILE, "--json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", NETWORK_FILE, "--json"],
+        ["topo", NETWORK_FILE, "--json"],
+        ["rank", INTERCONNECTION_FILE, "--json"],
+        ["audit", NETWORK_FILE, "--trials", "3"],
+    ],
+    ids=["check", "topo", "rank", "audit"],
+)
+def test_json_output_is_one_line(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 1)
+    assert out.endswith("\n") and out.count("\n") == 1
+    json.loads(out)
 
 
 def test_check_malformed_token_cites_position(tmp_path, capsys):
@@ -349,6 +369,64 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["check", str(NETWORK_FILE), "--frobnicate"])
     assert excinfo.value.code == 2
+
+
+def test_parser_is_reused_without_carrying_state(capsys):
+    assert build_parser() is not build_parser()  # the public builder stays fresh
+    run(capsys, "audit", NETWORK_FILE, "--trials", "5")
+    code, out, _ = run(capsys, "audit", NETWORK_FILE)
+    assert code == 0
+    assert json.loads(out)["audit"]["trials_run"] == 100  # the default again
+    with pytest.raises(SystemExit):
+        main(["check", str(NETWORK_FILE), "--frobnicate"])
+    capsys.readouterr()
+    code, out, err = run(capsys, "check", NETWORK_FILE)
+    assert (code, err) == (0, "")
+    assert "controllable: yes" in out
+
+
+# Runs in a fresh interpreter, so no earlier import of numpy can hide one.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import strucnet, strucnet.cli
+
+net, pattern = sys.argv[1:]
+symbolic = [
+    ["check", net], ["check", net, "--json"], ["rank", pattern], ["topo", net],
+    *(["export-dot", net, "--which", which]
+      for which in ("assembled", "assembled-shifted", "interconnection", "topology")),
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [strucnet.cli.main(argv) for argv in symbolic]
+    symbolic_numpy = "numpy" in sys.modules
+    codes.append(strucnet.cli.main(["audit", net, "--trials", "2"]))
+audit_numpy = "numpy" in sys.modules
+unresolved = [name for name in strucnet.__all__ if getattr(strucnet, name, None) is None]
+try:
+    strucnet.no_such_name
+    unknown_raises = False
+except AttributeError:
+    unknown_raises = True
+print(json.dumps([codes, symbolic_numpy, audit_numpy, unresolved, unknown_raises]))
+"""
+
+
+def test_only_audit_loads_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(NETWORK_FILE), str(INTERCONNECTION_FILE)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    codes, symbolic_numpy, audit_numpy, unresolved, unknown_raises = json.loads(proc.stdout)
+    assert codes == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+    assert symbolic_numpy is False
+    assert audit_numpy is True
+    assert unresolved == []
+    assert unknown_raises is True
 
 
 def test_missing_subcommand_rejected(capsys):

@@ -37,6 +37,7 @@ from helpers import (
     exact_product_condition,
     pat_mul_fold,
     random_pattern,
+    sample_realization_loop,
     sparse_patterns,
 )
 
@@ -375,6 +376,34 @@ def test_sample_realization_is_deterministic():
     m = random_pattern(np.random.default_rng(8), 4, 3)
     assert np.array_equal(sample_realization(m, 123), sample_realization(m, 123))
     assert not np.array_equal(sample_realization(m, 123), sample_realization(m, 124))
+
+
+@st.composite
+def sampling_cases(draw):
+    """A pattern up to 10 x 10, a seed, and how many draws to chain on one Generator."""
+    r, c = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    return draw(sparse_patterns(r, c)), draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 3))
+
+
+def _same_bits(x, y):
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampling_cases())
+@example((PatternMatrix.zeros(3, 4), 0, 2))
+@example((PatternMatrix.filled(4, 4, ANY), 1, 3))
+@example((PatternMatrix.filled(3, 2, STAR), 2, 3))
+def test_sample_realization_matches_the_scalar_loop(case):
+    m, seed, chained = case
+    assert m.nonzeros == tuple(
+        (i, j, m[i, j]) for i in range(m.rows) for j in range(m.cols) if m[i, j] is not ZERO
+    )
+    assert _same_bits(sample_realization(m, seed), sample_realization_loop(m, seed))
+    ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(chained):
+        assert _same_bits(sample_realization(m, ours), sample_realization_loop(m, reference))
+    assert ours.bit_generator.state == reference.bit_generator.state
 
 
 def test_sample_realization_zero_pattern():

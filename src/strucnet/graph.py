@@ -83,8 +83,9 @@ def build_graph(m: PatternMatrix) -> PatternGraph:
         )
     edges_star = set()
     edges_any = set()
-    for i, j, symbol in m.nonzeros:
-        (edges_star if symbol is STAR else edges_any).add((j + 1, i + 1))
+    for i, row in enumerate(m.row_nonzeros, start=1):
+        for j, symbol in row:
+            (edges_star if symbol is STAR else edges_any).add((j + 1, i))
     return PatternGraph(
         num_vertices=m.cols,
         row_count=m.rows,

@@ -28,8 +28,8 @@ from .graph import ColoringResult, build_graph, color_change, weak_color_change
 from .pattern import (
     ANY,
     STAR,
-    ZERO,
     PatternMatrix,
+    PatternSymbol,
     block_diag,
     hstack,
     pat_add,
@@ -125,18 +125,29 @@ class SystemCheck:
 
 
 def _check_single_star(m: PatternMatrix, node: int, name: str, by_row: bool) -> list[Violation]:
-    """One '*' and no '?' in every column of m, or in every row when by_row."""
+    """One '*' and no '?' in every column of m, or in every row when by_row.
+
+    Reads the sparse rows; the columns are gathered from them in row order.
+    """
     kind = "row" if by_row else "column"
-    lines = m.entries if by_row else [m.column(j) for j in range(m.cols)]
+    if by_row:
+        lines = m.row_nonzeros
+    else:
+        lines = [[] for _ in range(m.cols)]
+        for i, row in enumerate(m.row_nonzeros):
+            for j, symbol in row:
+                lines[j].append((i, symbol))
     violations = []
     for a, line in enumerate(lines, start=1):
-        for b, symbol in enumerate(line, start=1):
+        if len(line) == 1 and line[0][1] is STAR:
+            continue
+        for b, symbol in line:
             if symbol is ANY:
-                i, j = (a, b) if by_row else (b, a)
+                i, j = (a, b + 1) if by_row else (b + 1, a)
                 violations.append(
                     Violation(node, name, f"'?' entry at row {i}, column {j} is not allowed")
                 )
-        stars = line.count(STAR)
+        stars = sum(symbol is STAR for _, symbol in line)
         if stars != 1:
             violations.append(
                 Violation(node, name, f"{kind} {a} has {stars} '*' entries, expected exactly one")
@@ -230,12 +241,22 @@ def node_necessary_check(network: StructuredNetwork) -> list[tuple[int, SystemCh
     """Run the per-node controllability test; any failure rules the network out.
 
     A controllable network needs every node system (A_k, B_k) to be
-    controllable on its own, so this is a cheap necessary screen.
+    controllable on its own, so this is a cheap necessary screen. Each
+    distinct pair is tested once and its check is shared by the nodes
+    that repeat it; the list has one entry per node, in node order.
     """
     violations = validate(network)
     if violations:
         raise AssumptionViolated(violations)
-    return [(node.index, check_structured_system(node.A, node.B)) for node in network.nodes]
+    checks: dict[tuple[PatternMatrix, PatternMatrix], SystemCheck] = {}
+    out = []
+    for node in network.nodes:
+        pair = (node.A, node.B)
+        check = checks.get(pair)
+        if check is None:
+            check = checks[pair] = check_structured_system(node.A, node.B)
+        out.append((node.index, check))
+    return out
 
 
 def extract_topology(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
@@ -243,32 +264,29 @@ def extract_topology(network: StructuredNetwork) -> tuple[PatternMatrix, Pattern
 
     A block that contains a '*' maps to '*', an all-zero block to '0', and
     a block whose only nonzero entries are '?' maps to '?'. One pass over
-    W and H sends each nonzero to its block through the input->node and
-    output->node index lists.
+    the nonzeros of W and H sends each to its block through the
+    input->node and output->node index lists.
     """
     violations = validate(network)
     if violations:
         raise AssumptionViolated(violations)
     input_node = [k for k, node in enumerate(network.nodes) for _ in range(node.num_inputs)]
     output_node = [k for k, node in enumerate(network.nodes) for _ in range(node.num_outputs)]
-    n = network.num_nodes
-    w_grid = [[ZERO] * n for _ in range(n)]
-    h_grid = [[ZERO] * network.num_external_inputs for _ in range(n)]
-    for summary, pattern, col_block in (
-        (w_grid, network.W, output_node),
-        (h_grid, network.H, range(network.num_external_inputs)),
+    m = network.num_external_inputs
+    summaries = []
+    for pattern, col_block, width in (
+        (network.W, output_node, network.num_nodes),
+        (network.H, range(m), m),
     ):
-        for row_node, row in zip(input_node, pattern.entries):
-            target = summary[row_node]
-            for col, symbol in zip(col_block, row):
-                if symbol is STAR:
-                    target[col] = STAR
-                elif symbol is ANY and target[col] is ZERO:
-                    target[col] = ANY
-    return (
-        PatternMatrix(tuple(map(tuple, w_grid))),
-        PatternMatrix(tuple(map(tuple, h_grid))),
-    )
+        rows: list[dict[int, PatternSymbol]] = [{} for _ in network.nodes]
+        for row_node, row in zip(input_node, pattern.row_nonzeros):
+            target = rows[row_node]
+            for j, symbol in row:
+                col = col_block[j]
+                if symbol is STAR or col not in target:
+                    target[col] = symbol
+        summaries.append(PatternMatrix.from_rows(width, (sorted(row.items()) for row in rows)))
+    return summaries[0], summaries[1]
 
 
 def topology_necessary_check(network: StructuredNetwork) -> ColoringResult:
@@ -383,7 +401,9 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
     """Build a network from the JSON object layout.
 
     Expected shape: {"nodes": [{"A": grid, "B": grid, "C": grid}, ...],
-    "W": grid, "H": grid} with grids of "0"/"*"/"?" tokens. Shape
+    "W": grid, "H": grid}, where each grid is a list of "0"/"*"/"?" token
+    rows or the sparse object {"shape": [r, c], "entries": [[i, j, token],
+    ...]} (see PatternMatrix.from_json). Shape
     consistency beyond parseability is left to validate().
     """
     if not isinstance(obj, dict):
@@ -401,7 +421,7 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
             if name not in entry:
                 raise NetworkFormatError(f"nodes[{k - 1}] is missing matrix '{name}'")
             try:
-                matrices[name] = PatternMatrix.from_tokens(entry[name])
+                matrices[name] = PatternMatrix.from_json(entry[name])
             except (PatternParseError, DimensionMismatch) as exc:
                 raise NetworkFormatError(f"nodes[{k - 1}].{name}: {exc}") from None
         nodes.append(NodeSystem(matrices["A"], matrices["B"], matrices["C"], index=k))
@@ -410,7 +430,7 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
         if name not in obj:
             raise NetworkFormatError(f"missing required key '{name}'")
         try:
-            matrices[name] = PatternMatrix.from_tokens(obj[name])
+            matrices[name] = PatternMatrix.from_json(obj[name])
         except (PatternParseError, DimensionMismatch) as exc:
             raise NetworkFormatError(f"{name}: {exc}") from None
     return StructuredNetwork(tuple(nodes), matrices["W"], matrices["H"])

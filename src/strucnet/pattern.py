@@ -3,21 +3,24 @@
 A pattern matrix fixes, for every entry, whether the corresponding real
 entry is exactly zero ("0"), surely nonzero ("*"), or unconstrained ("?").
 The set of real matrices consistent with a pattern is its pattern class.
-Sums and products of pattern matrices are computed entrywise from the
-three-symbol addition and multiplication tables so that the result is a
-sound over-approximation of the sums/products of the underlying classes.
+Sums and products of pattern matrices follow the three-symbol addition
+and multiplication tables entrywise, so that the result is a sound
+over-approximation of the sums/products of the underlying classes. A
+pattern is stored as the nonzeros of each row, and the algebra touches
+only those.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import compress, repeat
-from operator import is_not
+from operator import is_not, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DimensionMismatch, PatternParseError
 
@@ -83,14 +86,26 @@ def sym_mul(a: PatternSymbol, b: PatternSymbol) -> PatternSymbol:
     return _MUL[(a, b)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PatternMatrix:
-    """Dense, immutable grid of pattern symbols."""
+    """Immutable pattern matrix, stored as the sorted nonzeros of each row.
 
-    entries: tuple[tuple[PatternSymbol, ...], ...]
+    cols is the column count; row_nonzeros holds, for each row, the
+    (column, symbol) pairs of its nonzero entries, with 0-based columns in
+    strictly increasing order and symbols '*' or '?'. Every entry not
+    listed is '0'. Equality and hashing use this form, and the algebra
+    below works on it in time linear in the nonzeros. The dense grid
+    `entries` is built only when it is read.
 
-    def __post_init__(self):
-        grid = tuple(map(tuple, self.entries))
+    PatternMatrix(grid) builds from a dense grid of symbols; from_rows
+    builds from the sparse form. Both validate their input.
+    """
+
+    cols: int
+    row_nonzeros: tuple[tuple[tuple[int, PatternSymbol], ...], ...]
+
+    def __init__(self, entries: Sequence[Sequence[PatternSymbol]]):
+        grid = tuple(map(tuple, entries))
         if not grid or not grid[0]:
             raise DimensionMismatch("a pattern matrix needs at least one row and one column")
         width = len(grid[0])
@@ -107,15 +122,47 @@ class PatternMatrix:
                         raise PatternParseError(
                             f"row {i + 1}, column {j + 1}: {entry!r} is not a pattern symbol"
                         )
-        object.__setattr__(self, "entries", grid)
+        object.__setattr__(self, "cols", width)
+        object.__setattr__(
+            self,
+            "row_nonzeros",
+            tuple(tuple(compress(enumerate(row), map(is_not, row, repeat(ZERO)))) for row in grid),
+        )
+        self.__dict__["entries"] = grid  # the grid is at hand, so entries need not rebuild it
+
+    @classmethod
+    def from_rows(
+        cls, cols: int, rows: Iterable[Sequence[tuple[int, PatternSymbol]]]
+    ) -> "PatternMatrix":
+        """Build from the column count and each row's (column, symbol) pairs.
+
+        Columns are 0-based and strictly increasing within a row; symbols
+        are '*' or '?'. The check takes O(rows + nonzeros) and a rejected
+        pair is named by its 1-based row and column.
+        """
+        rows = tuple(map(tuple, rows))
+        if type(cols) is not int or cols < 1 or not rows:
+            raise DimensionMismatch("a pattern matrix needs at least one row and one column")
+        _check_rows(cols, rows)
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "cols", cols)
+        object.__setattr__(matrix, "row_nonzeros", rows)
+        return matrix
+
+    @cached_property
+    def entries(self) -> tuple[tuple[PatternSymbol, ...], ...]:
+        """The dense grid, built on first read and kept."""
+        grid = []
+        for row in self.row_nonzeros:
+            dense = [ZERO] * self.cols
+            for j, symbol in row:
+                dense[j] = symbol
+            grid.append(tuple(dense))
+        return tuple(grid)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
-
-    @property
-    def cols(self) -> int:
-        return len(self.entries[0])
+        return len(self.row_nonzeros)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -126,24 +173,92 @@ class PatternMatrix:
         """Build from a grid of "0"/"*"/"?" tokens, as read from JSON.
 
         Rejects any other token with an error naming the 1-based position.
+        One pass over the tokens lists each row's nonzeros.
         """
         if not isinstance(grid, (list, tuple)):
             raise PatternParseError(f"expected a list of rows, got {type(grid).__name__}")
         rows = []
+        widths = []
         for i, raw_row in enumerate(grid):
             if not isinstance(raw_row, (list, tuple)):
                 raise PatternParseError(f"row {i + 1}: expected a list of tokens")
+            widths.append(len(raw_row))
+            if raw_row.count("0") == len(raw_row):
+                rows.append(())
+                continue
+            # only the tokens other than "0" are looked up; a failing row is
+            # scanned again to name its column
             try:
-                rows.append(tuple(map(_SYMBOL_OF_TOKEN.__getitem__, raw_row)))
+                rows.append(
+                    tuple([(j, _SYMBOL_OF_TOKEN[t]) for j, t in enumerate(raw_row) if t != "0"])
+                )
             except (KeyError, TypeError):  # an unknown or unhashable token
-                row = []
                 for j, token in enumerate(raw_row):
                     try:
-                        row.append(PatternSymbol.from_token(token))
+                        PatternSymbol.from_token(token)
                     except PatternParseError as exc:
                         raise PatternParseError(f"row {i + 1}, column {j + 1}: {exc}") from None
-                rows.append(tuple(row))
-        return cls(tuple(rows))
+                raise
+        if not widths or not widths[0]:
+            raise DimensionMismatch("a pattern matrix needs at least one row and one column")
+        for i, width in enumerate(widths):
+            if width != widths[0]:
+                raise DimensionMismatch(f"row {i + 1} has {width} entries, expected {widths[0]}")
+        return cls.from_rows(widths[0], rows)
+
+    @classmethod
+    def from_json(cls, obj) -> "PatternMatrix":
+        """Build from either JSON form of a pattern.
+
+        A list is a grid of token rows (from_tokens). An object is the
+        sparse form that `check --json` writes,
+        {"shape": [r, c], "entries": [[i, j, token], ...]}: 1-based
+        positions in any order, each at most once, tokens '*' or '?', every
+        position not listed '0'.
+        """
+        if not isinstance(obj, dict):
+            return cls.from_tokens(obj)
+        for key in ("shape", "entries"):
+            if key not in obj:
+                raise PatternParseError(f"sparse pattern is missing key {key!r}")
+        shape, entries = obj["shape"], obj["entries"]
+        if not (
+            isinstance(shape, list)
+            and len(shape) == 2
+            and all(type(size) is int and size > 0 for size in shape)
+        ):
+            raise PatternParseError(f"'shape' must be two positive integers, got {shape!r}")
+        num_rows, cols = shape
+        if max(shape) > MAX_SPARSE_SIZE:
+            raise DimensionMismatch(
+                f"'shape' {shape} exceeds the limit of {MAX_SPARSE_SIZE} rows or columns"
+            )
+        if not isinstance(entries, list):
+            raise PatternParseError(f"'entries' must be a list, got {type(entries).__name__}")
+        rows: list[list[tuple[int, PatternSymbol]]] = [[] for _ in range(num_rows)]
+        for k, entry in enumerate(entries):
+            if not (isinstance(entry, list) and len(entry) == 3):
+                raise PatternParseError(
+                    f"entries[{k}]: expected [row, column, token], got {entry!r}"
+                )
+            i, j, token = entry
+            if type(i) is not int or type(j) is not int:
+                raise PatternParseError(
+                    f"entries[{k}]: row and column must be integers, got {entry!r}"
+                )
+            if not (1 <= i <= num_rows and 1 <= j <= cols):
+                raise DimensionMismatch(
+                    f"entries[{k}]: position ({i}, {j}) is outside the shape {shape}"
+                )
+            symbol = _SYMBOL_OF_TOKEN.get(token) if isinstance(token, str) else None
+            if symbol is None or symbol is ZERO:
+                raise PatternParseError(
+                    f"entries[{k}]: invalid pattern token {token!r}, expected '*' or '?'"
+                )
+            rows[i - 1].append((j - 1, symbol))
+        for row in rows:
+            row.sort(key=itemgetter(0))  # a repeated position is left for from_rows to name
+        return cls.from_rows(cols, rows)
 
     @classmethod
     def from_text(cls, text: str) -> "PatternMatrix":
@@ -157,24 +272,16 @@ class PatternMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "PatternMatrix":
-        return cls.filled(rows, cols, ZERO)
+        return cls.from_rows(cols, repeat((), rows))
 
     def to_tokens(self) -> list[list[str]]:
         return [[entry.token for entry in row] for row in self.entries]
 
     @cached_property
     def nonzeros(self) -> tuple[tuple[int, int, PatternSymbol], ...]:
-        """(i, j, symbol) of every nonzero entry, 0-based and row-major.
-
-        Listed on first use and kept, since the matrix is immutable; all-zero
-        rows are skipped by a C-level count.
-        """
-        width = self.cols
+        """(i, j, symbol) of every nonzero entry, 0-based and row-major."""
         return tuple(
-            (i, j, symbol)
-            for i, row in enumerate(self.entries)
-            if row.count(ZERO) != width
-            for j, symbol in compress(enumerate(row), map(is_not, row, repeat(ZERO)))
+            (i, j, symbol) for i, row in enumerate(self.row_nonzeros) for j, symbol in row
         )
 
     def to_sparse(self) -> dict:
@@ -187,9 +294,6 @@ class PatternMatrix:
     def __getitem__(self, key: tuple[int, int]) -> PatternSymbol:
         i, j = key
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[PatternSymbol, ...]:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple[PatternSymbol, ...]:
         return tuple(row[j] for row in self.entries)
@@ -205,9 +309,6 @@ class PatternMatrix:
         rows[i][j] = symbol
         return PatternMatrix(tuple(tuple(row) for row in rows))
 
-    def count(self, symbol: PatternSymbol) -> int:
-        return sum(row.count(symbol) for row in self.entries)
-
     def __add__(self, other: "PatternMatrix") -> "PatternMatrix":
         return pat_add(self, other)
 
@@ -218,71 +319,114 @@ class PatternMatrix:
         return "\n".join(" ".join(entry.token for entry in row) for row in self.entries)
 
 
+#: Largest row or column count a sparse pattern object may declare. Its
+#: rows are stored one by one, so the declared shape, not the file size,
+#: sets the memory a sparse file takes.
+MAX_SPARSE_SIZE = 10**6
+
+
+def _check_rows(cols: int, rows: tuple) -> None:
+    """Raise for the first pair that is not (column, '*'|'?') in range and in order."""
+    for i, row in enumerate(rows, start=1):
+        last = -1
+        for pair in row:
+            if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not int:
+                raise PatternParseError(f"row {i}: {pair!r} is not a (column, symbol) pair")
+            j, symbol = pair
+            if not last < j < cols:
+                if not 0 <= j < cols:
+                    raise DimensionMismatch(f"row {i}: column {j + 1} is out of range 1..{cols}")
+                if j == last:
+                    raise PatternParseError(f"row {i}, column {j + 1} appears twice")
+                raise PatternParseError(
+                    f"row {i}: column {j + 1} follows column {last + 1}, columns must increase"
+                )
+            if symbol is not STAR and symbol is not ANY:
+                raise PatternParseError(
+                    f"row {i}, column {j + 1}: {symbol!r} is not a nonzero pattern symbol"
+                )
+            last = j
+
+
+def _offset(row: tuple[tuple[int, PatternSymbol], ...], by: int) -> tuple:
+    """A sparse row with every column moved right by `by`."""
+    return tuple((j + by, symbol) for j, symbol in row)
+
+
 def pat_add(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
-    """Entrywise sum of two equally sized pattern matrices."""
+    """Entrywise sum of two equally sized pattern matrices.
+
+    Row by row, the nonzeros of both are merged: a column present in one
+    keeps its symbol and a column present in both becomes '?' (the rule of
+    sym_add, with '0' the identity).
+    """
     if m.shape != n.shape:
         raise DimensionMismatch(f"cannot add patterns of shapes {m.shape} and {n.shape}")
-    # the rule of sym_add: '0' is the identity, two nonzero terms give '?'
-    return PatternMatrix(
-        tuple(
-            tuple(a if b is ZERO else b if a is ZERO else ANY for a, b in zip(mrow, nrow))
-            for mrow, nrow in zip(m.entries, n.entries)
-        )
-    )
+    rows = []
+    for mrow, nrow in zip(m.row_nonzeros, n.row_nonzeros):
+        if not nrow or not mrow:
+            rows.append(mrow or nrow)
+            continue
+        merged = dict(mrow)
+        for j, symbol in nrow:
+            merged[j] = ANY if j in merged else symbol
+        rows.append(sorted(merged.items()))
+    return PatternMatrix.from_rows(m.cols, rows)
 
 
 def pat_mul(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     """Pattern product: entry (i, j) is the sym_add fold of m[i, k] * n[k, j].
 
     Only nonzero terms are folded, since '0' is the additive identity: each
-    nonzero m[i, k] meets the nonzeros of row k of n, listed once. The
+    nonzero (k, a) of row i of m meets the nonzeros of row k of n. The
     first nonzero term of an entry is its sym_mul product and a second one
     makes it '?', because any sum of two nonzero symbols is '?'. The cost
-    is one scan of m and of n, the nonzero products, and the output size.
+    is the nonzero products plus one step per row.
     """
     if m.cols != n.rows:
         raise DimensionMismatch(
             f"cannot multiply patterns of shapes {m.shape} and {n.shape}"
         )
-    n_nonzeros = [
-        [(j, b) for j, b in enumerate(nrow) if b is not ZERO] for nrow in n.entries
-    ]
-    out = []
-    for mrow in m.entries:
-        acc = [ZERO] * n.cols
-        for a, nonzeros in zip(mrow, n_nonzeros):
-            if a is ZERO:
-                continue
-            for j, b in nonzeros:
-                acc[j] = sym_mul(a, b) if acc[j] is ZERO else ANY
-        out.append(tuple(acc))
-    return PatternMatrix(tuple(out))
+    right = n.row_nonzeros
+    rows = []
+    for row in m.row_nonzeros:
+        if len(row) == 1:  # one term: row k of n, scaled by a
+            k, a = row[0]
+            rows.append(right[k] if a is STAR else tuple((j, ANY) for j, _ in right[k]))
+            continue
+        acc: dict[int, PatternSymbol] = {}
+        for k, a in row:
+            for j, b in right[k]:
+                acc[j] = ANY if j in acc or a is ANY else b
+        rows.append(sorted(acc.items()))
+    return PatternMatrix.from_rows(n.cols, rows)
 
 
 def pat_identity(n: int) -> PatternMatrix:
     """The n-by-n pattern with '*' on the diagonal and '0' elsewhere."""
     if n < 1:
         raise DimensionMismatch(f"identity size must be positive, got {n}")
-    return PatternMatrix(
-        tuple(tuple(STAR if i == j else ZERO for j in range(n)) for i in range(n))
-    )
+    return PatternMatrix.from_rows(n, (((i, STAR),) for i in range(n)))
 
 
 def pat_shift(m: PatternMatrix) -> PatternMatrix:
     """m + [I 0]: the identity added to the leading square block of m.
 
     Only the diagonal changes, by the rule of sym_add with '*': '0' becomes
-    '*' and a nonzero entry becomes '?'. Defined for m.rows <= m.cols, so
-    the shift of [a b] with square a is [a+I b].
+    '*' and a nonzero entry becomes '?'. Each row rewrites or inserts its
+    one diagonal pair. Defined for m.rows <= m.cols, so the shift of [a b]
+    with square a is [a+I b].
     """
     if m.rows > m.cols:
         raise DimensionMismatch(f"cannot shift a pattern with more rows than columns, got {m.shape}")
-    return PatternMatrix(
-        tuple(
-            row[:i] + (STAR if row[i] is ZERO else ANY,) + row[i + 1 :]
-            for i, row in enumerate(m.entries)
-        )
-    )
+    rows = []
+    for i, row in enumerate(m.row_nonzeros):
+        k = bisect_left(row, i, key=itemgetter(0))
+        if k < len(row) and row[k][0] == i:
+            rows.append(row[:k] + ((i, ANY),) + row[k + 1 :])
+        else:
+            rows.append(row[:k] + ((i, STAR),) + row[k:])
+    return PatternMatrix.from_rows(m.cols, rows)
 
 
 def is_member(values: np.ndarray, m: PatternMatrix) -> bool:
@@ -373,7 +517,13 @@ def hstack(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
         raise DimensionMismatch(
             f"cannot hstack patterns with {m.rows} and {n.rows} rows"
         )
-    return PatternMatrix(tuple(mrow + nrow for mrow, nrow in zip(m.entries, n.entries)))
+    return PatternMatrix.from_rows(
+        m.cols + n.cols,
+        (
+            mrow + _offset(nrow, m.cols) if nrow else mrow
+            for mrow, nrow in zip(m.row_nonzeros, n.row_nonzeros)
+        ),
+    )
 
 
 def block_diag(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
@@ -381,17 +531,12 @@ def block_diag(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
     blocks = list(blocks)
     if not blocks:
         raise DimensionMismatch("block_diag needs at least one block")
-    total_rows = sum(b.rows for b in blocks)
-    total_cols = sum(b.cols for b in blocks)
-    grid = [[ZERO] * total_cols for _ in range(total_rows)]
-    row_off = col_off = 0
+    rows = []
+    col_off = 0
     for block in blocks:
-        for i in range(block.rows):
-            for j in range(block.cols):
-                grid[row_off + i][col_off + j] = block.entries[i][j]
-        row_off += block.rows
+        rows.extend(_offset(row, col_off) for row in block.row_nonzeros)
         col_off += block.cols
-    return PatternMatrix(tuple(tuple(row) for row in grid))
+    return PatternMatrix.from_rows(col_off, rows)
 
 
 def read_json(path, error: type[ValueError]):
@@ -403,5 +548,5 @@ def read_json(path, error: type[ValueError]):
 
 
 def load_pattern(path) -> PatternMatrix:
-    """Read a pattern matrix from a JSON file of token grids."""
-    return PatternMatrix.from_tokens(read_json(path, PatternParseError))
+    """Read a pattern matrix from a JSON file, as a token grid or in sparse form."""
+    return PatternMatrix.from_json(read_json(path, PatternParseError))

@@ -11,6 +11,7 @@ FIXTURES = REPO_ROOT / "fixtures"
 
 NETWORK_FILE = FIXTURES / "three_node_network.json"
 NO_INPUT_NETWORK_FILE = FIXTURES / "three_node_network_no_input.json"
+SPARSE_NETWORK_FILE = FIXTURES / "three_node_network_sparse.json"
 INTERCONNECTION_FILE = FIXTURES / "interconnection_pattern.json"
 
 # The demo network's blocks, kept here as an independent transcription so a

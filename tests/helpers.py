@@ -8,17 +8,18 @@ The single-star product conditions live here too: they state the
 class-exactness theorem that network assembly relies on, and only tests
 check them. So do the dense references for the sparse library code: the
 left-to-right fold over every inner index that defines the pattern
-product, the per-block slicing of W and H that defines the topology
-summary, the block-by-block assembly of the network patterns, and the
-one-entry-at-a-time sampler that fixes the random stream of a
-realization. The hypothesis strategy for random patterns is shared here
-as well.
+product, the entrywise grid forms of the pattern sum, the identity
+shift, hstack and block_diag, the per-block slicing of W and H that
+defines the topology summary, the block-by-block assembly of the network
+patterns, and the one-entry-at-a-time sampler that fixes the random
+stream of a realization. The hypothesis strategy for random patterns is
+shared here as well.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
@@ -129,6 +130,55 @@ def pat_mul_fold(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
             out_row.append(acc)
         out.append(tuple(out_row))
     return PatternMatrix(tuple(out))
+
+
+def pat_add_dense(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
+    """Reference pattern sum: sym_add of every pair of grid entries."""
+    if m.shape != n.shape:
+        raise DimensionMismatch(f"cannot add patterns of shapes {m.shape} and {n.shape}")
+    return PatternMatrix(
+        tuple(
+            tuple(sym_add(a, b) for a, b in zip(mrow, nrow))
+            for mrow, nrow in zip(m.entries, n.entries)
+        )
+    )
+
+
+def pat_shift_dense(m: PatternMatrix) -> PatternMatrix:
+    """Reference m + [I 0]: sym_add of '*' to each diagonal grid entry."""
+    if m.rows > m.cols:
+        raise DimensionMismatch(f"cannot shift a pattern with more rows than columns, got {m.shape}")
+    return PatternMatrix(
+        tuple(
+            row[:i] + (sym_add(row[i], STAR),) + row[i + 1 :]
+            for i, row in enumerate(m.entries)
+        )
+    )
+
+
+def hstack_dense(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
+    """Reference [m n]: each grid row of m followed by that of n."""
+    if m.rows != n.rows:
+        raise DimensionMismatch(f"cannot hstack patterns with {m.rows} and {n.rows} rows")
+    return PatternMatrix(tuple(mrow + nrow for mrow, nrow in zip(m.entries, n.entries)))
+
+
+def block_diag_dense(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
+    """Reference block diagonal: every block copied into a zero grid."""
+    blocks = list(blocks)
+    if not blocks:
+        raise DimensionMismatch("block_diag needs at least one block")
+    total_rows = sum(b.rows for b in blocks)
+    total_cols = sum(b.cols for b in blocks)
+    grid = [[ZERO] * total_cols for _ in range(total_rows)]
+    row_off = col_off = 0
+    for block in blocks:
+        for i in range(block.rows):
+            for j in range(block.cols):
+                grid[row_off + i][col_off + j] = block.entries[i][j]
+        row_off += block.rows
+        col_off += block.cols
+    return PatternMatrix(tuple(tuple(row) for row in grid))
 
 
 def sample_realization_loop(m: PatternMatrix, seed) -> np.ndarray:

@@ -10,7 +10,13 @@ import pytest
 
 from strucnet import PatternMatrix, is_network_controllable, load_network, network_to_dict
 from strucnet.cli import build_parser, main
-from conftest import INTERCONNECTION_FILE, NETWORK_FILE, NO_INPUT_NETWORK_FILE, REPO_ROOT
+from conftest import (
+    INTERCONNECTION_FILE,
+    NETWORK_FILE,
+    NO_INPUT_NETWORK_FILE,
+    REPO_ROOT,
+    SPARSE_NETWORK_FILE,
+)
 
 from helpers import random_network
 
@@ -123,6 +129,106 @@ def test_check_json_patterns_are_sparse(tmp_path, capsys):
             assert positions == sorted(set(positions))  # row-major, each entry once
             assert all(token in ("*", "?") for _, _, token in block["entries"])
             assert PatternMatrix.from_tokens(_dense(block)) == pattern
+
+
+@pytest.mark.parametrize("argv", [["check", "--json"], ["check"], ["topo", "--json"]])
+def test_sparse_fixture_gives_the_dense_fixture_output(capsys, argv):
+    assert load_network(SPARSE_NETWORK_FILE) == load_network(NETWORK_FILE)
+    assert run(capsys, *argv, SPARSE_NETWORK_FILE) == run(capsys, *argv, NETWORK_FILE)
+
+
+@pytest.mark.parametrize("path", [NETWORK_FILE, NO_INPUT_NETWORK_FILE])
+def test_rank_of_the_reported_patterns_reproduces_their_checks(tmp_path, capsys, path):
+    _, out, _ = run(capsys, "check", "--json", path)
+    report = json.loads(out)
+    for key, block in report["patterns"].items():
+        pattern_file = tmp_path / f"{key}.json"
+        pattern_file.write_text(json.dumps(block))
+        code, rank_out, err = run(capsys, "rank", "--json", pattern_file)
+        check = report["checks"][key]
+        assert (code, err) == (0 if check["colorable"] else 1, "")
+        assert json.loads(rank_out) == {"full_row_rank": check["colorable"], **check}
+
+
+def _sparse_demo():
+    return json.loads(SPARSE_NETWORK_FILE.read_text())
+
+
+def _set(obj, where, value):
+    """Replace the matrix at where ("W", "H", or "A" of node 1) by value."""
+    if where == "A":
+        obj["nodes"][0]["A"] = value
+    else:
+        obj[where] = value
+    return obj
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        ("W", {"shape": [6, 6]}, "W: sparse pattern is missing key 'entries'"),
+        ("A", {"entries": []}, "nodes[0].A: sparse pattern is missing key 'shape'"),
+        ("W", {"shape": [6, 0], "entries": []}, "W: 'shape' must be two positive integers, got [6, 0]"),
+        ("H", {"shape": [6, True], "entries": []}, "H: 'shape' must be two positive integers, got [6, True]"),
+        ("H", {"shape": [6], "entries": []}, "H: 'shape' must be two positive integers, got [6]"),
+        (
+            "W",
+            {"shape": [2_000_000, 6], "entries": []},
+            "W: 'shape' [2000000, 6] exceeds the limit of 1000000 rows or columns",
+        ),
+        ("W", {"shape": [6, 6], "entries": {}}, "W: 'entries' must be a list, got dict"),
+        (
+            "A",
+            {"shape": [4, 4], "entries": [[1, 1, "*"], [5, 1, "*"]]},
+            "nodes[0].A: entries[1]: position (5, 1) is outside the shape [4, 4]",
+        ),
+        (
+            "A",
+            {"shape": [4, 4], "entries": [[1, 0, "*"]]},
+            "nodes[0].A: entries[0]: position (1, 0) is outside the shape [4, 4]",
+        ),
+        (
+            "A",
+            {"shape": [4, 4], "entries": [[2, 3, "*"], [1, 1, "*"], [2, 3, "?"]]},
+            "nodes[0].A: row 2, column 3 appears twice",
+        ),
+        (
+            "A",
+            {"shape": [4, 4], "entries": [[1, 1, "*"], [2, 2, "0"]]},
+            "nodes[0].A: entries[1]: invalid pattern token '0', expected '*' or '?'",
+        ),
+        (
+            "A",
+            {"shape": [4, 4], "entries": [[1, 1, ["*"]]]},
+            "nodes[0].A: entries[0]: invalid pattern token ['*'], expected '*' or '?'",
+        ),
+        (
+            "A",
+            {"shape": [4, 4], "entries": [[1, True, "*"]]},
+            "nodes[0].A: entries[0]: row and column must be integers, got [1, True, '*']",
+        ),
+        (
+            "A",
+            {"shape": [4, 4], "entries": [[1, 1]]},
+            "nodes[0].A: entries[0]: expected [row, column, token], got [1, 1]",
+        ),
+    ],
+    ids=[
+        "no-entries", "no-shape", "zero-shape", "bool-shape", "short-shape", "huge-shape",
+        "entries-object", "row-range", "column-range", "duplicate", "zero-token", "list-token",
+        "bool-index", "short-entry",
+    ],
+)
+def test_bad_sparse_matrix_is_located(tmp_path, capsys, where, value, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_set(_sparse_demo(), where, value)))
+    assert run(capsys, "check", bad) == (2, "", f"error: {message}\n")
+
+
+def test_bad_sparse_pattern_file_is_located(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"shape": [2, 2], "entries": [[1, 1, "*"], [1, 1, "*"]]}))
+    assert run(capsys, "rank", bad) == (2, "", "error: row 1, column 1 appears twice\n")
 
 
 def _write_non_utf8(path):

@@ -289,6 +289,43 @@ def test_node_necessary_check_requires_valid_network():
         node_necessary_check(net)
 
 
+def test_node_necessary_check_shares_repeated_pairs():
+    b_low = PatternMatrix.from_text("0 0\n0 0\n* 0\n0 *")
+    pairs = ((A1, B_NODE), (A2, B_NODE), (A1, B_NODE), (A1, b_low))
+    nodes = tuple(NodeSystem(a, b, C_NODE, index=k) for k, (a, b) in enumerate(pairs, start=1))
+    net = StructuredNetwork(nodes, PatternMatrix.zeros(8, 8), PatternMatrix.filled(8, 1, STAR))
+    results = node_necessary_check(net)
+    assert [k for k, _ in results] == [1, 2, 3, 4]
+    assert results[2][1] is results[0][1]
+    for (_, check), node in zip(results, nodes):
+        assert check == check_structured_system(node.A, node.B)
+
+
+def chain_network(num_nodes: int, size: int) -> StructuredNetwork:
+    """A path of num_nodes nodes, each a path of size states.
+
+    The single external input drives the first state of node 1; each node
+    reads its last state and drives the first state of the next node.
+    """
+    a = PatternMatrix.from_rows(size, [()] + [((s, STAR),) for s in range(size - 1)])
+    b = PatternMatrix.from_rows(1, [((0, STAR),)] + [()] * (size - 1))
+    c = PatternMatrix.from_rows(size, [((size - 1, STAR),)])
+    nodes = tuple(NodeSystem(a, b, c, index=k) for k in range(1, num_nodes + 1))
+    w = PatternMatrix.from_rows(num_nodes, [()] + [((k, STAR),) for k in range(num_nodes - 1)])
+    h = PatternMatrix.from_rows(1, [((0, STAR),)] + [()] * (num_nodes - 1))
+    return StructuredNetwork(nodes, w, h)
+
+
+def test_analyze_never_builds_the_assembled_grids():
+    report = analyze(chain_network(20, 5))
+    report.to_dict()
+    report.to_text()
+    plain, shifted = report.network_check.patterns
+    assert plain.shape == (100, 101) and report.controllable
+    assert "entries" not in vars(plain)
+    assert "entries" not in vars(shifted)
+
+
 def test_extract_topology_demo(demo_network):
     w_tilde, h_tilde = extract_topology(demo_network)
     assert w_tilde == PatternMatrix.from_text("0 0 0\n* 0 0\n0 * 0")

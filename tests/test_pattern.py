@@ -34,8 +34,12 @@ from conftest import A1, C_NODE
 
 from helpers import (
     ProductExactness,
+    block_diag_dense,
     exact_product_condition,
+    hstack_dense,
+    pat_add_dense,
     pat_mul_fold,
+    pat_shift_dense,
     random_pattern,
     sample_realization_loop,
     sparse_patterns,
@@ -167,6 +171,11 @@ def test_pat_mul_associative_random_shapes():
         assert pat_mul(pat_mul(m, n), p) == pat_mul(m, pat_mul(n, p))
 
 
+# Row 2 and column 3 are all zero: a sparse row that lists nothing, and a
+# column that no row lists.
+ZERO_ROW_AND_COLUMN = PatternMatrix.from_text("0 * 0 0\n0 0 0 0\n? 0 0 *")
+
+
 @st.composite
 def product_operands(draw):
     """Conformable factors m (r x k) and n (k x c), every size up to 8."""
@@ -176,6 +185,8 @@ def product_operands(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(product_operands())
+@example((ZERO_ROW_AND_COLUMN, PatternMatrix.from_text("0 *\n0 0\n* 0\n* ?")))
+@example((PatternMatrix.zeros(2, 3), ZERO_ROW_AND_COLUMN))
 def test_pat_mul_matches_reference_fold(operands):
     m, n = operands
     assert pat_mul(m, n) == pat_mul_fold(m, n)
@@ -190,9 +201,12 @@ def sum_operands(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(sum_operands())
+@example((ZERO_ROW_AND_COLUMN, PatternMatrix.zeros(3, 4)))
+@example((ZERO_ROW_AND_COLUMN, ZERO_ROW_AND_COLUMN))
 def test_pat_add_matches_entrywise_sym_add(operands):
     m, n = operands
     total = pat_add(m, n)
+    assert total == pat_add_dense(m, n)
     for i in range(m.rows):
         for j in range(m.cols):
             assert total[i, j] is sym_add(m[i, j], n[i, j])
@@ -209,8 +223,11 @@ def shift_operands(draw):
 @given(shift_operands())
 @example((PatternMatrix.zeros(3, 3), PatternMatrix.filled(3, 2, STAR)))
 @example((PatternMatrix.filled(3, 3, ANY), PatternMatrix.zeros(3, 1)))
+@example((ZERO_ROW_AND_COLUMN.submatrix(0, 3, 0, 3), ZERO_ROW_AND_COLUMN))
 def test_pat_shift_adds_the_identity_to_the_leading_block(operands):
     a, b = operands
+    assert hstack(a, b) == hstack_dense(a, b)
+    assert pat_shift(hstack(a, b)) == pat_shift_dense(hstack_dense(a, b))
     expected = hstack(pat_add(a, pat_identity(a.rows)), b)
     assert pat_shift(hstack(a, b)) == expected
     assert pat_shift(a) == pat_add(a, pat_identity(a.rows))
@@ -452,6 +469,61 @@ def test_block_diag_of_node_states(demo_network):
 def test_block_diag_rejects_empty_block_list():
     with pytest.raises(DimensionMismatch):
         block_diag([])
+
+
+@st.composite
+def diagonal_blocks(draw):
+    """One to four blocks, each up to 4 x 4."""
+    shapes = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=4))
+    return [draw(sparse_patterns(r, c)) for r, c in shapes]
+
+
+@settings(max_examples=200, deadline=None)
+@given(diagonal_blocks())
+@example([ZERO_ROW_AND_COLUMN, PatternMatrix.zeros(1, 1), ZERO_ROW_AND_COLUMN])
+@example([PatternMatrix.zeros(2, 3)])
+def test_block_diag_matches_dense_reference(blocks):
+    assert block_diag(blocks) == block_diag_dense(blocks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda r: st.integers(1, 8).flatmap(lambda c: sparse_patterns(r, c))))
+@example(ZERO_ROW_AND_COLUMN)
+@example(PatternMatrix.zeros(2, 3))
+def test_sparse_and_dense_forms_agree(m):
+    sparse = PatternMatrix.from_rows(m.cols, m.row_nonzeros)
+    assert "entries" not in vars(sparse)  # the grid is built on first read only
+    dense = PatternMatrix(sparse.entries)
+    assert dense == sparse == m and hash(dense) == hash(sparse) == hash(m)
+    assert sparse.nonzeros == tuple(
+        (i, j, m[i, j]) for i in range(m.rows) for j in range(m.cols) if m[i, j] is not ZERO
+    )
+    assert PatternMatrix.from_tokens(m.to_tokens()) == m
+    assert PatternMatrix.from_json(m.to_sparse()) == m
+
+
+@pytest.mark.parametrize(
+    "cols, rows, error, message",
+    [
+        (0, [()], DimensionMismatch, "a pattern matrix needs at least one row and one column"),
+        (3, [], DimensionMismatch, "a pattern matrix needs at least one row and one column"),
+        (True, [()], DimensionMismatch, "a pattern matrix needs at least one row and one column"),
+        (3, [(), [[1, STAR]]], PatternParseError, "row 2: [1, <*>] is not a (column, symbol) pair"),
+        (3, [[(1.0, STAR)]], PatternParseError, "row 1: (1.0, <*>) is not a (column, symbol) pair"),
+        (3, [[(True, STAR)]], PatternParseError, "row 1: (True, <*>) is not a (column, symbol) pair"),
+        (3, [[(0, STAR, ANY)]], PatternParseError, "row 1: (0, <*>, <?>) is not a (column, symbol) pair"),
+        (3, [[(0, STAR), (3, ANY)]], DimensionMismatch, "row 1: column 4 is out of range 1..3"),
+        (3, [(), [(-1, STAR)]], DimensionMismatch, "row 2: column 0 is out of range 1..3"),
+        (3, [[(1, STAR), (1, ANY)]], PatternParseError, "row 1, column 2 appears twice"),
+        (3, [[(2, STAR), (0, ANY)]], PatternParseError, "row 1: column 1 follows column 3, columns must increase"),
+        (3, [[(0, ZERO)]], PatternParseError, "row 1, column 1: <0> is not a nonzero pattern symbol"),
+        (3, [[(1, "*")]], PatternParseError, "row 1, column 2: '*' is not a nonzero pattern symbol"),
+    ],
+)
+def test_from_rows_rejects_malformed_rows(cols, rows, error, message):
+    with pytest.raises(error) as excinfo:
+        PatternMatrix.from_rows(cols, rows)
+    assert str(excinfo.value) == message
 
 
 def test_pattern_text_form_round_trip(tmp_path):

@@ -3,8 +3,9 @@
 The toolkit works over pattern matrices with entries in {0, *, ?}: "0"
 means exactly zero, "*" surely nonzero, "?" arbitrary. It decides whether
 every numeric network consistent with the patterns is controllable, via
-graph color-change certificates, and backs the symbolic verdicts with a
-numeric sampling oracle. Only the oracle needs numpy.
+graph color-change certificates. The numeric sampling audit that backs
+the symbolic verdicts is imported by name as `strucnet.oracle`; only it
+needs numpy, and `import strucnet` does not load it.
 """
 
 from .errors import (
@@ -37,7 +38,6 @@ from .network import (
     is_network_controllable,
     load_network,
     network_from_dict,
-    network_to_dict,
     node_necessary_check,
     topology_necessary_check,
     validate,
@@ -51,10 +51,8 @@ from .pattern import (
     PatternSymbol,
     block_diag,
     hstack,
-    is_member,
     load_pattern,
     pat_add,
-    pat_identity,
     pat_mul,
     pat_shift,
     sample_realization,
@@ -64,34 +62,10 @@ from .pattern import (
 
 __version__ = "0.1.0"
 
-# The numeric oracle needs numpy; it is imported on first use of one of its
-# names (PEP 562), so the symbolic checks never load numpy.
-_ORACLE_NAMES = frozenset({
-    "AuditConfig",
-    "AuditOutcome",
-    "audit_network",
-    "audit_rank",
-    "enumerate_patterns",
-    "kalman_controllable",
-    "shift_exclusion_exhaustive",
-    "shift_exclusion_random",
-})
-
-
-def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ANY",
     "AnalysisReport",
     "AssumptionViolated",
-    "AuditConfig",
-    "AuditOutcome",
     "BadShape",
     "ColoringResult",
     "DimensionMismatch",
@@ -110,32 +84,23 @@ __all__ = [
     "ZERO",
     "analyze",
     "assemble",
-    "audit_network",
-    "audit_rank",
     "block_diag",
     "build_graph",
     "check_structured_system",
     "color_change",
-    "enumerate_patterns",
     "export_dot",
     "extract_topology",
     "hstack",
     "is_full_row_rank",
-    "is_member",
     "is_network_controllable",
-    "kalman_controllable",
     "load_network",
     "load_pattern",
     "network_from_dict",
-    "network_to_dict",
     "node_necessary_check",
     "pat_add",
-    "pat_identity",
     "pat_mul",
     "pat_shift",
     "sample_realization",
-    "shift_exclusion_exhaustive",
-    "shift_exclusion_random",
     "sym_add",
     "sym_mul",
     "topology_necessary_check",

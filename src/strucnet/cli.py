@@ -30,6 +30,7 @@ from .network import (
     load_network,
     topology_dict,
     topology_necessary_check,
+    validate,
 )
 from .pattern import PatternMatrix, hstack, load_pattern
 
@@ -56,7 +57,9 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument("--json", action="store_true", help="emit the report as JSON")
 
     rank = sub.add_parser("rank", help="full-row-rank certificate for a pattern file")
-    rank.add_argument("path", help="pattern JSON file (array of token rows)")
+    rank.add_argument(
+        "path", help='pattern JSON file: an array of token rows or a sparse {"shape", "entries"} object'
+    )
     rank.add_argument("--json", action="store_true", help="emit the certificate as JSON")
 
     topo = sub.add_parser("topo", help="extract and test the interconnection topology")
@@ -153,6 +156,9 @@ def _cmd_audit(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     network = load_network(args.path)
+    violations = validate(network)  # every view, also the raw [W H], needs a valid network
+    if violations:
+        raise AssumptionViolated(violations)
     coloring = None  # the interconnection graph is drawn uncolored
     if args.which == "interconnection":
         pattern = hstack(network.W, network.H)

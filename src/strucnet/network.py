@@ -27,6 +27,7 @@ from .errors import AssumptionViolated, DimensionMismatch, NetworkFormatError, P
 from .graph import ColoringResult, build_graph, color_change, weak_color_change
 from .pattern import (
     ANY,
+    MAX_SPARSE_SIZE,
     STAR,
     PatternMatrix,
     PatternSymbol,
@@ -366,8 +367,8 @@ class AnalysisReport:
 def topology_dict(w_tilde: PatternMatrix, h_tilde: PatternMatrix, coloring: ColoringResult) -> dict:
     """JSON form of the topology screen: the summary [W~ H~] and its certificate."""
     return {
-        "W": w_tilde.to_tokens(),
-        "H": h_tilde.to_tokens(),
+        "W": w_tilde.to_sparse(),
+        "H": h_tilde.to_sparse(),
         "weakly_colorable": coloring.colorable,
         **coloring.to_dict(),
     }
@@ -403,8 +404,10 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
     Expected shape: {"nodes": [{"A": grid, "B": grid, "C": grid}, ...],
     "W": grid, "H": grid}, where each grid is a list of "0"/"*"/"?" token
     rows or the sparse object {"shape": [r, c], "entries": [[i, j, token],
-    ...]} (see PatternMatrix.from_json). Shape
-    consistency beyond parseability is left to validate().
+    ...]} (see PatternMatrix.from_json). The rows, and the columns, of all
+    matrices together may not pass MAX_SPARSE_SIZE; the matrix that
+    crosses it is named. Shape consistency beyond that is left to
+    validate().
     """
     if not isinstance(obj, dict):
         raise NetworkFormatError(f"expected a JSON object, got {type(obj).__name__}")
@@ -412,6 +415,24 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
         raise NetworkFormatError("missing required key 'nodes'")
     if not isinstance(obj["nodes"], list) or not obj["nodes"]:
         raise NetworkFormatError("'nodes' must be a non-empty list")
+    rows = cols = 0
+
+    def read(where: str, raw) -> PatternMatrix:
+        nonlocal rows, cols
+        try:
+            matrix = PatternMatrix.from_json(raw)
+        except (PatternParseError, DimensionMismatch) as exc:
+            raise NetworkFormatError(f"{where}: {exc}") from None
+        rows += matrix.rows
+        cols += matrix.cols
+        if rows > MAX_SPARSE_SIZE or cols > MAX_SPARSE_SIZE:
+            total, axis = (rows, "rows") if rows > MAX_SPARSE_SIZE else (cols, "columns")
+            raise NetworkFormatError(
+                f"{where}: brings the file to {total} {axis}, "
+                f"over the limit of {MAX_SPARSE_SIZE} for all matrices together"
+            )
+        return matrix
+
     nodes = []
     for k, entry in enumerate(obj["nodes"], start=1):
         if not isinstance(entry, dict):
@@ -420,31 +441,14 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
         for name in ("A", "B", "C"):
             if name not in entry:
                 raise NetworkFormatError(f"nodes[{k - 1}] is missing matrix '{name}'")
-            try:
-                matrices[name] = PatternMatrix.from_json(entry[name])
-            except (PatternParseError, DimensionMismatch) as exc:
-                raise NetworkFormatError(f"nodes[{k - 1}].{name}: {exc}") from None
+            matrices[name] = read(f"nodes[{k - 1}].{name}", entry[name])
         nodes.append(NodeSystem(matrices["A"], matrices["B"], matrices["C"], index=k))
     matrices = {}
     for name in ("W", "H"):
         if name not in obj:
             raise NetworkFormatError(f"missing required key '{name}'")
-        try:
-            matrices[name] = PatternMatrix.from_json(obj[name])
-        except (PatternParseError, DimensionMismatch) as exc:
-            raise NetworkFormatError(f"{name}: {exc}") from None
+        matrices[name] = read(name, obj[name])
     return StructuredNetwork(tuple(nodes), matrices["W"], matrices["H"])
-
-
-def network_to_dict(network: StructuredNetwork) -> dict:
-    return {
-        "nodes": [
-            {"A": node.A.to_tokens(), "B": node.B.to_tokens(), "C": node.C.to_tokens()}
-            for node in network.nodes
-        ],
-        "W": network.W.to_tokens(),
-        "H": network.H.to_tokens(),
-    }
 
 
 def load_network(path) -> StructuredNetwork:

@@ -1,31 +1,22 @@
-"""Numeric and exhaustive cross-checks for the symbolic verdicts.
+"""Numeric sampling audit of the symbolic network verdict.
 
 Sampling one realization at a time can never certify a strong structural
-property, so everything here is a consistency check, not a proof: when a
-pattern is certified full row rank, every sampled realization must pass
-the numeric rank test, and when a network is certified controllable,
-every sampled realization must pass the Kalman rank test. A failure in
-either direction is a defect (or a tolerance problem), never new
-information about the pattern class.
+property, so the audit is a consistency check, not a proof: when a
+network is certified controllable, every sampled realization must pass
+the Kalman rank test. A failure is a defect (or a tolerance problem),
+never new information about the pattern class. This module imports
+numpy; `import strucnet` does not load it.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolated, BadShape, NumericBreakdown
+from .errors import AssumptionViolated, NumericBreakdown
 from .network import StructuredNetwork, validate
-from .pattern import (
-    SYMBOLS,
-    PatternMatrix,
-    block_diag,
-    pat_shift,
-    sample_realization,
-)
-from .graph import is_full_row_rank
+from .pattern import block_diag, sample_realization
 
 
 @dataclass(frozen=True)
@@ -102,41 +93,6 @@ def _controllability_rank(a: np.ndarray, b: np.ndarray, tol: float) -> int:
     return _numeric_rank(ctrb, tol)
 
 
-def kalman_controllable(a, b, tol: float = 1e-8) -> bool:
-    """Classical rank test: the pair (a, b) is controllable iff the
-    controllability matrix has rank n."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"state matrix must be square, got shape {a.shape}")
-    if b.ndim != 2 or b.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"input matrix has shape {b.shape}, expected {a.shape[0]} rows"
-        )
-    return _controllability_rank(a, b, tol) == a.shape[0]
-
-
-def audit_rank(m: PatternMatrix, cfg: AuditConfig) -> AuditOutcome:
-    """Sample realizations of m and test numeric full row rank.
-
-    When the coloring certifies full row rank, any failure here is an
-    inconsistency; in the other direction a zero failure count proves
-    nothing.
-    """
-    if m.rows > m.cols:
-        raise BadShape(f"row-rank audit needs rows <= cols, got {m.shape}")
-    outcome = AuditOutcome()
-    for trial in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, trial])
-        values = sample_realization(m, rng)
-        rank = _numeric_rank(values, cfg.rank_tolerance)
-        failure = None
-        if rank < m.rows:
-            failure = f"numeric row rank {rank} < {m.rows}"
-        outcome.record(trial, failure)
-    return outcome
-
-
 def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
     """Sample full network realizations and run the Kalman test on each.
 
@@ -174,37 +130,3 @@ def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
             failure = f"controllability rank {rank} < {n}"
         outcome.record(trial, failure)
     return outcome
-
-
-def enumerate_patterns(rows: int, cols: int):
-    """Yield every rows-by-cols pattern matrix, 3^(rows*cols) in total."""
-    for combo in itertools.product(SYMBOLS, repeat=rows * cols):
-        yield PatternMatrix(
-            tuple(combo[i * cols : (i + 1) * cols] for i in range(rows))
-        )
-
-
-def _violates_shift_exclusion(m: PatternMatrix) -> bool:
-    return (
-        is_full_row_rank(m).colorable
-        and is_full_row_rank(pat_shift(m)).colorable
-    )
-
-
-def shift_exclusion_exhaustive(size: int) -> bool:
-    """Check all square patterns of the given size (1 or 2): a pattern and
-    its identity-shifted sum never both certify full row rank."""
-    if size not in (1, 2):
-        raise ValueError(f"exhaustive sweep supports sizes 1 and 2, got {size}")
-    return not any(_violates_shift_exclusion(m) for m in enumerate_patterns(size, size))
-
-
-def shift_exclusion_random(size: int, samples: int, seed: int = 0) -> bool:
-    """Randomized extension of the exhaustive sweep to larger sizes."""
-    rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        draws = rng.integers(0, 3, size=(size, size))
-        m = PatternMatrix(tuple(tuple(SYMBOLS[v] for v in row) for row in draws))
-        if _violates_shift_exclusion(m):
-            return False
-    return True

@@ -94,8 +94,8 @@ class PatternMatrix:
     (column, symbol) pairs of its nonzero entries, with 0-based columns in
     strictly increasing order and symbols '*' or '?'. Every entry not
     listed is '0'. Equality and hashing use this form, and the algebra
-    below works on it in time linear in the nonzeros. The dense grid
-    `entries` is built only when it is read.
+    below works on it in time linear in the nonzeros; no dense grid is
+    kept.
 
     PatternMatrix(grid) builds from a dense grid of symbols; from_rows
     builds from the sparse form. Both validate their input.
@@ -104,8 +104,8 @@ class PatternMatrix:
     cols: int
     row_nonzeros: tuple[tuple[tuple[int, PatternSymbol], ...], ...]
 
-    def __init__(self, entries: Sequence[Sequence[PatternSymbol]]):
-        grid = tuple(map(tuple, entries))
+    def __init__(self, grid: Sequence[Sequence[PatternSymbol]]):
+        grid = tuple(map(tuple, grid))
         if not grid or not grid[0]:
             raise DimensionMismatch("a pattern matrix needs at least one row and one column")
         width = len(grid[0])
@@ -128,7 +128,6 @@ class PatternMatrix:
             "row_nonzeros",
             tuple(tuple(compress(enumerate(row), map(is_not, row, repeat(ZERO)))) for row in grid),
         )
-        self.__dict__["entries"] = grid  # the grid is at hand, so entries need not rebuild it
 
     @classmethod
     def from_rows(
@@ -148,17 +147,6 @@ class PatternMatrix:
         object.__setattr__(matrix, "cols", cols)
         object.__setattr__(matrix, "row_nonzeros", rows)
         return matrix
-
-    @cached_property
-    def entries(self) -> tuple[tuple[PatternSymbol, ...], ...]:
-        """The dense grid, built on first read and kept."""
-        grid = []
-        for row in self.row_nonzeros:
-            dense = [ZERO] * self.cols
-            for j, symbol in row:
-                dense[j] = symbol
-            grid.append(tuple(dense))
-        return tuple(grid)
 
     @property
     def rows(self) -> int:
@@ -267,15 +255,8 @@ class PatternMatrix:
         return cls.from_tokens(grid)
 
     @classmethod
-    def filled(cls, rows: int, cols: int, symbol: PatternSymbol) -> "PatternMatrix":
-        return cls(tuple(tuple(symbol for _ in range(cols)) for _ in range(rows)))
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "PatternMatrix":
         return cls.from_rows(cols, repeat((), rows))
-
-    def to_tokens(self) -> list[list[str]]:
-        return [[entry.token for entry in row] for row in self.entries]
 
     @cached_property
     def nonzeros(self) -> tuple[tuple[int, int, PatternSymbol], ...]:
@@ -291,37 +272,21 @@ class PatternMatrix:
             "entries": [[i + 1, j + 1, symbol.value] for i, j, symbol in self.nonzeros],
         }
 
-    def __getitem__(self, key: tuple[int, int]) -> PatternSymbol:
-        i, j = key
-        return self.entries[i][j]
-
-    def column(self, j: int) -> tuple[PatternSymbol, ...]:
-        return tuple(row[j] for row in self.entries)
-
-    def submatrix(self, row_start: int, row_stop: int, col_start: int, col_stop: int) -> "PatternMatrix":
-        return PatternMatrix(
-            tuple(row[col_start:col_stop] for row in self.entries[row_start:row_stop])
-        )
-
-    def with_entry(self, i: int, j: int, symbol: PatternSymbol) -> "PatternMatrix":
-        """Copy with entry (i, j) replaced."""
-        rows = [list(row) for row in self.entries]
-        rows[i][j] = symbol
-        return PatternMatrix(tuple(tuple(row) for row in rows))
-
-    def __add__(self, other: "PatternMatrix") -> "PatternMatrix":
-        return pat_add(self, other)
-
-    def __matmul__(self, other: "PatternMatrix") -> "PatternMatrix":
-        return pat_mul(self, other)
-
     def __str__(self) -> str:
-        return "\n".join(" ".join(entry.token for entry in row) for row in self.entries)
+        """One line of space-separated tokens per row; from_text reads it back."""
+        lines = []
+        for row in self.row_nonzeros:
+            tokens = ["0"] * self.cols
+            for j, symbol in row:
+                tokens[j] = symbol.value
+            lines.append(" ".join(tokens))
+        return "\n".join(lines)
 
 
-#: Largest row or column count a sparse pattern object may declare. Its
-#: rows are stored one by one, so the declared shape, not the file size,
-#: sets the memory a sparse file takes.
+#: Largest row or column count a sparse pattern object may declare, and
+#: the most rows, and columns, that the matrices of one network file may
+#: have together. Sparse rows are stored one by one, so the declared
+#: shapes, not the file size, set the memory a sparse file takes.
 MAX_SPARSE_SIZE = 10**6
 
 
@@ -402,13 +367,6 @@ def pat_mul(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     return PatternMatrix.from_rows(n.cols, rows)
 
 
-def pat_identity(n: int) -> PatternMatrix:
-    """The n-by-n pattern with '*' on the diagonal and '0' elsewhere."""
-    if n < 1:
-        raise DimensionMismatch(f"identity size must be positive, got {n}")
-    return PatternMatrix.from_rows(n, (((i, STAR),) for i in range(n)))
-
-
 def pat_shift(m: PatternMatrix) -> PatternMatrix:
     """m + [I 0]: the identity added to the leading square block of m.
 
@@ -427,29 +385,6 @@ def pat_shift(m: PatternMatrix) -> PatternMatrix:
         else:
             rows.append(row[:k] + ((i, STAR),) + row[k:])
     return PatternMatrix.from_rows(m.cols, rows)
-
-
-def is_member(values: np.ndarray, m: PatternMatrix) -> bool:
-    """True iff the numeric matrix lies in the pattern class of m.
-
-    Zero entries must be exactly 0, star entries exactly nonzero; '?'
-    entries are unconstrained.
-    """
-    import numpy as np
-
-    values = np.asarray(values, dtype=float)
-    if values.shape != m.shape:
-        raise DimensionMismatch(
-            f"value grid has shape {values.shape}, pattern has shape {m.shape}"
-        )
-    for i in range(m.rows):
-        for j in range(m.cols):
-            symbol = m.entries[i][j]
-            if symbol is ZERO and values[i, j] != 0.0:
-                return False
-            if symbol is STAR and values[i, j] == 0.0:
-                return False
-    return True
 
 
 # Sampler constants. Star entries are kept away from zero so that numeric

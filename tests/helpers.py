@@ -14,17 +14,35 @@ defines the topology summary, the block-by-block assembly of the network
 patterns, and the one-entry-at-a-time sampler that fixes the random
 stream of a realization. The hypothesis strategy for random patterns is
 shared here as well.
+
+The library keeps a pattern only as the sparse nonzeros of its rows, so
+the dense views tests read (the grid, its token rows, slices, one-entry
+edits) are built here, along with the other names only tests call: the
+identity pattern, the class-membership test, the dense network writer,
+the Kalman and row-rank audits, and the sweeps behind the theorem that a
+pattern and its identity shift never both certify full row rank.
 """
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 from typing import Iterable, Sequence
 
 import numpy as np
 from hypothesis import strategies as st
 
-from strucnet import DimensionMismatch, NodeSystem, PatternGraph, StructuredNetwork
+from strucnet import (
+    BadShape,
+    DimensionMismatch,
+    NodeSystem,
+    PatternGraph,
+    StructuredNetwork,
+    is_full_row_rank,
+    pat_shift,
+    sample_realization,
+)
+from strucnet.oracle import AuditConfig, AuditOutcome, _controllability_rank, _numeric_rank
 from strucnet.pattern import (
     ANY,
     STAR,
@@ -35,6 +53,145 @@ from strucnet.pattern import (
     sym_add,
     sym_mul,
 )
+
+
+def dense(m: PatternMatrix) -> tuple[tuple[PatternSymbol, ...], ...]:
+    """The full grid of m: each row's listed symbols, '0' everywhere else."""
+    grid = []
+    for row in m.row_nonzeros:
+        line = [ZERO] * m.cols
+        for j, symbol in row:
+            line[j] = symbol
+        grid.append(tuple(line))
+    return tuple(grid)
+
+
+def tokens(m: PatternMatrix) -> list[list[str]]:
+    """The grid of m as rows of "0"/"*"/"?" tokens, the dense JSON form."""
+    return [[symbol.token for symbol in row] for row in dense(m)]
+
+
+def filled(rows: int, cols: int, symbol: PatternSymbol) -> PatternMatrix:
+    return PatternMatrix(((symbol,) * cols,) * rows)
+
+
+def submatrix(m: PatternMatrix, row_start: int, row_stop: int, col_start: int, col_stop: int) -> PatternMatrix:
+    return PatternMatrix(tuple(row[col_start:col_stop] for row in dense(m)[row_start:row_stop]))
+
+
+def with_entry(m: PatternMatrix, i: int, j: int, symbol: PatternSymbol) -> PatternMatrix:
+    """Copy of m with entry (i, j) replaced."""
+    grid = [list(row) for row in dense(m)]
+    grid[i][j] = symbol
+    return PatternMatrix(grid)
+
+
+def pat_identity(n: int) -> PatternMatrix:
+    """The n-by-n pattern with '*' on the diagonal and '0' elsewhere."""
+    if n < 1:
+        raise DimensionMismatch(f"identity size must be positive, got {n}")
+    return PatternMatrix.from_rows(n, (((i, STAR),) for i in range(n)))
+
+
+def is_member(values: np.ndarray, m: PatternMatrix) -> bool:
+    """True iff the numeric matrix lies in the pattern class of m.
+
+    Zero entries must be exactly 0, star entries exactly nonzero; '?'
+    entries are unconstrained.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape != m.shape:
+        raise DimensionMismatch(
+            f"value grid has shape {values.shape}, pattern has shape {m.shape}"
+        )
+    for i, row in enumerate(dense(m)):
+        for j, symbol in enumerate(row):
+            if symbol is ZERO and values[i, j] != 0.0:
+                return False
+            if symbol is STAR and values[i, j] == 0.0:
+                return False
+    return True
+
+
+def network_to_dict(network: StructuredNetwork) -> dict:
+    """The network as the JSON object layout, every matrix a dense token grid."""
+    return {
+        "nodes": [
+            {"A": tokens(node.A), "B": tokens(node.B), "C": tokens(node.C)}
+            for node in network.nodes
+        ],
+        "W": tokens(network.W),
+        "H": tokens(network.H),
+    }
+
+
+def kalman_controllable(a, b, tol: float = 1e-8) -> bool:
+    """Classical rank test: the pair (a, b) is controllable iff the
+    controllability matrix has rank n (the audit's own rank routine)."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"state matrix must be square, got shape {a.shape}")
+    if b.ndim != 2 or b.shape[0] != a.shape[0]:
+        raise ValueError(
+            f"input matrix has shape {b.shape}, expected {a.shape[0]} rows"
+        )
+    return _controllability_rank(a, b, tol) == a.shape[0]
+
+
+def audit_rank(m: PatternMatrix, cfg: AuditConfig) -> AuditOutcome:
+    """Sample realizations of m and test numeric full row rank.
+
+    When the coloring certifies full row rank, any failure here is an
+    inconsistency; in the other direction a zero failure count proves
+    nothing.
+    """
+    if m.rows > m.cols:
+        raise BadShape(f"row-rank audit needs rows <= cols, got {m.shape}")
+    outcome = AuditOutcome()
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng([cfg.seed, trial])
+        values = sample_realization(m, rng)
+        rank = _numeric_rank(values, cfg.rank_tolerance)
+        failure = None
+        if rank < m.rows:
+            failure = f"numeric row rank {rank} < {m.rows}"
+        outcome.record(trial, failure)
+    return outcome
+
+
+def enumerate_patterns(rows: int, cols: int):
+    """Yield every rows-by-cols pattern matrix, 3^(rows*cols) in total."""
+    for combo in itertools.product(SYMBOLS, repeat=rows * cols):
+        yield PatternMatrix(
+            tuple(combo[i * cols : (i + 1) * cols] for i in range(rows))
+        )
+
+
+def _violates_shift_exclusion(m: PatternMatrix) -> bool:
+    return (
+        is_full_row_rank(m).colorable
+        and is_full_row_rank(pat_shift(m)).colorable
+    )
+
+
+def shift_exclusion_exhaustive(size: int) -> bool:
+    """Check all square patterns of the given size (1 or 2): a pattern and
+    its identity-shifted sum never both certify full row rank."""
+    if size not in (1, 2):
+        raise ValueError(f"exhaustive sweep supports sizes 1 and 2, got {size}")
+    return not any(_violates_shift_exclusion(m) for m in enumerate_patterns(size, size))
+
+
+def shift_exclusion_random(size: int, samples: int, seed: int = 0) -> bool:
+    """Randomized extension of the exhaustive sweep to larger sizes."""
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        draws = rng.integers(0, 3, size=(size, size))
+        m = PatternMatrix(tuple(tuple(SYMBOLS[v] for v in row) for row in draws))
+        if _violates_shift_exclusion(m):
+            return False
+    return True
 
 
 def random_pattern(rng, rows, cols, weights=(0.5, 0.35, 0.15)) -> PatternMatrix:
@@ -81,7 +238,7 @@ def _random_node_state(rng, n_k) -> PatternMatrix:
     if rng.random() < 0.4:
         a = random_pattern(rng, n_k, n_k, (0.75, 0.15, 0.10))
         for i in range(1, n_k):
-            a = a.with_entry(i, i - 1, STAR)
+            a = with_entry(a, i, i - 1, STAR)
         return a
     return random_pattern(rng, n_k, n_k)
 
@@ -119,9 +276,9 @@ def pat_mul_fold(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
         raise DimensionMismatch(
             f"cannot multiply patterns of shapes {m.shape} and {n.shape}"
         )
-    n_cols = [n.column(j) for j in range(n.cols)]
+    n_cols = list(zip(*dense(n)))
     out = []
-    for mrow in m.entries:
+    for mrow in dense(m):
         out_row = []
         for ncol in n_cols:
             acc = ZERO
@@ -139,7 +296,7 @@ def pat_add_dense(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     return PatternMatrix(
         tuple(
             tuple(sym_add(a, b) for a, b in zip(mrow, nrow))
-            for mrow, nrow in zip(m.entries, n.entries)
+            for mrow, nrow in zip(dense(m), dense(n))
         )
     )
 
@@ -151,7 +308,7 @@ def pat_shift_dense(m: PatternMatrix) -> PatternMatrix:
     return PatternMatrix(
         tuple(
             row[:i] + (sym_add(row[i], STAR),) + row[i + 1 :]
-            for i, row in enumerate(m.entries)
+            for i, row in enumerate(dense(m))
         )
     )
 
@@ -160,7 +317,7 @@ def hstack_dense(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     """Reference [m n]: each grid row of m followed by that of n."""
     if m.rows != n.rows:
         raise DimensionMismatch(f"cannot hstack patterns with {m.rows} and {n.rows} rows")
-    return PatternMatrix(tuple(mrow + nrow for mrow, nrow in zip(m.entries, n.entries)))
+    return PatternMatrix(tuple(mrow + nrow for mrow, nrow in zip(dense(m), dense(n))))
 
 
 def block_diag_dense(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
@@ -173,9 +330,9 @@ def block_diag_dense(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
     grid = [[ZERO] * total_cols for _ in range(total_rows)]
     row_off = col_off = 0
     for block in blocks:
-        for i in range(block.rows):
-            for j in range(block.cols):
-                grid[row_off + i][col_off + j] = block.entries[i][j]
+        for i, row in enumerate(dense(block)):
+            for j, symbol in enumerate(row):
+                grid[row_off + i][col_off + j] = symbol
         row_off += block.rows
         col_off += block.cols
     return PatternMatrix(tuple(tuple(row) for row in grid))
@@ -187,9 +344,8 @@ def sample_realization_loop(m: PatternMatrix, seed) -> np.ndarray:
     draws its zero test, then its value unless the test gave 0."""
     rng = np.random.default_rng(seed)
     values = np.zeros(m.shape)
-    for i in range(m.rows):
-        for j in range(m.cols):
-            symbol = m.entries[i][j]
+    for i, row in enumerate(dense(m)):
+        for j, symbol in enumerate(row):
             if symbol is STAR:
                 magnitude = rng.uniform(0.5, 2.0)
                 sign = 1.0 if rng.random() < 0.5 else -1.0
@@ -214,13 +370,13 @@ def interconnection_block(network: StructuredNetwork, i: int, j: int) -> Pattern
     """Block W^(ij): rows of node i's inputs, columns of node j's outputs (1-based)."""
     rows = _offsets(node.num_inputs for node in network.nodes)
     cols = _offsets(node.num_outputs for node in network.nodes)
-    return network.W.submatrix(rows[i - 1], rows[i], cols[j - 1], cols[j])
+    return submatrix(network.W, rows[i - 1], rows[i], cols[j - 1], cols[j])
 
 
 def input_block(network: StructuredNetwork, i: int, j: int) -> PatternMatrix:
     """Block H^(ij): rows of node i's inputs, the single column of input j."""
     rows = _offsets(node.num_inputs for node in network.nodes)
-    return network.H.submatrix(rows[i - 1], rows[i], j - 1, j)
+    return submatrix(network.H, rows[i - 1], rows[i], j - 1, j)
 
 
 def assembled_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
@@ -240,7 +396,7 @@ def assembled_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, Patt
         blocks[i - 1] = PatternMatrix(
             tuple(
                 tuple(sym_add(a, b) for a, b in zip(a_row, bwc_row))
-                for a_row, bwc_row in zip(node.A.entries, blocks[i - 1].entries)
+                for a_row, bwc_row in zip(dense(node.A), dense(blocks[i - 1]))
             )
         )
         blocks += [
@@ -248,11 +404,11 @@ def assembled_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, Patt
             for k in range(1, network.num_external_inputs + 1)
         ]
         for r in range(node.num_states):
-            plain_rows.append(tuple(symbol for block in blocks for symbol in block.entries[r]))
+            plain_rows.append(tuple(symbol for block in blocks for symbol in dense(block)[r]))
     plain = PatternMatrix(tuple(plain_rows))
     shifted = plain
     for v in range(plain.rows):
-        shifted = shifted.with_entry(v, v, sym_add(plain[v, v], STAR))
+        shifted = with_entry(shifted, v, v, sym_add(plain_rows[v][v], STAR))
     return plain, shifted
 
 
@@ -283,8 +439,8 @@ def exact_product_condition(m: PatternMatrix, n: PatternMatrix) -> ProductExactn
         raise DimensionMismatch(
             f"cannot multiply patterns of shapes {m.shape} and {n.shape}"
         )
-    row_ok = _single_star_lines(n.entries)
-    col_ok = _single_star_lines(m.column(j) for j in range(m.cols))
+    row_ok = _single_star_lines(dense(n))
+    col_ok = _single_star_lines(zip(*dense(m)))
     if row_ok and col_ok:
         return ProductExactness.BOTH
     if row_ok:

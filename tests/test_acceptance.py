@@ -11,9 +11,7 @@ import pytest
 
 from strucnet import (
     SYMBOLS,
-    AuditConfig,
     PatternMatrix,
-    audit_network,
     build_graph,
     color_change,
     extract_topology,
@@ -22,8 +20,6 @@ from strucnet import (
     load_network,
     load_pattern,
     node_necessary_check,
-    shift_exclusion_exhaustive,
-    shift_exclusion_random,
     sym_add,
     sym_mul,
     topology_necessary_check,
@@ -32,7 +28,16 @@ from strucnet import (
 )
 from conftest import INTERCONNECTION_FILE, NETWORK_FILE
 
-from helpers import random_network, random_pattern, standard_forced_set, weak_forced_set
+from strucnet.oracle import AuditConfig, audit_network
+
+from helpers import (
+    random_network,
+    random_pattern,
+    shift_exclusion_exhaustive,
+    shift_exclusion_random,
+    standard_forced_set,
+    weak_forced_set,
+)
 
 RANDOM_NETWORK_COUNT = 220
 RANK_TOL = 1e-8

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from strucnet import PatternMatrix, is_network_controllable, load_network, network_to_dict
+from strucnet import PatternMatrix, is_network_controllable, load_network
 from strucnet.cli import build_parser, main
 from conftest import (
     INTERCONNECTION_FILE,
@@ -18,7 +18,7 @@ from conftest import (
     SPARSE_NETWORK_FILE,
 )
 
-from helpers import random_network
+from helpers import network_to_dict, random_network
 
 
 CERTIFICATE_KEYS = ["colorable", "derived_set", "forcing_sequence", "uncolored"]
@@ -225,6 +225,22 @@ def test_bad_sparse_matrix_is_located(tmp_path, capsys, where, value, message):
     assert run(capsys, "check", bad) == (2, "", f"error: {message}\n")
 
 
+def test_declared_rows_are_budgeted_over_the_whole_file(tmp_path, capsys):
+    # each matrix is within the per-matrix limit; the third one takes the
+    # file past it, and loading stops there, before validation
+    tall = {"shape": [400_000, 1], "entries": []}
+    obj = {"nodes": [{"A": tall, "B": tall, "C": [["*"]]}], "W": [["*"]], "H": tall}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    message = "error: H: brings the file to 1200002 rows, over the limit of 1000000 for all matrices together\n"
+    assert run(capsys, "check", bad) == (2, "", message)
+    wide = {"shape": [1, 400_000], "entries": []}
+    obj = {"nodes": [{"A": wide, "B": [["*"]], "C": wide}], "W": wide, "H": [["*"]]}
+    bad.write_text(json.dumps(obj))
+    message = "error: W: brings the file to 1200001 columns, over the limit of 1000000 for all matrices together\n"
+    assert run(capsys, "check", bad) == (2, "", message)
+
+
 def test_bad_sparse_pattern_file_is_located(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"shape": [2, 2], "entries": [[1, 1, "*"], [1, 1, "*"]]}))
@@ -318,8 +334,10 @@ def test_topo_json(capsys):
     code, out, _ = run(capsys, "topo", NETWORK_FILE, "--json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["W"] == [["0", "0", "0"], ["*", "0", "0"], ["0", "*", "0"]]
-    assert payload["H"] == [["*", "*"], ["0", "0"], ["0", "0"]]
+    assert payload["W"] == {"shape": [3, 3], "entries": [[2, 1, "*"], [3, 2, "*"]]}
+    assert payload["H"] == {"shape": [3, 2], "entries": [[1, 1, "*"], [1, 2, "*"]]}
+    assert _dense(payload["W"]) == [["0", "0", "0"], ["*", "0", "0"], ["0", "*", "0"]]
+    assert _dense(payload["H"]) == [["*", "*"], ["0", "0"], ["0", "0"]]
     assert payload["weakly_colorable"] is True
 
 
@@ -416,6 +434,32 @@ def test_export_dot_interconnection(capsys):
     assert "4 -> 6 [style=dashed];" in out
 
 
+def _two_stars_in_b(obj):
+    obj["nodes"][0]["B"][3][1] = "*"  # column 2 of node 1's B already has its '*'
+    return obj
+
+
+def _short_h(obj):
+    obj["H"].pop()
+    return obj
+
+
+@pytest.mark.parametrize(
+    "spoil, message",
+    [
+        (_two_stars_in_b, "error: node 1, matrix B: column 2 has 2 '*' entries, expected exactly one\n"),
+        (_short_h, "error: matrix H: has 5 rows, expected 6 from node blocks\n"),
+    ],
+    ids=["two-stars-in-B", "short-H"],
+)
+def test_export_dot_validates_every_view(tmp_path, capsys, spoil, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(spoil(json.loads(NETWORK_FILE.read_text()))))
+    assert run(capsys, "check", bad) == (2, "", message)
+    for which in ("assembled", "assembled-shifted", "interconnection", "topology"):
+        assert run(capsys, "export-dot", bad, "--which", which) == (2, "", message)
+
+
 def test_export_dot_tall_interconnection(tmp_path, capsys):
     # three node inputs against one node output and one external input:
     # [W H] is 3 x 2 and is drawn on vertices 1..3, one edge per nonzero
@@ -494,7 +538,15 @@ def test_parser_is_reused_without_carrying_state(capsys):
 # Runs in a fresh interpreter, so no earlier import of numpy can hide one.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
-import strucnet, strucnet.cli
+import strucnet
+
+ORACLE_NAMES = (
+    "AuditConfig", "AuditOutcome", "audit_network", "audit_rank", "enumerate_patterns",
+    "kalman_controllable", "shift_exclusion_exhaustive", "shift_exclusion_random",
+)
+import_numpy = "numpy" in sys.modules
+exposed = [name for name in ORACLE_NAMES if hasattr(strucnet, name)]
+import strucnet.cli
 
 net, pattern = sys.argv[1:]
 symbolic = [
@@ -513,8 +565,10 @@ try:
     unknown_raises = False
 except AttributeError:
     unknown_raises = True
-print(json.dumps([codes, symbolic_numpy, audit_numpy, unresolved, unknown_raises]))
+print(json.dumps([codes, import_numpy, exposed, symbolic_numpy, audit_numpy, unresolved, unknown_raises]))
 """
+
+_ORACLE_PROBE = "import sys, strucnet.oracle; print('numpy' in sys.modules)"
 
 
 def test_only_audit_loads_numpy():
@@ -527,12 +581,20 @@ def test_only_audit_loads_numpy():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    codes, symbolic_numpy, audit_numpy, unresolved, unknown_raises = json.loads(proc.stdout)
+    codes, import_numpy, exposed, symbolic_numpy, audit_numpy, unresolved, unknown_raises = json.loads(
+        proc.stdout
+    )
     assert codes == [0, 0, 1, 0, 0, 0, 0, 0, 0]
+    assert import_numpy is False
+    assert exposed == []
     assert symbolic_numpy is False
     assert audit_numpy is True
     assert unresolved == []
     assert unknown_raises is True
+    proc = subprocess.run(
+        [sys.executable, "-c", _ORACLE_PROBE], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
 
 def test_missing_subcommand_rejected(capsys):

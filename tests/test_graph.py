@@ -16,12 +16,13 @@ from strucnet import (
     export_dot,
     hstack,
     is_full_row_rank,
-    pat_identity,
     weak_color_change,
 )
 from conftest import H_PATTERN, W_PATTERN
 
 from helpers import (
+    dense,
+    pat_identity,
     random_pattern,
     replay_standard,
     replay_weak,
@@ -29,6 +30,7 @@ from helpers import (
     standard_forced_set,
     star_reachable,
     weak_forced_set,
+    with_entry,
 )
 
 INTERCONNECTION = hstack(W_PATTERN, H_PATTERN)
@@ -203,11 +205,11 @@ def test_upgrading_any_to_star_never_shrinks_derived_sets():
         rows = int(rng.integers(1, 6))
         cols = rows + int(rng.integers(0, 4))
         m = random_pattern(rng, rows, cols, (0.4, 0.3, 0.3))
-        spots = [(i, j) for i in range(rows) for j in range(cols) if m[i, j] is ANY]
+        spots = [(i, j) for i, row in enumerate(dense(m)) for j, symbol in enumerate(row) if symbol is ANY]
         if not spots:
             continue
         i, j = spots[int(rng.integers(len(spots)))]
-        upgraded = m.with_entry(i, j, STAR)
+        upgraded = with_entry(m, i, j, STAR)
         assert color_change(build_graph(m)).derived_set <= color_change(build_graph(upgraded)).derived_set
         assert weak_color_change(build_graph(m)).derived_set <= weak_color_change(build_graph(upgraded)).derived_set
         checked += 1
@@ -218,7 +220,7 @@ def test_new_star_edge_can_break_forcing():
     # a star on top of a zero adds an out-neighbor and kills the unique
     # white neighbor below
     before = PatternMatrix.from_text("* 0\n0 0")
-    after = before.with_entry(1, 0, STAR)
+    after = with_entry(before, 1, 0, STAR)
     assert color_change(build_graph(before)).derived_set == {1}
     assert color_change(build_graph(after)).derived_set == frozenset()
 

@@ -1,5 +1,7 @@
 """Network validation, assembly, controllability tests, topology, JSON IO."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,10 +27,8 @@ from strucnet import (
     is_network_controllable,
     load_network,
     network_from_dict,
-    network_to_dict,
     node_necessary_check,
     pat_add,
-    pat_identity,
     pat_mul,
     topology_necessary_check,
     validate,
@@ -41,16 +41,23 @@ from conftest import (
     C_NODE,
     H_PATTERN,
     NETWORK_FILE,
+    NO_INPUT_NETWORK_FILE,
     W_PATTERN,
 )
 
 from helpers import (
     assembled_per_block,
+    dense,
+    filled,
     input_block,
     interconnection_block,
+    network_to_dict,
+    pat_identity,
     random_network,
     random_pattern,
     standard_forced_set,
+    submatrix,
+    with_entry,
 )
 
 
@@ -96,26 +103,26 @@ def test_validate_flags_any_in_output_pattern():
     "b, c, expected",
     [
         (
-            B_NODE.with_entry(2, 0, ANY),
+            with_entry(B_NODE, 2, 0, ANY),
             C_NODE,
             ["node 1, matrix B: '?' entry at row 3, column 1 is not allowed"],
         ),
         (
             B_NODE,
-            C_NODE.with_entry(0, 2, ANY),
+            with_entry(C_NODE, 0, 2, ANY),
             [
                 "node 1, matrix C: '?' entry at row 1, column 3 is not allowed",
                 "node 1, matrix C: row 1 has 0 '*' entries, expected exactly one",
             ],
         ),
         (
-            B_NODE.with_entry(3, 1, STAR),
+            with_entry(B_NODE, 3, 1, STAR),
             C_NODE,
             ["node 1, matrix B: column 2 has 2 '*' entries, expected exactly one"],
         ),
         (
             B_NODE,
-            C_NODE.with_entry(1, 0, STAR),
+            with_entry(C_NODE, 1, 0, STAR),
             ["node 1, matrix C: row 2 has 2 '*' entries, expected exactly one"],
         ),
     ],
@@ -147,13 +154,13 @@ def test_assemble_shapes_and_coupling_block(demo_network):
     assert shifted.shape == (12, 14)
     # coupling block feeding node 2 from node 1's outputs
     expected = PatternMatrix.from_text("0 0 * 0\n0 0 ? *\n0 0 0 0\n0 0 0 0")
-    assert plain.submatrix(4, 8, 0, 4) == expected
+    assert submatrix(plain, 4, 8, 0, 4) == expected
     # the shifted pattern is exactly the plain one plus [I 0]
     identity_part = hstack(pat_identity(12), PatternMatrix.zeros(12, 2))
-    assert shifted == plain + identity_part
+    assert shifted == pat_add(plain, identity_part)
     # input columns: only the states driven by node 1's inputs see them
-    assert plain.submatrix(0, 4, 12, 14) == PatternMatrix.from_text("* 0\n0 *\n0 0\n0 0")
-    assert plain.submatrix(4, 12, 12, 14) == PatternMatrix.zeros(8, 2)
+    assert submatrix(plain, 0, 4, 12, 14) == PatternMatrix.from_text("* 0\n0 *\n0 0\n0 0")
+    assert submatrix(plain, 4, 12, 12, 14) == PatternMatrix.zeros(8, 2)
 
 
 def test_assemble_single_node_without_coupling():
@@ -293,7 +300,7 @@ def test_node_necessary_check_shares_repeated_pairs():
     b_low = PatternMatrix.from_text("0 0\n0 0\n* 0\n0 *")
     pairs = ((A1, B_NODE), (A2, B_NODE), (A1, B_NODE), (A1, b_low))
     nodes = tuple(NodeSystem(a, b, C_NODE, index=k) for k, (a, b) in enumerate(pairs, start=1))
-    net = StructuredNetwork(nodes, PatternMatrix.zeros(8, 8), PatternMatrix.filled(8, 1, STAR))
+    net = StructuredNetwork(nodes, PatternMatrix.zeros(8, 8), filled(8, 1, STAR))
     results = node_necessary_check(net)
     assert [k for k, _ in results] == [1, 2, 3, 4]
     assert results[2][1] is results[0][1]
@@ -316,14 +323,31 @@ def chain_network(num_nodes: int, size: int) -> StructuredNetwork:
     return StructuredNetwork(nodes, w, h)
 
 
-def test_analyze_never_builds_the_assembled_grids():
+def _patterns_in(obj, found: list) -> list:
+    """Every PatternMatrix reachable from obj through dataclass fields, tuples and lists."""
+    if isinstance(obj, PatternMatrix):
+        found.append(obj)
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            _patterns_in(getattr(obj, field.name), found)
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            _patterns_in(item, found)
+    return found
+
+
+def test_report_patterns_hold_only_sparse_rows():
     report = analyze(chain_network(20, 5))
     report.to_dict()
     report.to_text()
     plain, shifted = report.network_check.patterns
     assert plain.shape == (100, 101) and report.controllable
-    assert "entries" not in vars(plain)
-    assert "entries" not in vars(shifted)
+    found = _patterns_in(report, [])
+    assert len(found) == 2 + 2 * 20 + 2  # assembled pair, node pairs, topology pair
+    for m in (plain, shifted, *report.topology, *report.node_checks[0][1].patterns):
+        assert any(m is other for other in found)
+    for m in found:
+        assert set(vars(m)) <= {"cols", "row_nonzeros", "nonzeros"}
 
 
 def test_extract_topology_demo(demo_network):
@@ -355,37 +379,49 @@ def test_extract_topology_matches_per_block_scan():
         net = random_network(rng)
         w_tilde, h_tilde = extract_topology(net)
         n = net.num_nodes
+        w_grid, h_grid = dense(w_tilde), dense(h_tilde)
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 block = interconnection_block(net, i, j)
-                symbols = [s for row in block.entries for s in row]
+                symbols = [s for row in dense(block) for s in row]
                 if STAR in symbols:
-                    assert w_tilde[i - 1, j - 1] is STAR
+                    assert w_grid[i - 1][j - 1] is STAR
                 elif ANY in symbols:
-                    assert w_tilde[i - 1, j - 1] is ANY
+                    assert w_grid[i - 1][j - 1] is ANY
                 else:
-                    assert w_tilde[i - 1, j - 1].token == "0"
+                    assert w_grid[i - 1][j - 1].token == "0"
             for j in range(1, net.num_external_inputs + 1):
                 block = input_block(net, i, j)
-                symbols = [s for row in block.entries for s in row]
+                symbols = [s for row in dense(block) for s in row]
                 if STAR in symbols:
-                    assert h_tilde[i - 1, j - 1] is STAR
+                    assert h_grid[i - 1][j - 1] is STAR
                 elif ANY in symbols:
-                    assert h_tilde[i - 1, j - 1] is ANY
+                    assert h_grid[i - 1][j - 1] is ANY
                 else:
-                    assert h_tilde[i - 1, j - 1].token == "0"
+                    assert h_grid[i - 1][j - 1].token == "0"
 
 
 def test_extract_topology_stable_under_noop_refinement(demo_network):
     # rewriting zero entries with zeros is the identity, and dropping a '?'
     # from a block that also holds a '*' keeps the summary unchanged
     w_tilde, _ = extract_topology(demo_network)
-    refined = demo_network.W.with_entry(3, 0, ANY)  # (4,1) already '?'
+    refined = with_entry(demo_network.W, 3, 0, ANY)  # (4,1) already '?'
     same = StructuredNetwork(demo_network.nodes, refined, demo_network.H)
     assert extract_topology(same)[0] == w_tilde
-    dropped = demo_network.W.with_entry(3, 0, ZERO)
+    dropped = with_entry(demo_network.W, 3, 0, ZERO)
     block_has_star = StructuredNetwork(demo_network.nodes, dropped, demo_network.H)
     assert extract_topology(block_has_star)[0] == w_tilde
+
+
+def test_topology_block_rebuilds_the_summary(demo_network):
+    # the report's sparse W~ and H~ read back to exactly extract_topology
+    rng = np.random.default_rng(26)
+    networks = [demo_network, load_network(NO_INPUT_NETWORK_FILE)]
+    networks += [random_network(rng) for _ in range(40)]
+    for net in networks:
+        block = analyze(net).to_dict()["topology"]
+        summary = (PatternMatrix.from_json(block["W"]), PatternMatrix.from_json(block["H"]))
+        assert summary == extract_topology(net)
 
 
 def test_topology_necessary_check_demo(demo_network):

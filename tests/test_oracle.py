@@ -1,4 +1,4 @@
-"""Numeric rank oracle, sampling audits, and exhaustive sweeps."""
+"""Numeric rank oracle, sampling audits, and exhaustive sweeps (the last in helpers)."""
 
 import numpy as np
 import pytest
@@ -7,26 +7,28 @@ from strucnet import (
     ANY,
     STAR,
     AssumptionViolated,
-    AuditConfig,
-    AuditOutcome,
     NodeSystem,
     PatternMatrix,
     StructuredNetwork,
-    audit_network,
-    audit_rank,
-    enumerate_patterns,
     is_full_row_rank,
     is_network_controllable,
-    kalman_controllable,
     pat_add,
-    pat_identity,
     sample_realization,
+)
+from strucnet.oracle import AuditConfig, AuditOutcome, audit_network
+from conftest import A1, C_NODE
+
+from helpers import (
+    audit_rank,
+    dense,
+    enumerate_patterns,
+    is_member,
+    kalman_controllable,
+    pat_identity,
+    random_pattern,
     shift_exclusion_exhaustive,
     shift_exclusion_random,
 )
-from conftest import A1, C_NODE
-
-from helpers import random_pattern
 
 
 def test_audit_config_validation():
@@ -150,8 +152,6 @@ def test_audit_samples_are_class_members(demo_network):
     # the network audit draws from the same sampler contract as
     # sample_realization; spot-check the pattern-level membership here
     plain, _ = is_network_controllable(demo_network).patterns
-    from strucnet import is_member
-
     for seed in range(100):
         assert is_member(sample_realization(plain, seed), plain)
 
@@ -167,7 +167,7 @@ def _entry_grid(symbol):
 def _has_rank_deficient_grid_realization(m):
     import itertools
 
-    grids = [_entry_grid(m[i, j]) for i in range(m.rows) for j in range(m.cols)]
+    grids = [_entry_grid(symbol) for row in dense(m) for symbol in row]
     for combo in itertools.product(*grids):
         x = np.array(combo).reshape(m.rows, m.cols)
         s = np.linalg.svd(x, compute_uv=False)

@@ -18,12 +18,9 @@ from strucnet import (
     PatternParseError,
     PatternSymbol,
     block_diag,
-    enumerate_patterns,
     hstack,
-    is_member,
     load_pattern,
     pat_add,
-    pat_identity,
     pat_mul,
     pat_shift,
     sample_realization,
@@ -35,14 +32,21 @@ from conftest import A1, C_NODE
 from helpers import (
     ProductExactness,
     block_diag_dense,
+    dense,
+    enumerate_patterns,
     exact_product_condition,
+    filled,
     hstack_dense,
+    is_member,
     pat_add_dense,
+    pat_identity,
     pat_mul_fold,
     pat_shift_dense,
     random_pattern,
     sample_realization_loop,
     sparse_patterns,
+    submatrix,
+    tokens,
 )
 
 # The full symbol tables, transcribed independently of the implementation.
@@ -101,13 +105,13 @@ def test_pat_add_zero_is_identity():
 
 
 def test_pat_add_node_state_plus_identity():
-    shifted = pat_add(A1, pat_identity(4))
+    shifted, a1 = dense(pat_add(A1, pat_identity(4))), dense(A1)
     for i in range(4):
         for j in range(4):
             if i == j:
-                assert shifted[i, j] is ANY
+                assert shifted[i][j] is ANY
             else:
-                assert shifted[i, j] is A1[i, j]
+                assert shifted[i][j] is a1[i][j]
 
 
 def test_pat_add_shape_mismatch():
@@ -207,9 +211,10 @@ def test_pat_add_matches_entrywise_sym_add(operands):
     m, n = operands
     total = pat_add(m, n)
     assert total == pat_add_dense(m, n)
+    grid, m_grid, n_grid = dense(total), dense(m), dense(n)
     for i in range(m.rows):
         for j in range(m.cols):
-            assert total[i, j] is sym_add(m[i, j], n[i, j])
+            assert grid[i][j] is sym_add(m_grid[i][j], n_grid[i][j])
 
 
 @st.composite
@@ -221,9 +226,9 @@ def shift_operands(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(shift_operands())
-@example((PatternMatrix.zeros(3, 3), PatternMatrix.filled(3, 2, STAR)))
-@example((PatternMatrix.filled(3, 3, ANY), PatternMatrix.zeros(3, 1)))
-@example((ZERO_ROW_AND_COLUMN.submatrix(0, 3, 0, 3), ZERO_ROW_AND_COLUMN))
+@example((PatternMatrix.zeros(3, 3), filled(3, 2, STAR)))
+@example((filled(3, 3, ANY), PatternMatrix.zeros(3, 1)))
+@example((submatrix(ZERO_ROW_AND_COLUMN, 0, 3, 0, 3), ZERO_ROW_AND_COLUMN))
 def test_pat_shift_adds_the_identity_to_the_leading_block(operands):
     a, b = operands
     assert hstack(a, b) == hstack_dense(a, b)
@@ -250,7 +255,7 @@ def test_pat_identity_layout():
 def test_exact_product_condition_row():
     # node input patterns transposed have one '*' per row
     b_t = PatternMatrix.from_text("* 0 0 0\n0 * 0 0")
-    assert exact_product_condition(PatternMatrix.filled(3, 2, ANY), b_t) is ProductExactness.ROW_CONDITION
+    assert exact_product_condition(filled(3, 2, ANY), b_t) is ProductExactness.ROW_CONDITION
 
 
 def test_exact_product_condition_both():
@@ -263,7 +268,7 @@ def test_exact_product_condition_column():
 
 
 def test_exact_product_condition_neither():
-    m = PatternMatrix.filled(2, 2, ANY)
+    m = filled(2, 2, ANY)
     assert exact_product_condition(m, m) is ProductExactness.NEITHER
 
 
@@ -355,15 +360,16 @@ def test_every_member_of_sum_pattern_splits_matrix_level():
         m = random_pattern(rng, 2, 2)
         n = random_pattern(rng, 2, 2)
         total = pat_add(m, n)
-        x = np.array([[rng.choice(_targets(total[i, j])) for j in range(2)] for i in range(2)])
+        grid, m_grid, n_grid = dense(total), dense(m), dense(n)
+        x = np.array([[rng.choice(_targets(grid[i][j])) for j in range(2)] for i in range(2)])
         a = np.zeros((2, 2))
         b = np.zeros((2, 2))
         for i in range(2):
             for j in range(2):
                 a[i, j], b[i, j] = next(
                     (u, v)
-                    for u in _allowed(m[i, j])
-                    for v in _allowed(n[i, j])
+                    for u in _allowed(m_grid[i][j])
+                    for v in _allowed(n_grid[i][j])
                     if u + v == x[i, j]
                 )
         assert is_member(a, m) and is_member(b, n)
@@ -379,9 +385,7 @@ def test_product_pattern_class_is_strictly_larger_somewhere():
     for m in enumerate_patterns(2, 1):
         for n in enumerate_patterns(1, 2):
             product = pat_mul(m, n)
-            for values in itertools.product(
-                *(_targets(product[i, j]) for i in range(2) for j in range(2))
-            ):
+            for values in itertools.product(*(_targets(s) for row in dense(product) for s in row)):
                 x = np.array(values).reshape(2, 2)
                 if is_member(x, product) and abs(np.linalg.det(x)) > 1e-12:
                     found.append((m, n, x))
@@ -409,12 +413,13 @@ def _same_bits(x, y):
 @settings(max_examples=300, deadline=None)
 @given(sampling_cases())
 @example((PatternMatrix.zeros(3, 4), 0, 2))
-@example((PatternMatrix.filled(4, 4, ANY), 1, 3))
-@example((PatternMatrix.filled(3, 2, STAR), 2, 3))
+@example((filled(4, 4, ANY), 1, 3))
+@example((filled(3, 2, STAR), 2, 3))
 def test_sample_realization_matches_the_scalar_loop(case):
     m, seed, chained = case
+    grid = dense(m)
     assert m.nonzeros == tuple(
-        (i, j, m[i, j]) for i in range(m.rows) for j in range(m.cols) if m[i, j] is not ZERO
+        (i, j, grid[i][j]) for i in range(m.rows) for j in range(m.cols) if grid[i][j] is not ZERO
     )
     assert _same_bits(sample_realization(m, seed), sample_realization_loop(m, seed))
     ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -461,9 +466,9 @@ def test_hstack_shapes():
 def test_block_diag_of_node_states(demo_network):
     full = block_diag([node.A for node in demo_network.nodes])
     assert full.shape == (12, 12)
-    assert full.submatrix(0, 4, 0, 4) == A1
-    assert full.submatrix(0, 4, 4, 8) == PatternMatrix.zeros(4, 4)
-    assert full.submatrix(8, 12, 4, 8) == PatternMatrix.zeros(4, 4)
+    assert submatrix(full, 0, 4, 0, 4) == A1
+    assert submatrix(full, 0, 4, 4, 8) == PatternMatrix.zeros(4, 4)
+    assert submatrix(full, 8, 12, 4, 8) == PatternMatrix.zeros(4, 4)
 
 
 def test_block_diag_rejects_empty_block_list():
@@ -492,14 +497,25 @@ def test_block_diag_matches_dense_reference(blocks):
 @example(PatternMatrix.zeros(2, 3))
 def test_sparse_and_dense_forms_agree(m):
     sparse = PatternMatrix.from_rows(m.cols, m.row_nonzeros)
-    assert "entries" not in vars(sparse)  # the grid is built on first read only
-    dense = PatternMatrix(sparse.entries)
-    assert dense == sparse == m and hash(dense) == hash(sparse) == hash(m)
+    assert set(vars(sparse)) == {"cols", "row_nonzeros"}  # no dense grid is kept
+    grid = dense(sparse)
+    from_grid = PatternMatrix(grid)
+    assert set(vars(from_grid)) == {"cols", "row_nonzeros"}
+    assert from_grid == sparse == m and hash(from_grid) == hash(sparse) == hash(m)
     assert sparse.nonzeros == tuple(
-        (i, j, m[i, j]) for i in range(m.rows) for j in range(m.cols) if m[i, j] is not ZERO
+        (i, j, grid[i][j]) for i in range(m.rows) for j in range(m.cols) if grid[i][j] is not ZERO
     )
-    assert PatternMatrix.from_tokens(m.to_tokens()) == m
+    assert PatternMatrix.from_tokens(tokens(m)) == m
     assert PatternMatrix.from_json(m.to_sparse()) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda r: st.integers(1, 8).flatmap(lambda c: sparse_patterns(r, c))))
+@example(ZERO_ROW_AND_COLUMN)
+@example(PatternMatrix.zeros(2, 3))
+def test_text_form_is_written_from_the_rows(m):
+    assert str(m) == "\n".join(" ".join(symbol.token for symbol in row) for row in dense(m))
+    assert PatternMatrix.from_text(str(m)) == m
 
 
 @pytest.mark.parametrize(
@@ -528,9 +544,9 @@ def test_from_rows_rejects_malformed_rows(cols, rows, error, message):
 
 def test_pattern_text_form_round_trip(tmp_path):
     m = PatternMatrix.from_tokens([["*", "0"], ["?", "*"]])
-    assert m.to_tokens() == [["*", "0"], ["?", "*"]]
+    assert tokens(m) == [["*", "0"], ["?", "*"]]
     path = tmp_path / "pattern.json"
-    path.write_text(json.dumps(m.to_tokens()))
+    path.write_text(json.dumps(tokens(m)))
     assert load_pattern(path) == m
 
 
@@ -564,7 +580,7 @@ def test_from_tokens_matches_per_token_parse():
         rows, cols = rng.integers(1, 6, size=2)
         grid = [[tokens[v] for v in rng.integers(0, 3, size=cols)] for _ in range(rows)]
         expected = tuple(tuple(PatternSymbol.from_token(t) for t in row) for row in grid)
-        assert PatternMatrix.from_tokens(grid).entries == expected
+        assert dense(PatternMatrix.from_tokens(grid)) == expected
     for bad in (["x"], 0, None, " *", "**", True, 1.0):
         with pytest.raises(PatternParseError) as excinfo:
             PatternMatrix.from_tokens([["0", "*"], ["?", bad]])

@@ -1,22 +1,24 @@
 """Directed graphs of pattern matrices and the color change rules.
 
 A p-by-q pattern with p <= q induces a digraph on vertices 1..q with an
-edge (j, i) whenever entry (i, j) is nonzero; star and '?' entries are
-kept in separate edge sets. Since edge targets are row indices, only the
-vertices 1..p can ever be colored.
+edge (j, i), star or '?', whenever entry (i, j) is nonzero. The graph is
+a view of the pattern: row i lists the in-edges of vertex i, so only the
+row vertices 1..p can be colored. Edge sets are built only when read.
 
-Two forcing rules run on this graph. The standard rule starts all white
-and lets any vertex with exactly one white out-neighbor force that
-neighbor, provided the edge to it is a star edge; the pattern has full
-row rank for every realization exactly when all row vertices end black.
-The weak rule seeds the non-row vertices black and propagates along star
-edges without the exactly-one restriction; it is plain reachability.
+Two forcing rules run on per-vertex integer lists filled in one pass
+over the rows. The standard rule starts all white and lets any vertex
+with exactly one white out-neighbor force that neighbor, provided the
+edge to it is a star edge; the pattern has full row rank for every
+realization exactly when all row vertices end black. The weak rule
+seeds the non-row vertices black and propagates along star edges
+without the exactly-one restriction; it is plain reachability.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import BadShape
 from .pattern import STAR, PatternMatrix
@@ -24,25 +26,25 @@ from .pattern import STAR, PatternMatrix
 
 @dataclass(frozen=True)
 class PatternGraph:
-    """Digraph of a pattern matrix, with star and '?' edges kept apart."""
+    """Digraph of a validated pattern; row i's nonzeros are vertex i's in-edges."""
 
-    num_vertices: int
-    row_count: int
-    edges_star: frozenset[tuple[int, int]]
-    edges_any: frozenset[tuple[int, int]]
+    pattern: PatternMatrix
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges_star", frozenset(self.edges_star))
-        object.__setattr__(self, "edges_any", frozenset(self.edges_any))
-        overlap = self.edges_star & self.edges_any
-        if overlap:
-            raise ValueError(f"edges in both sets: {sorted(overlap)}")
-        for src, dst in self.edges_star | self.edges_any:
-            if not (1 <= src <= self.num_vertices and 1 <= dst <= self.row_count):
-                raise ValueError(
-                    f"edge ({src}, {dst}) leaves the vertex range "
-                    f"(sources 1..{self.num_vertices}, targets 1..{self.row_count})"
-                )
+    @property
+    def num_vertices(self) -> int:
+        return self.pattern.cols
+
+    @property
+    def row_count(self) -> int:
+        return self.pattern.rows
+
+    @cached_property
+    def edges_star(self) -> frozenset[tuple[int, int]]:
+        return frozenset((j + 1, i + 1) for i, j, symbol in self.pattern.nonzeros if symbol is STAR)
+
+    @cached_property
+    def edges_any(self) -> frozenset[tuple[int, int]]:
+        return frozenset((j + 1, i + 1) for i, j, symbol in self.pattern.nonzeros if symbol is not STAR)
 
 
 @dataclass(frozen=True)
@@ -81,17 +83,7 @@ def build_graph(m: PatternMatrix) -> PatternGraph:
         raise BadShape(
             f"graph is defined for patterns with rows <= cols, got {m.shape}"
         )
-    edges_star = set()
-    edges_any = set()
-    for i, row in enumerate(m.row_nonzeros, start=1):
-        for j, symbol in row:
-            (edges_star if symbol is STAR else edges_any).add((j + 1, i))
-    return PatternGraph(
-        num_vertices=m.cols,
-        row_count=m.rows,
-        edges_star=frozenset(edges_star),
-        edges_any=frozenset(edges_any),
-    )
+    return PatternGraph(m)
 
 
 def color_change(graph: PatternGraph) -> ColoringResult:
@@ -103,35 +95,38 @@ def color_change(graph: PatternGraph) -> ColoringResult:
     applied, so a worklist keyed on white-neighbor counts is just a
     scheduling choice.
     """
-    out: dict[int, list[int]] = {v: [] for v in range(1, graph.num_vertices + 1)}
-    sources_of: dict[int, list[int]] = {v: [] for v in range(1, graph.num_vertices + 1)}
-    for src, dst in sorted(graph.edges_star | graph.edges_any):
-        out[src].append(dst)
-        sources_of[dst].append(src)
+    rows = graph.pattern.row_nonzeros
+    # per vertex (0-based): its white out-neighbors, how many of them are
+    # star edges, and their index sum, which names the last one left
+    count = [0] * graph.num_vertices
+    stars = [0] * graph.num_vertices
+    total = [0] * graph.num_vertices
+    for t, row in enumerate(rows, start=1):
+        for j, symbol in row:
+            count[j] += 1
+            total[j] += t
+            if symbol is STAR:
+                stars[j] += 1
 
-    white = set(range(1, graph.num_vertices + 1))
-    white_count = {v: len(out[v]) for v in out}
-    queue = deque(v for v in sorted(out) if white_count[v] == 1)
-    black: set[int] = set()
+    queue = deque(j for j, c in enumerate(count) if c == 1)
     forced: list[tuple[int, int]] = []
-
     while queue:
-        v = queue.popleft()
-        if white_count[v] != 1:
+        j = queue.popleft()
+        if count[j] != 1 or stars[j] != 1:
             continue
-        target = next(t for t in out[v] if t in white)
-        if (v, target) not in graph.edges_star:
-            continue
-        black.add(target)
-        white.discard(target)
-        forced.append((v, target))
-        for u in sources_of[target]:
-            white_count[u] -= 1
-            if white_count[u] == 1:
+        target = total[j]
+        forced.append((j + 1, target))
+        for u, symbol in rows[target - 1]:
+            count[u] -= 1
+            total[u] -= target
+            if symbol is STAR:
+                stars[u] -= 1
+            if count[u] == 1:
                 queue.append(u)
 
+    black = frozenset(target for _, target in forced)
     return ColoringResult(
-        derived_set=frozenset(black),
+        derived_set=black,
         forcing_sequence=tuple(forced),
         uncolored=frozenset(range(1, graph.row_count + 1)) - black,
     )
@@ -147,16 +142,19 @@ def weak_color_change(graph: PatternGraph) -> ColoringResult:
     a nonempty graph is never weakly colorable.
     """
     seeds = frozenset(range(graph.row_count + 1, graph.num_vertices + 1))
-    star_out: dict[int, list[int]] = {v: [] for v in range(1, graph.num_vertices + 1)}
-    for src, dst in sorted(graph.edges_star):
-        star_out[src].append(dst)
+    # star out-neighbors of vertices 1..q, ascending since rows are read in order
+    star_out: list[list[int]] = [[] for _ in range(graph.num_vertices + 1)]
+    for t, row in enumerate(graph.pattern.row_nonzeros, start=1):
+        for j, symbol in row:
+            if symbol is STAR:
+                star_out[j + 1].append(t)
 
     black = set(seeds)
     forced: list[tuple[int, int]] = []
-    queue = deque(sorted(seeds))
+    queue = deque(range(graph.row_count + 1, graph.num_vertices + 1))
     while queue:
         v = queue.popleft()
-        for target in sorted(star_out[v]):
+        for target in star_out[v]:
             if target not in black:
                 black.add(target)
                 forced.append((v, target))

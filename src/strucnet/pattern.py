@@ -223,7 +223,7 @@ class PatternMatrix:
             )
         if not isinstance(entries, list):
             raise PatternParseError(f"'entries' must be a list, got {type(entries).__name__}")
-        rows: list[list[tuple[int, PatternSymbol]]] = [[] for _ in range(num_rows)]
+        by_row: dict[int, list[tuple[int, PatternSymbol]]] = {}
         for k, entry in enumerate(entries):
             if not (isinstance(entry, list) and len(entry) == 3):
                 raise PatternParseError(
@@ -243,9 +243,10 @@ class PatternMatrix:
                 raise PatternParseError(
                     f"entries[{k}]: invalid pattern token {token!r}, expected '*' or '?'"
                 )
-            rows[i - 1].append((j - 1, symbol))
-        for row in rows:
-            row.sort(key=itemgetter(0))  # a repeated position is left for from_rows to name
+            by_row.setdefault(i - 1, []).append((j - 1, symbol))
+        rows: list = [()] * num_rows  # rows without an entry share the empty tuple
+        for i, row in by_row.items():  # a repeated position is left for from_rows to name
+            rows[i] = sorted(row, key=itemgetter(0))
         return cls.from_rows(cols, rows)
 
     @classmethod

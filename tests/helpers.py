@@ -26,6 +26,7 @@ pattern and its identity shift never both certify full row rank.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -34,6 +35,7 @@ from hypothesis import strategies as st
 
 from strucnet import (
     BadShape,
+    ColoringResult,
     DimensionMismatch,
     NodeSystem,
     PatternGraph,
@@ -547,3 +549,70 @@ def replay_weak(graph: PatternGraph, result) -> set[int]:
         assert (forcer, forced) in graph.edges_star
         black.add(forced)
     return black
+
+
+def color_change_reference(graph: PatternGraph) -> ColoringResult:
+    """The standard rule on the graph's edge sets, scheduled as the library does.
+
+    Per-vertex out- and source lists come from the sorted union of both
+    edge sets, and a worklist keyed on white out-neighbor counts applies
+    the forcings, so the certificate is the library's exactly.
+    """
+    out: dict[int, list[int]] = {v: [] for v in range(1, graph.num_vertices + 1)}
+    sources_of: dict[int, list[int]] = {v: [] for v in range(1, graph.num_vertices + 1)}
+    for src, dst in sorted(graph.edges_star | graph.edges_any):
+        out[src].append(dst)
+        sources_of[dst].append(src)
+
+    white = set(range(1, graph.num_vertices + 1))
+    white_count = {v: len(out[v]) for v in out}
+    queue = deque(v for v in sorted(out) if white_count[v] == 1)
+    black: set[int] = set()
+    forced: list[tuple[int, int]] = []
+
+    while queue:
+        v = queue.popleft()
+        if white_count[v] != 1:
+            continue
+        target = next(t for t in out[v] if t in white)
+        if (v, target) not in graph.edges_star:
+            continue
+        black.add(target)
+        white.discard(target)
+        forced.append((v, target))
+        for u in sources_of[target]:
+            white_count[u] -= 1
+            if white_count[u] == 1:
+                queue.append(u)
+
+    return ColoringResult(
+        derived_set=frozenset(black),
+        forcing_sequence=tuple(forced),
+        uncolored=frozenset(range(1, graph.row_count + 1)) - black,
+    )
+
+
+def weak_color_change_reference(graph: PatternGraph) -> ColoringResult:
+    """The weak rule on the graph's star edge set, in the library's order."""
+    seeds = frozenset(range(graph.row_count + 1, graph.num_vertices + 1))
+    star_out: dict[int, list[int]] = {v: [] for v in range(1, graph.num_vertices + 1)}
+    for src, dst in sorted(graph.edges_star):
+        star_out[src].append(dst)
+
+    black = set(seeds)
+    forced: list[tuple[int, int]] = []
+    queue = deque(sorted(seeds))
+    while queue:
+        v = queue.popleft()
+        for target in sorted(star_out[v]):
+            if target not in black:
+                black.add(target)
+                forced.append((v, target))
+                queue.append(target)
+
+    return ColoringResult(
+        derived_set=frozenset(black),
+        forcing_sequence=tuple(forced),
+        uncolored=frozenset(range(1, graph.num_vertices + 1)) - black,
+        seeds=seeds,
+    )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from strucnet import (
     ANY,
     STAR,
+    ZERO,
     BadShape,
     PatternGraph,
     PatternMatrix,
@@ -16,11 +17,13 @@ from strucnet import (
     export_dot,
     hstack,
     is_full_row_rank,
+    pat_shift,
     weak_color_change,
 )
 from conftest import H_PATTERN, W_PATTERN
 
 from helpers import (
+    color_change_reference,
     dense,
     pat_identity,
     random_pattern,
@@ -29,6 +32,7 @@ from helpers import (
     sparse_patterns,
     standard_forced_set,
     star_reachable,
+    weak_color_change_reference,
     weak_forced_set,
     with_entry,
 )
@@ -272,8 +276,27 @@ def test_pattern_graph_edge_sets_are_disjoint():
 
 
 def test_hand_built_graph_accepts_explicit_edges():
-    graph = PatternGraph(
-        num_vertices=3, row_count=2, edges_star={(3, 1), (1, 2)}, edges_any=set()
-    )
+    graph = PatternGraph(PatternMatrix.from_text("0 0 *\n* 0 0"))
     result = color_change(graph)
     assert result.colorable
+    assert graph.edges_star == {(3, 1), (1, 2)}
+
+
+@st.composite
+def wide_patterns(draw):
+    """A p x q pattern with p <= q, square ones included, up to 8 x 12."""
+    p = draw(st.integers(1, 8))
+    return draw(sparse_patterns(p, draw(st.integers(p, 12))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_patterns())
+@example(PatternMatrix(tuple(tuple(ANY if i == j else ZERO for j in range(5)) for i in range(4))))
+@example(PatternMatrix.from_text("* 0 ?\n? 0 *"))
+@example(PatternMatrix.from_text("* ? 0\n0 * ?\n? 0 *"))
+@example(PatternMatrix.zeros(1, 1))
+def test_colorings_match_the_edge_set_reference(pattern):
+    # the whole certificate, forcing order included, not just the derived set
+    for graph in (build_graph(pattern), build_graph(pat_shift(pattern))):
+        assert color_change(graph) == color_change_reference(graph)
+        assert weak_color_change(graph) == weak_color_change_reference(graph)

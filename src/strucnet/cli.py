@@ -28,9 +28,9 @@ from .network import (
     extract_topology,
     is_network_controllable,
     load_network,
+    require_valid,
     topology_dict,
     topology_necessary_check,
-    validate,
 )
 from .pattern import PatternMatrix, hstack, load_pattern
 
@@ -121,10 +121,9 @@ def _cmd_topo(args) -> int:
     if args.json:
         print(json.dumps(topology_dict(w_tilde, h_tilde, coloring)))
     else:
-        print("W~:")
-        print(w_tilde)
-        print("H~:")
-        print(h_tilde)
+        for name, summary in (("W~", w_tilde), ("H~", h_tilde)):  # sparse: N x N can be large
+            print(f"{name} ({summary.rows} x {summary.cols}; nonzeros as row column token):")
+            print("".join(f"{i} {j} {t}\n" for i, j, t in summary.to_sparse()["entries"]), end="")
         print(f"weakly colorable: {'yes' if coloring.colorable else 'no'}")
         print(f"reachability trace: {[tuple(step) for step in coloring.forcing_sequence]}")
         if not coloring.colorable:
@@ -156,9 +155,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     network = load_network(args.path)
-    violations = validate(network)  # every view, also the raw [W H], needs a valid network
-    if violations:
-        raise AssumptionViolated(violations)
+    require_valid(network)  # every view, also the raw [W H], needs a valid network
     coloring = None  # the interconnection graph is drawn uncolored
     if args.which == "interconnection":
         pattern = hstack(network.W, network.H)

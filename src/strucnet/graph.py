@@ -68,11 +68,11 @@ class ColoringResult:
         return not self.uncolored
 
     def to_dict(self) -> dict:
-        """JSON form of the certificate."""
+        """JSON form of the certificate; json encodes the forcing pairs as arrays."""
         return {
             "colorable": self.colorable,
             "derived_set": sorted(self.derived_set),
-            "forcing_sequence": [list(step) for step in self.forcing_sequence],
+            "forcing_sequence": self.forcing_sequence,
             "uncolored": sorted(self.uncolored),
         }
 

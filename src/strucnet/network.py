@@ -15,13 +15,19 @@ C block, no '?'). Under that restriction the symbolic products used here
 are class-exact, so colorability of the two assembled patterns decides
 strong structural controllability of the whole family. Two cheaper
 necessary conditions are also provided: every node system must itself be
-controllable, and the per-block topology summary of (W, H) must be weakly
-colorable.
+controllable (two colorings of the block pair decide all nodes), and the
+per-block topology summary of (W, H) must be weakly colorable.
+
+A StructuredNetwork is frozen, so each view derived from it is computed
+once and shared by every stage; each stage still validates first.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 from .errors import AssumptionViolated, DimensionMismatch, NetworkFormatError, PatternParseError
 from .graph import ColoringResult, build_graph, color_change, weak_color_change
@@ -93,6 +99,75 @@ class StructuredNetwork:
     def num_external_inputs(self) -> int:
         return self.H.cols
 
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """Dimension and one-star violations; validate() returns a list copy."""
+        violations: list[Violation] = []
+        for node in self.nodes:
+            k = node.index
+            n = node.A.rows
+            if node.A.rows != node.A.cols:
+                violations.append(Violation(k, "A", f"must be square, got {node.A.shape}"))
+            if node.B.rows != n:
+                violations.append(
+                    Violation(k, "B", f"has {node.B.rows} rows, expected {n} to match A")
+                )
+            if node.C.cols != n:
+                violations.append(
+                    Violation(k, "C", f"has {node.C.cols} columns, expected {n} to match A")
+                )
+            violations.extend(_check_single_star(node.B, k, "B", by_row=False))
+            violations.extend(_check_single_star(node.C, k, "C", by_row=True))
+
+        r, p = self.total_inputs, self.total_outputs
+        if self.W.shape != (r, p):
+            violations.append(
+                Violation(None, "W", f"has shape {self.W.shape}, expected ({r}, {p}) from node blocks")
+            )
+        if self.H.rows != r:
+            violations.append(
+                Violation(None, "H", f"has {self.H.rows} rows, expected {r} from node blocks")
+            )
+        return tuple(violations)
+
+    @cached_property
+    def A_blk(self) -> PatternMatrix:
+        return block_diag([node.A for node in self.nodes])
+
+    @cached_property
+    def B_blk(self) -> PatternMatrix:
+        return block_diag([node.B for node in self.nodes])
+
+    @cached_property
+    def C_blk(self) -> PatternMatrix:
+        return block_diag([node.C for node in self.nodes])
+
+    # the 0-based position of the node that owns each node input (row of W) and output
+    @cached_property
+    def input_node(self) -> tuple[int, ...]:
+        return tuple(k for k, node in enumerate(self.nodes) for _ in range(node.num_inputs))
+
+    @cached_property
+    def output_node(self) -> tuple[int, ...]:
+        return tuple(k for k, node in enumerate(self.nodes) for _ in range(node.num_outputs))
+
+    @cached_property
+    def topology(self) -> tuple[PatternMatrix, PatternMatrix]:
+        """The block summary (W~, H~) of a valid network; see extract_topology."""
+        m = self.num_external_inputs
+        summaries = []
+        blocks = ((self.W, self.output_node, self.num_nodes), (self.H, range(m), m))
+        for pattern, col_block, width in blocks:
+            rows: list[dict[int, PatternSymbol]] = [{} for _ in self.nodes]
+            for row_node, row in zip(self.input_node, pattern.row_nonzeros):
+                target = rows[row_node]
+                for j, symbol in row:
+                    col = col_block[j]
+                    if symbol is STAR or col not in target:
+                        target[col] = symbol
+            summaries.append(PatternMatrix.from_rows(width, (sorted(row.items()) for row in rows)))
+        return summaries[0], summaries[1]
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -162,36 +237,16 @@ def validate(network: StructuredNetwork) -> list[Violation]:
     Returns an empty list when the network is well formed: each node has a
     square A with matching B and C, each B column and C row selects
     exactly one state with a single '*', and W, H agree with the block
-    sizes the nodes induce.
+    sizes the nodes induce. The list is a fresh copy of the cached one.
     """
-    violations: list[Violation] = []
-    for node in network.nodes:
-        k = node.index
-        n = node.A.rows
-        if node.A.rows != node.A.cols:
-            violations.append(Violation(k, "A", f"must be square, got {node.A.shape}"))
-        if node.B.rows != n:
-            violations.append(
-                Violation(k, "B", f"has {node.B.rows} rows, expected {n} to match A")
-            )
-        if node.C.cols != n:
-            violations.append(
-                Violation(k, "C", f"has {node.C.cols} columns, expected {n} to match A")
-            )
-        violations.extend(_check_single_star(node.B, k, "B", by_row=False))
-        violations.extend(_check_single_star(node.C, k, "C", by_row=True))
+    return list(network.violations)
 
-    r = network.total_inputs
-    p = network.total_outputs
-    if network.W.shape != (r, p):
-        violations.append(
-            Violation(None, "W", f"has shape {network.W.shape}, expected ({r}, {p}) from node blocks")
-        )
-    if network.H.rows != r:
-        violations.append(
-            Violation(None, "H", f"has {network.H.rows} rows, expected {r} from node blocks")
-        )
-    return violations
+
+def require_valid(network: StructuredNetwork) -> None:
+    """Raise AssumptionViolated unless validate() finds nothing."""
+    violations = validate(network)
+    if violations:
+        raise AssumptionViolated(violations)
 
 
 def assemble(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
@@ -201,14 +256,10 @@ def assemble(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
     condition (C has one '*' per row, B one per column), so the pattern
     products are class-exact and either association gives the same grid.
     """
-    violations = validate(network)
-    if violations:
-        raise AssumptionViolated(violations)
-    a_blk = block_diag([node.A for node in network.nodes])
-    b_blk = block_diag([node.B for node in network.nodes])
-    c_blk = block_diag([node.C for node in network.nodes])
-    coupling = pat_mul(b_blk, pat_mul(network.W, c_blk))
-    return pat_add(a_blk, coupling), pat_mul(b_blk, network.H)
+    require_valid(network)
+    b_blk = network.B_blk
+    coupling = pat_mul(b_blk, pat_mul(network.W, network.C_blk))
+    return pat_add(network.A_blk, coupling), pat_mul(b_blk, network.H)
 
 
 def check_structured_system(a: PatternMatrix, b: PatternMatrix) -> SystemCheck:
@@ -238,26 +289,22 @@ def is_network_controllable(network: StructuredNetwork) -> SystemCheck:
     return check_structured_system(*assemble(network))
 
 
-def node_necessary_check(network: StructuredNetwork) -> list[tuple[int, SystemCheck]]:
+def node_necessary_check(network: StructuredNetwork) -> list[tuple[int, bool]]:
     """Run the per-node controllability test; any failure rules the network out.
 
     A controllable network needs every node system (A_k, B_k) to be
-    controllable on its own, so this is a cheap necessary screen. Each
-    distinct pair is tested once and its check is shared by the nodes
-    that repeat it; the list has one entry per node, in node order.
+    controllable on its own, so this is a cheap necessary screen. The graph
+    of [A_blk B_blk] is the disjoint union of the node graphs and the color
+    change rule acts within each, so the two colorings of the block pair
+    decide all nodes: node k fails iff one of its states stays uncolored in
+    either, the owner of a state found by bisecting the nodes' state ends.
+    Returns (node index, controllable) per node, in node order.
     """
-    violations = validate(network)
-    if violations:
-        raise AssumptionViolated(violations)
-    checks: dict[tuple[PatternMatrix, PatternMatrix], SystemCheck] = {}
-    out = []
-    for node in network.nodes:
-        pair = (node.A, node.B)
-        check = checks.get(pair)
-        if check is None:
-            check = checks[pair] = check_structured_system(node.A, node.B)
-        out.append((node.index, check))
-    return out
+    require_valid(network)
+    check = check_structured_system(network.A_blk, network.B_blk)
+    ends = list(accumulate(node.num_states for node in network.nodes))
+    failed = {bisect_right(ends, v - 1) for v in check.plain.uncolored | check.shifted.uncolored}
+    return [(node.index, k not in failed) for k, node in enumerate(network.nodes)]
 
 
 def extract_topology(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
@@ -266,28 +313,10 @@ def extract_topology(network: StructuredNetwork) -> tuple[PatternMatrix, Pattern
     A block that contains a '*' maps to '*', an all-zero block to '0', and
     a block whose only nonzero entries are '?' maps to '?'. One pass over
     the nonzeros of W and H sends each to its block through the
-    input->node and output->node index lists.
+    input->node and output->node maps; the network keeps the result.
     """
-    violations = validate(network)
-    if violations:
-        raise AssumptionViolated(violations)
-    input_node = [k for k, node in enumerate(network.nodes) for _ in range(node.num_inputs)]
-    output_node = [k for k, node in enumerate(network.nodes) for _ in range(node.num_outputs)]
-    m = network.num_external_inputs
-    summaries = []
-    for pattern, col_block, width in (
-        (network.W, output_node, network.num_nodes),
-        (network.H, range(m), m),
-    ):
-        rows: list[dict[int, PatternSymbol]] = [{} for _ in network.nodes]
-        for row_node, row in zip(input_node, pattern.row_nonzeros):
-            target = rows[row_node]
-            for j, symbol in row:
-                col = col_block[j]
-                if symbol is STAR or col not in target:
-                    target[col] = symbol
-        summaries.append(PatternMatrix.from_rows(width, (sorted(row.items()) for row in rows)))
-    return summaries[0], summaries[1]
+    require_valid(network)
+    return network.topology
 
 
 def topology_necessary_check(network: StructuredNetwork) -> ColoringResult:
@@ -306,7 +335,7 @@ class AnalysisReport:
 
     violations: list[Violation]
     network_check: SystemCheck | None = None
-    node_checks: list[tuple[int, SystemCheck]] | None = None
+    node_checks: list[tuple[int, bool]] | None = None
     topology: tuple[PatternMatrix, PatternMatrix] | None = None
     topology_coloring: ColoringResult | None = None
 
@@ -335,9 +364,7 @@ class AnalysisReport:
                 "assembled_shifted": self.network_check.shifted.to_dict(),
             }
         if self.node_checks is not None:
-            out["node_checks"] = [
-                {"node": k, "controllable": check.controllable} for k, check in self.node_checks
-            ]
+            out["node_checks"] = [{"node": k, "controllable": ok} for k, ok in self.node_checks]
         if self.topology is not None:
             out["topology"] = topology_dict(*self.topology, self.topology_coloring)
         return out
@@ -352,9 +379,7 @@ class AnalysisReport:
         lines.append(f"controllable: {'yes' if self.controllable else 'no'}")
         lines.append("  " + _coloring_text("[A+BWC BH]", self.network_check.plain))
         lines.append("  " + _coloring_text("[A+I+BWC BH]", self.network_check.shifted))
-        node_bits = ", ".join(
-            f"{k}: {'ok' if check.controllable else 'FAIL'}" for k, check in self.node_checks
-        )
+        node_bits = ", ".join(f"{k}: {'ok' if ok else 'FAIL'}" for k, ok in self.node_checks)
         lines.append(f"node systems: {node_bits}")
         if self.topology_coloring.colorable:
             lines.append("topology [W~ H~]: weakly colorable")

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssumptionViolated, NumericBreakdown
-from .network import StructuredNetwork, validate
-from .pattern import block_diag, sample_realization
+from .errors import NumericBreakdown
+from .network import StructuredNetwork, require_valid
+from .pattern import sample_realization
 
 
 @dataclass(frozen=True)
@@ -98,16 +98,13 @@ def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
 
     Each trial draws A, B, C, W, H from their pattern classes with a seed
     derived from (cfg.seed, trial), forms A + B W C and B H numerically,
-    and tests controllability. Trials are independent, so the outcome does
-    not depend on execution order. A trial whose rank computation fails
-    raises NumericBreakdown naming that trial.
+    and tests controllability. The block patterns are the ones the network
+    keeps for the symbolic verdict. Trials are independent, so the outcome
+    does not depend on execution order. A trial whose rank computation
+    fails raises NumericBreakdown naming that trial.
     """
-    violations = validate(network)
-    if violations:
-        raise AssumptionViolated(violations)
-    a_pat = block_diag([node.A for node in network.nodes])
-    b_pat = block_diag([node.B for node in network.nodes])
-    c_pat = block_diag([node.C for node in network.nodes])
+    require_valid(network)
+    a_pat, b_pat, c_pat = network.A_blk, network.B_blk, network.C_blk
     n = a_pat.rows
     outcome = AuditOutcome()
     for trial in range(cfg.trials):

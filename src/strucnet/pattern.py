@@ -268,9 +268,10 @@ class PatternMatrix:
 
     def to_sparse(self) -> dict:
         """Shape plus the nonzeros as 1-based [row, column, token], row-major."""
+        # tokens by identity: symbol.value and an Enum-keyed dict both run Python per entry
         return {
             "shape": [self.rows, self.cols],
-            "entries": [[i + 1, j + 1, symbol.value] for i, j, symbol in self.nonzeros],
+            "entries": [[i + 1, j + 1, "*" if s is STAR else "?"] for i, j, s in self.nonzeros],
         }
 
     def __str__(self) -> str:

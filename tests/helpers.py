@@ -12,8 +12,8 @@ product, the entrywise grid forms of the pattern sum, the identity
 shift, hstack and block_diag, the per-block slicing of W and H that
 defines the topology summary, the block-by-block assembly of the network
 patterns, and the one-entry-at-a-time sampler that fixes the random
-stream of a realization. The hypothesis strategy for random patterns is
-shared here as well.
+stream of a realization. The hypothesis strategies for random patterns
+and random networks are shared here as well.
 
 The library keeps a pattern only as the sparse nonzeros of its rows, so
 the dense views tests read (the grid, its token rows, slices, one-entry
@@ -271,6 +271,23 @@ def random_network(rng) -> StructuredNetwork:
     return StructuredNetwork(tuple(nodes), w, h)
 
 
+@st.composite
+def networks(draw, repeat_nodes: bool = False):
+    """A random_network from a drawn seed. With repeat_nodes, 2-6 nodes are
+    drawn from it with repetition and get a fresh W and a one-star H."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = random_network(rng)
+    if not repeat_nodes:
+        return net
+    picks = draw(st.lists(st.sampled_from(net.nodes), min_size=2, max_size=6))
+    nodes = tuple(
+        NodeSystem(node.A, node.B, node.C, index=k) for k, node in enumerate(picks, start=1)
+    )
+    r = sum(node.num_inputs for node in nodes)
+    p = sum(node.num_outputs for node in nodes)
+    return StructuredNetwork(nodes, random_pattern(rng, r, p, (0.6, 0.3, 0.1)), single_star_cols(rng, r, 1))
+
+
 def pat_mul_fold(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     """Reference pattern product: entry (i, j) folds sym_mul(m[i, k], n[k, j])
     with sym_add over every inner index k, left to right."""
@@ -379,6 +396,23 @@ def input_block(network: StructuredNetwork, i: int, j: int) -> PatternMatrix:
     """Block H^(ij): rows of node i's inputs, the single column of input j."""
     rows = _offsets(node.num_inputs for node in network.nodes)
     return submatrix(network.H, rows[i - 1], rows[i], j - 1, j)
+
+
+def topology_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
+    """Reference (W~, H~): each block of W and H sliced out and summarized,
+    '*' if it holds a '*', else '?' if it holds a '?', else '0'."""
+
+    def summary(block: PatternMatrix) -> PatternSymbol:
+        symbols = {symbol for row in dense(block) for symbol in row}
+        return STAR if STAR in symbols else ANY if ANY in symbols else ZERO
+
+    n = network.num_nodes
+    w_tilde = [[summary(interconnection_block(network, i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    h_tilde = [
+        [summary(input_block(network, i, j)) for j in range(1, network.num_external_inputs + 1)]
+        for i in range(1, n + 1)
+    ]
+    return PatternMatrix(w_tilde), PatternMatrix(h_tilde)
 
 
 def assembled_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:

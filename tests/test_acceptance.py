@@ -150,7 +150,7 @@ def test_criterion_6_necessary_condition_implications(random_suite):
         if not verdict:
             continue
         controllable += 1
-        if not all(chk.controllable for _, chk in node_necessary_check(network)):
+        if not all(ok for _, ok in node_necessary_check(network)):
             counterexamples += 1
         if not topology_necessary_check(network).colorable:
             counterexamples += 1

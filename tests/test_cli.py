@@ -316,11 +316,29 @@ def test_rank_json_certificate(capsys):
 
 
 def test_topo_demo_network(capsys):
+    # W~ and H~ print sparse: a shape header, then 1-based "row column token" lines
     code, out, _ = run(capsys, "topo", NETWORK_FILE)
     assert code == 0
     assert "weakly colorable: yes" in out
-    assert "0 0 0\n* 0 0\n0 * 0" in out
-    assert "* *\n0 0\n0 0" in out
+    assert "W~ (3 x 3; nonzeros as row column token):\n2 1 *\n3 2 *\nH~ (" in out
+    assert "H~ (3 x 2; nonzeros as row column token):\n1 1 *\n1 2 *\nweakly" in out
+
+
+def test_topo_text_grows_with_nonzeros_not_nodes(tmp_path, capsys):
+    # a chain of 2,000 one-state nodes: the dense N x N grid of W~ took 8 MB
+    n = 2000
+    one = [["*"]]
+    net = {
+        "nodes": [{"A": [["0"]], "B": one, "C": one} for _ in range(n)],
+        "W": {"shape": [n, n], "entries": [[k + 1, k, "*"] for k in range(1, n)]},
+        "H": {"shape": [n, 1], "entries": [[1, 1, "*"]]},
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(net))
+    code, out, _ = run(capsys, "topo", path)
+    assert code == 0
+    assert len(out.encode()) < 200_000
+    assert f"W~ ({n} x {n}; nonzeros as row column token):\n2 1 *\n3 2 *\n" in out
 
 
 def test_topo_without_inputs(capsys):

@@ -47,16 +47,18 @@ from conftest import (
 
 from helpers import (
     assembled_per_block,
-    dense,
+    block_diag_dense,
     filled,
     input_block,
     interconnection_block,
     network_to_dict,
+    networks,
     pat_identity,
     random_network,
     random_pattern,
     standard_forced_set,
     submatrix,
+    topology_per_block,
     with_entry,
 )
 
@@ -283,8 +285,7 @@ def test_single_node_network_reduces_to_system_check():
 
 
 def test_node_necessary_check_demo(demo_network):
-    results = node_necessary_check(demo_network)
-    assert [(k, chk.controllable) for k, chk in results] == [(1, True), (2, True), (3, True)]
+    assert node_necessary_check(demo_network) == [(1, True), (2, True), (3, True)]
 
 
 def test_node_necessary_check_requires_valid_network():
@@ -296,16 +297,60 @@ def test_node_necessary_check_requires_valid_network():
         node_necessary_check(net)
 
 
-def test_node_necessary_check_shares_repeated_pairs():
+def test_node_necessary_check_decides_repeated_nodes_one_by_one():
+    # nodes 1 and 3 repeat a controllable pair, node 4 drives only its last
+    # two states and fails; the block coloring names each node on its own
     b_low = PatternMatrix.from_text("0 0\n0 0\n* 0\n0 *")
     pairs = ((A1, B_NODE), (A2, B_NODE), (A1, B_NODE), (A1, b_low))
     nodes = tuple(NodeSystem(a, b, C_NODE, index=k) for k, (a, b) in enumerate(pairs, start=1))
     net = StructuredNetwork(nodes, PatternMatrix.zeros(8, 8), filled(8, 1, STAR))
-    results = node_necessary_check(net)
-    assert [k for k, _ in results] == [1, 2, 3, 4]
-    assert results[2][1] is results[0][1]
-    for (_, check), node in zip(results, nodes):
-        assert check == check_structured_system(node.A, node.B)
+    expected = [(node.index, check_structured_system(node.A, node.B).controllable) for node in nodes]
+    assert expected == [(1, True), (2, True), (3, True), (4, False)]
+    assert node_necessary_check(net) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(networks(), networks(repeat_nodes=True)))
+def test_node_screen_equals_the_per_node_test(net):
+    # the two colorings of the block pair decide each node as its own pair would
+    assert node_necessary_check(net) == [
+        (node.index, check_structured_system(node.A, node.B).controllable) for node in net.nodes
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks(), st.booleans())
+def test_cached_views_equal_a_fresh_computation(net, broken):
+    # a broken network's node 1 has input columns without a '*', which
+    # validate reports; the network keeps its views either way
+    if broken:
+        first = net.nodes[0]
+        bad = NodeSystem(first.A, PatternMatrix.zeros(*first.B.shape), first.C, index=1)
+        net = StructuredNetwork((bad, *net.nodes[1:]), net.W, net.H)
+    violations = validate(net)
+    assert violations == validate(StructuredNetwork(net.nodes, net.W, net.H))
+    assert bool(violations) == broken
+    snapshot = tuple(violations)
+    violations.append("extra")
+    assert tuple(validate(net)) == snapshot
+    validate(net).clear()
+    assert tuple(validate(net)) == snapshot
+    for name in ("A", "B", "C"):
+        view = getattr(net, f"{name}_blk")
+        assert view == block_diag_dense([getattr(node, name) for node in net.nodes])
+        assert getattr(net, f"{name}_blk") is view
+    for view, sizes in (
+        (net.input_node, [node.num_inputs for node in net.nodes]),
+        (net.output_node, [node.num_outputs for node in net.nodes]),
+    ):
+        assert [view.count(k) for k in range(net.num_nodes)] == sizes
+        assert list(view) == sorted(view)
+    if broken:
+        with pytest.raises(AssumptionViolated):
+            extract_topology(net)
+    else:
+        assert extract_topology(net) == topology_per_block(net)
+        assert extract_topology(net) is net.topology
 
 
 def chain_network(num_nodes: int, size: int) -> StructuredNetwork:
@@ -343,8 +388,8 @@ def test_report_patterns_hold_only_sparse_rows():
     plain, shifted = report.network_check.patterns
     assert plain.shape == (100, 101) and report.controllable
     found = _patterns_in(report, [])
-    assert len(found) == 2 + 2 * 20 + 2  # assembled pair, node pairs, topology pair
-    for m in (plain, shifted, *report.topology, *report.node_checks[0][1].patterns):
+    assert len(found) == 2 + 2  # assembled pair, topology pair; node checks hold verdicts only
+    for m in (plain, shifted, *report.topology):
         assert any(m is other for other in found)
     for m in found:
         assert set(vars(m)) <= {"cols", "row_nonzeros", "nonzeros"}
@@ -377,28 +422,7 @@ def test_extract_topology_matches_per_block_scan():
     rng = np.random.default_rng(22)
     for _ in range(50):
         net = random_network(rng)
-        w_tilde, h_tilde = extract_topology(net)
-        n = net.num_nodes
-        w_grid, h_grid = dense(w_tilde), dense(h_tilde)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                block = interconnection_block(net, i, j)
-                symbols = [s for row in dense(block) for s in row]
-                if STAR in symbols:
-                    assert w_grid[i - 1][j - 1] is STAR
-                elif ANY in symbols:
-                    assert w_grid[i - 1][j - 1] is ANY
-                else:
-                    assert w_grid[i - 1][j - 1].token == "0"
-            for j in range(1, net.num_external_inputs + 1):
-                block = input_block(net, i, j)
-                symbols = [s for row in dense(block) for s in row]
-                if STAR in symbols:
-                    assert h_grid[i - 1][j - 1] is STAR
-                elif ANY in symbols:
-                    assert h_grid[i - 1][j - 1] is ANY
-                else:
-                    assert h_grid[i - 1][j - 1].token == "0"
+        assert extract_topology(net) == topology_per_block(net)
 
 
 def test_extract_topology_stable_under_noop_refinement(demo_network):
@@ -454,7 +478,7 @@ def test_necessary_conditions_follow_from_controllability():
         assert validate(net) == []
         if is_network_controllable(net).controllable:
             controllable_seen += 1
-            assert all(chk.controllable for _, chk in node_necessary_check(net))
+            assert all(ok for _, ok in node_necessary_check(net))
             assert topology_necessary_check(net).colorable
     assert controllable_seen >= 10
 
@@ -463,7 +487,7 @@ def test_analyze_demo(demo_network):
     report = analyze(demo_network)
     assert report.valid
     assert report.controllable
-    assert all(chk.controllable for _, chk in report.node_checks)
+    assert all(ok for _, ok in report.node_checks)
     assert report.topology_coloring.colorable
     payload = report.to_dict()
     assert payload["controllable"] is True

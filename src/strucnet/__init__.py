@@ -5,7 +5,9 @@ means exactly zero, "*" surely nonzero, "?" arbitrary. It decides whether
 every numeric network consistent with the patterns is controllable, via
 graph color-change certificates. The numeric sampling audit that backs
 the symbolic verdicts is imported by name as `strucnet.oracle`; only it
-needs numpy, and `import strucnet` does not load it.
+needs numpy, and `import strucnet` does not load it. The pattern algebra
+(pat_add, pat_mul, pat_shift, hstack, block_diag) and the realization
+sampler are imported from `strucnet.pattern`.
 """
 
 from .errors import (
@@ -45,19 +47,10 @@ from .network import (
 from .pattern import (
     ANY,
     STAR,
-    SYMBOLS,
     ZERO,
     PatternMatrix,
     PatternSymbol,
-    block_diag,
-    hstack,
     load_pattern,
-    pat_add,
-    pat_mul,
-    pat_shift,
-    sample_realization,
-    sym_add,
-    sym_mul,
 )
 
 __version__ = "0.1.0"
@@ -77,32 +70,23 @@ __all__ = [
     "PatternParseError",
     "PatternSymbol",
     "STAR",
-    "SYMBOLS",
     "StructuredNetwork",
     "SystemCheck",
     "Violation",
     "ZERO",
     "analyze",
     "assemble",
-    "block_diag",
     "build_graph",
     "check_structured_system",
     "color_change",
     "export_dot",
     "extract_topology",
-    "hstack",
     "is_full_row_rank",
     "is_network_controllable",
     "load_network",
     "load_pattern",
     "network_from_dict",
     "node_necessary_check",
-    "pat_add",
-    "pat_mul",
-    "pat_shift",
-    "sample_realization",
-    "sym_add",
-    "sym_mul",
     "topology_necessary_check",
     "validate",
     "weak_color_change",

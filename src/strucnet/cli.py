@@ -108,7 +108,7 @@ def _cmd_rank(args) -> int:
     else:
         print(f"full row rank: {'yes' if result.colorable else 'no'}")
         print(f"derived set: {sorted(result.derived_set)}")
-        print(f"forcing sequence: {[tuple(step) for step in result.forcing_sequence]}")
+        print(f"forcing sequence: {list(result.forcing_sequence)}")
         if not result.colorable:
             print(f"uncolored vertices: {sorted(result.uncolored)}")
     return 0 if result.colorable else 1
@@ -125,7 +125,7 @@ def _cmd_topo(args) -> int:
             print(f"{name} ({summary.rows} x {summary.cols}; nonzeros as row column token):")
             print("".join(f"{i} {j} {t}\n" for i, j, t in summary.to_sparse()["entries"]), end="")
         print(f"weakly colorable: {'yes' if coloring.colorable else 'no'}")
-        print(f"reachability trace: {[tuple(step) for step in coloring.forcing_sequence]}")
+        print(f"reachability trace: {list(coloring.forcing_sequence)}")
         if not coloring.colorable:
             print(f"unreached vertices: {sorted(coloring.uncolored)}")
     return 0 if coloring.colorable else 1

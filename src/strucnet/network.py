@@ -48,12 +48,11 @@ from .pattern import (
 
 @dataclass(frozen=True)
 class NodeSystem:
-    """One node: state pattern A, input pattern B, output pattern C."""
+    """One node: state pattern A, input pattern B, output pattern C. Reports number nodes from 1."""
 
     A: PatternMatrix
     B: PatternMatrix
     C: PatternMatrix
-    index: int
 
     @property
     def num_states(self) -> int:
@@ -84,10 +83,6 @@ class StructuredNetwork:
         return len(self.nodes)
 
     @property
-    def total_states(self) -> int:
-        return sum(node.num_states for node in self.nodes)
-
-    @property
     def total_inputs(self) -> int:
         return sum(node.num_inputs for node in self.nodes)
 
@@ -103,8 +98,7 @@ class StructuredNetwork:
     def violations(self) -> tuple[Violation, ...]:
         """Dimension and one-star violations; validate() returns a list copy."""
         violations: list[Violation] = []
-        for node in self.nodes:
-            k = node.index
+        for k, node in enumerate(self.nodes, start=1):
             n = node.A.rows
             if node.A.rows != node.A.cols:
                 violations.append(Violation(k, "A", f"must be square, got {node.A.shape}"))
@@ -298,13 +292,14 @@ def node_necessary_check(network: StructuredNetwork) -> list[tuple[int, bool]]:
     change rule acts within each, so the two colorings of the block pair
     decide all nodes: node k fails iff one of its states stays uncolored in
     either, the owner of a state found by bisecting the nodes' state ends.
-    Returns (node index, controllable) per node, in node order.
+    Returns (node number, controllable) per node, in node order, numbering
+    the nodes from 1.
     """
     require_valid(network)
     check = check_structured_system(network.A_blk, network.B_blk)
     ends = list(accumulate(node.num_states for node in network.nodes))
     failed = {bisect_right(ends, v - 1) for v in check.plain.uncolored | check.shifted.uncolored}
-    return [(node.index, k not in failed) for k, node in enumerate(network.nodes)]
+    return [(k + 1, k not in failed) for k in range(network.num_nodes)]
 
 
 def extract_topology(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
@@ -459,15 +454,15 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
         return matrix
 
     nodes = []
-    for k, entry in enumerate(obj["nodes"], start=1):
+    for k, entry in enumerate(obj["nodes"]):
         if not isinstance(entry, dict):
-            raise NetworkFormatError(f"nodes[{k - 1}] must be an object")
+            raise NetworkFormatError(f"nodes[{k}] must be an object")
         matrices = {}
         for name in ("A", "B", "C"):
             if name not in entry:
-                raise NetworkFormatError(f"nodes[{k - 1}] is missing matrix '{name}'")
-            matrices[name] = read(f"nodes[{k - 1}].{name}", entry[name])
-        nodes.append(NodeSystem(matrices["A"], matrices["B"], matrices["C"], index=k))
+                raise NetworkFormatError(f"nodes[{k}] is missing matrix '{name}'")
+            matrices[name] = read(f"nodes[{k}].{name}", entry[name])
+        nodes.append(NodeSystem(matrices["A"], matrices["B"], matrices["C"]))
     matrices = {}
     for name in ("W", "H"):
         if name not in obj:

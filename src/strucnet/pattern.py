@@ -4,7 +4,7 @@ A pattern matrix fixes, for every entry, whether the corresponding real
 entry is exactly zero ("0"), surely nonzero ("*"), or unconstrained ("?").
 The set of real matrices consistent with a pattern is its pattern class.
 Sums and products of pattern matrices follow the three-symbol addition
-and multiplication tables entrywise, so that the result is a sound
+and multiplication rules entrywise, so that the result is a sound
 over-approximation of the sums/products of the underlying classes. A
 pattern is stored as the nonzeros of each row, and the algebra touches
 only those.
@@ -17,8 +17,8 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import compress, repeat
-from operator import is_not, itemgetter
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -35,19 +35,6 @@ class PatternSymbol(Enum):
     STAR = "*"
     ANY = "?"
 
-    @classmethod
-    def from_token(cls, token: str) -> "PatternSymbol":
-        try:
-            return cls(token)
-        except ValueError:
-            raise PatternParseError(
-                f"invalid pattern token {token!r}, expected one of '0', '*', '?'"
-            ) from None
-
-    @property
-    def token(self) -> str:
-        return self.value
-
     def __repr__(self) -> str:  # keeps printed grids readable in test output
         return f"<{self.value}>"
 
@@ -56,34 +43,7 @@ ZERO = PatternSymbol.ZERO
 STAR = PatternSymbol.STAR
 ANY = PatternSymbol.ANY
 
-#: All three symbols, in a fixed order used by exhaustive sweeps.
-SYMBOLS = (ZERO, STAR, ANY)
-
-_SYMBOL_OF_TOKEN = {symbol.value: symbol for symbol in SYMBOLS}
-
-# The symbol arithmetic. Adding two entries that may both be nonzero gives
-# '?' because cancellation cannot be ruled out; a product is zero as soon
-# as one factor is zero and is only surely nonzero when both factors are.
-_ADD = {
-    (ZERO, ZERO): ZERO, (ZERO, STAR): STAR, (ZERO, ANY): ANY,
-    (STAR, ZERO): STAR, (STAR, STAR): ANY, (STAR, ANY): ANY,
-    (ANY, ZERO): ANY, (ANY, STAR): ANY, (ANY, ANY): ANY,
-}
-_MUL = {
-    (ZERO, ZERO): ZERO, (ZERO, STAR): ZERO, (ZERO, ANY): ZERO,
-    (STAR, ZERO): ZERO, (STAR, STAR): STAR, (STAR, ANY): ANY,
-    (ANY, ZERO): ZERO, (ANY, STAR): ANY, (ANY, ANY): ANY,
-}
-
-
-def sym_add(a: PatternSymbol, b: PatternSymbol) -> PatternSymbol:
-    """Add two pattern symbols."""
-    return _ADD[(a, b)]
-
-
-def sym_mul(a: PatternSymbol, b: PatternSymbol) -> PatternSymbol:
-    """Multiply two pattern symbols."""
-    return _MUL[(a, b)]
+_SYMBOL_OF_TOKEN = {"0": ZERO, "*": STAR, "?": ANY}
 
 
 @dataclass(frozen=True, init=False)
@@ -97,37 +57,12 @@ class PatternMatrix:
     below works on it in time linear in the nonzeros; no dense grid is
     kept.
 
-    PatternMatrix(grid) builds from a dense grid of symbols; from_rows
-    builds from the sparse form. Both validate their input.
+    from_rows is the one checked constructor; from_tokens and from_json
+    read the JSON forms and build through it.
     """
 
     cols: int
     row_nonzeros: tuple[tuple[tuple[int, PatternSymbol], ...], ...]
-
-    def __init__(self, grid: Sequence[Sequence[PatternSymbol]]):
-        grid = tuple(map(tuple, grid))
-        if not grid or not grid[0]:
-            raise DimensionMismatch("a pattern matrix needs at least one row and one column")
-        width = len(grid[0])
-        # each row's width and symbols are checked by C-level map/all; only
-        # a failing row is scanned again to name the offending column
-        for i, row in enumerate(grid):
-            if len(row) != width:
-                raise DimensionMismatch(
-                    f"row {i + 1} has {len(row)} entries, expected {width}"
-                )
-            if not all(map(isinstance, row, repeat(PatternSymbol))):
-                for j, entry in enumerate(row):
-                    if not isinstance(entry, PatternSymbol):
-                        raise PatternParseError(
-                            f"row {i + 1}, column {j + 1}: {entry!r} is not a pattern symbol"
-                        )
-        object.__setattr__(self, "cols", width)
-        object.__setattr__(
-            self,
-            "row_nonzeros",
-            tuple(tuple(compress(enumerate(row), map(is_not, row, repeat(ZERO)))) for row in grid),
-        )
 
     @classmethod
     def from_rows(
@@ -182,10 +117,11 @@ class PatternMatrix:
                 )
             except (KeyError, TypeError):  # an unknown or unhashable token
                 for j, token in enumerate(raw_row):
-                    try:
-                        PatternSymbol.from_token(token)
-                    except PatternParseError as exc:
-                        raise PatternParseError(f"row {i + 1}, column {j + 1}: {exc}") from None
+                    if not (isinstance(token, str) and token in _SYMBOL_OF_TOKEN):
+                        raise PatternParseError(
+                            f"row {i + 1}, column {j + 1}: invalid pattern token {token!r}, "
+                            "expected one of '0', '*', '?'"
+                        ) from None
                 raise
         if not widths or not widths[0]:
             raise DimensionMismatch("a pattern matrix needs at least one row and one column")
@@ -250,12 +186,6 @@ class PatternMatrix:
         return cls.from_rows(cols, rows)
 
     @classmethod
-    def from_text(cls, text: str) -> "PatternMatrix":
-        """Build from whitespace-separated tokens, one matrix row per line."""
-        grid = [line.split() for line in text.strip().splitlines() if line.strip()]
-        return cls.from_tokens(grid)
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "PatternMatrix":
         return cls.from_rows(cols, repeat((), rows))
 
@@ -273,16 +203,6 @@ class PatternMatrix:
             "shape": [self.rows, self.cols],
             "entries": [[i + 1, j + 1, "*" if s is STAR else "?"] for i, j, s in self.nonzeros],
         }
-
-    def __str__(self) -> str:
-        """One line of space-separated tokens per row; from_text reads it back."""
-        lines = []
-        for row in self.row_nonzeros:
-            tokens = ["0"] * self.cols
-            for j, symbol in row:
-                tokens[j] = symbol.value
-            lines.append(" ".join(tokens))
-        return "\n".join(lines)
 
 
 #: Largest row or column count a sparse pattern object may declare, and
@@ -323,9 +243,9 @@ def _offset(row: tuple[tuple[int, PatternSymbol], ...], by: int) -> tuple:
 def pat_add(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     """Entrywise sum of two equally sized pattern matrices.
 
-    Row by row, the nonzeros of both are merged: a column present in one
-    keeps its symbol and a column present in both becomes '?' (the rule of
-    sym_add, with '0' the identity).
+    Row by row, the nonzeros of both are merged: a column in one row keeps
+    its symbol and a column in both rows becomes '?', since two nonzero
+    terms may cancel.
     """
     if m.shape != n.shape:
         raise DimensionMismatch(f"cannot add patterns of shapes {m.shape} and {n.shape}")
@@ -342,13 +262,14 @@ def pat_add(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
 
 
 def pat_mul(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
-    """Pattern product: entry (i, j) is the sym_add fold of m[i, k] * n[k, j].
+    """Pattern product: entry (i, j) sums the terms m[i, k] * n[k, j].
 
-    Only nonzero terms are folded, since '0' is the additive identity: each
-    nonzero (k, a) of row i of m meets the nonzeros of row k of n. The
-    first nonzero term of an entry is its sym_mul product and a second one
-    makes it '?', because any sum of two nonzero symbols is '?'. The cost
-    is the nonzero products plus one step per row.
+    Only nonzero terms count, since '0' is the additive identity: each
+    nonzero (k, a) of row i of m meets the nonzeros of row k of n. A term
+    is '*' when both factors are '*' and '?' otherwise; the first nonzero
+    term of an entry is its value and a second one makes it '?', because
+    two nonzero terms may cancel. The cost is the nonzero products plus
+    one step per row.
     """
     if m.cols != n.rows:
         raise DimensionMismatch(
@@ -372,10 +293,10 @@ def pat_mul(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
 def pat_shift(m: PatternMatrix) -> PatternMatrix:
     """m + [I 0]: the identity added to the leading square block of m.
 
-    Only the diagonal changes, by the rule of sym_add with '*': '0' becomes
-    '*' and a nonzero entry becomes '?'. Each row rewrites or inserts its
-    one diagonal pair. Defined for m.rows <= m.cols, so the shift of [a b]
-    with square a is [a+I b].
+    Only the diagonal changes, as the sum rule gives for an added '*': '0'
+    becomes '*' and a nonzero entry becomes '?'. Each row rewrites or
+    inserts its one diagonal pair. Defined for m.rows <= m.cols, so the
+    shift of [a b] with square a is [a+I b].
     """
     if m.rows > m.cols:
         raise DimensionMismatch(f"cannot shift a pattern with more rows than columns, got {m.shape}")

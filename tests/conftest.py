@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from strucnet import PatternMatrix, load_network
+from strucnet import load_network
+
+from helpers import parse
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = REPO_ROOT / "fixtures"
@@ -16,35 +18,35 @@ INTERCONNECTION_FILE = FIXTURES / "interconnection_pattern.json"
 
 # The demo network's blocks, kept here as an independent transcription so a
 # test can cross-check the shipped JSON files against them.
-A1 = PatternMatrix.from_text("""
+A1 = parse("""
     * 0 0 0
     0 ? 0 0
     ? * * 0
     * 0 0 ?
 """)
-A2 = PatternMatrix.from_text("""
+A2 = parse("""
     ? 0 * 0
     0 * 0 *
     0 * * 0
     * 0 0 ?
 """)
-A3 = PatternMatrix.from_text("""
+A3 = parse("""
     * 0 0 0
     0 0 * 0
     0 0 ? *
     * 0 * *
 """)
-B_NODE = PatternMatrix.from_text("""
+B_NODE = parse("""
     * 0
     0 *
     0 0
     0 0
 """)
-C_NODE = PatternMatrix.from_text("""
+C_NODE = parse("""
     0 0 * 0
     0 0 0 *
 """)
-W_PATTERN = PatternMatrix.from_text("""
+W_PATTERN = parse("""
     0 0 0 0 0 0
     0 0 0 0 0 0
     * 0 0 0 0 0
@@ -52,7 +54,7 @@ W_PATTERN = PatternMatrix.from_text("""
     0 0 * 0 0 0
     0 0 0 ? 0 0
 """)
-H_PATTERN = PatternMatrix.from_text("""
+H_PATTERN = parse("""
     * 0
     0 *
     0 0

@@ -15,9 +15,12 @@ patterns, and the one-entry-at-a-time sampler that fixes the random
 stream of a realization. The hypothesis strategies for random patterns
 and random networks are shared here as well.
 
-The library keeps a pattern only as the sparse nonzeros of its rows, so
-the dense views tests read (the grid, its token rows, slices, one-entry
-edits) are built here, along with the other names only tests call: the
+The library keeps a pattern only as the sparse nonzeros of its rows and
+builds one only through PatternMatrix.from_rows, so the dense views tests
+read and write are built here: the grid, its token rows, slices,
+one-entry edits, and a pattern from a grid of symbols (grid) or from
+token text (parse). So are the symbol tables the references fold with
+(SYMBOLS, sym_add, sym_mul) and the other names only tests call: the
 identity pattern, the class-membership test, the dense network writer,
 the Kalman and row-rank audits, and the sweeps behind the theorem that a
 pattern and its identity shift never both certify full row rank.
@@ -41,51 +44,86 @@ from strucnet import (
     PatternGraph,
     StructuredNetwork,
     is_full_row_rank,
-    pat_shift,
-    sample_realization,
 )
 from strucnet.oracle import AuditConfig, AuditOutcome, _controllability_rank, _numeric_rank
 from strucnet.pattern import (
     ANY,
     STAR,
-    SYMBOLS,
     ZERO,
     PatternMatrix,
     PatternSymbol,
-    sym_add,
-    sym_mul,
+    pat_shift,
+    sample_realization,
 )
+
+#: All three symbols, in a fixed order used by exhaustive sweeps.
+SYMBOLS = (ZERO, STAR, ANY)
+
+# The symbol arithmetic. Adding two entries that may both be nonzero gives
+# '?' because cancellation cannot be ruled out; a product is zero as soon
+# as one factor is zero and is only surely nonzero when both factors are.
+_ADD = {
+    (ZERO, ZERO): ZERO, (ZERO, STAR): STAR, (ZERO, ANY): ANY,
+    (STAR, ZERO): STAR, (STAR, STAR): ANY, (STAR, ANY): ANY,
+    (ANY, ZERO): ANY, (ANY, STAR): ANY, (ANY, ANY): ANY,
+}
+_MUL = {
+    (ZERO, ZERO): ZERO, (ZERO, STAR): ZERO, (ZERO, ANY): ZERO,
+    (STAR, ZERO): ZERO, (STAR, STAR): STAR, (STAR, ANY): ANY,
+    (ANY, ZERO): ZERO, (ANY, STAR): ANY, (ANY, ANY): ANY,
+}
+
+
+def sym_add(a: PatternSymbol, b: PatternSymbol) -> PatternSymbol:
+    """Add two pattern symbols."""
+    return _ADD[(a, b)]
+
+
+def sym_mul(a: PatternSymbol, b: PatternSymbol) -> PatternSymbol:
+    """Multiply two pattern symbols."""
+    return _MUL[(a, b)]
+
+
+def grid(rows: Sequence[Sequence[PatternSymbol]]) -> PatternMatrix:
+    """The pattern of a dense grid of symbols, built by the checked constructor."""
+    nonzeros = ([(j, s) for j, s in enumerate(row) if s is not ZERO] for row in rows)
+    return PatternMatrix.from_rows(len(rows[0]), nonzeros)
+
+
+def parse(text: str) -> PatternMatrix:
+    """The pattern of whitespace-separated tokens, one matrix row per line."""
+    return PatternMatrix.from_tokens([line.split() for line in text.strip().splitlines()])
 
 
 def dense(m: PatternMatrix) -> tuple[tuple[PatternSymbol, ...], ...]:
     """The full grid of m: each row's listed symbols, '0' everywhere else."""
-    grid = []
+    out = []
     for row in m.row_nonzeros:
         line = [ZERO] * m.cols
         for j, symbol in row:
             line[j] = symbol
-        grid.append(tuple(line))
-    return tuple(grid)
+        out.append(tuple(line))
+    return tuple(out)
 
 
 def tokens(m: PatternMatrix) -> list[list[str]]:
     """The grid of m as rows of "0"/"*"/"?" tokens, the dense JSON form."""
-    return [[symbol.token for symbol in row] for row in dense(m)]
+    return [[symbol.value for symbol in row] for row in dense(m)]
 
 
 def filled(rows: int, cols: int, symbol: PatternSymbol) -> PatternMatrix:
-    return PatternMatrix(((symbol,) * cols,) * rows)
+    return grid(((symbol,) * cols,) * rows)
 
 
 def submatrix(m: PatternMatrix, row_start: int, row_stop: int, col_start: int, col_stop: int) -> PatternMatrix:
-    return PatternMatrix(tuple(row[col_start:col_stop] for row in dense(m)[row_start:row_stop]))
+    return grid(tuple(row[col_start:col_stop] for row in dense(m)[row_start:row_stop]))
 
 
 def with_entry(m: PatternMatrix, i: int, j: int, symbol: PatternSymbol) -> PatternMatrix:
     """Copy of m with entry (i, j) replaced."""
-    grid = [list(row) for row in dense(m)]
-    grid[i][j] = symbol
-    return PatternMatrix(grid)
+    rows = [list(row) for row in dense(m)]
+    rows[i][j] = symbol
+    return grid(rows)
 
 
 def pat_identity(n: int) -> PatternMatrix:
@@ -165,9 +203,7 @@ def audit_rank(m: PatternMatrix, cfg: AuditConfig) -> AuditOutcome:
 def enumerate_patterns(rows: int, cols: int):
     """Yield every rows-by-cols pattern matrix, 3^(rows*cols) in total."""
     for combo in itertools.product(SYMBOLS, repeat=rows * cols):
-        yield PatternMatrix(
-            tuple(combo[i * cols : (i + 1) * cols] for i in range(rows))
-        )
+        yield grid(tuple(combo[i * cols : (i + 1) * cols] for i in range(rows)))
 
 
 def _violates_shift_exclusion(m: PatternMatrix) -> bool:
@@ -190,7 +226,7 @@ def shift_exclusion_random(size: int, samples: int, seed: int = 0) -> bool:
     rng = np.random.default_rng(seed)
     for _ in range(samples):
         draws = rng.integers(0, 3, size=(size, size))
-        m = PatternMatrix(tuple(tuple(SYMBOLS[v] for v in row) for row in draws))
+        m = grid(tuple(tuple(SYMBOLS[v] for v in row) for row in draws))
         if _violates_shift_exclusion(m):
             return False
     return True
@@ -198,7 +234,7 @@ def shift_exclusion_random(size: int, samples: int, seed: int = 0) -> bool:
 
 def random_pattern(rng, rows, cols, weights=(0.5, 0.35, 0.15)) -> PatternMatrix:
     draws = rng.choice(3, size=(rows, cols), p=list(weights))
-    return PatternMatrix(tuple(tuple(SYMBOLS[v] for v in row) for row in draws))
+    return grid(tuple(tuple(SYMBOLS[v] for v in row) for row in draws))
 
 
 @st.composite
@@ -215,23 +251,23 @@ def sparse_patterns(draw, rows, cols):
             return ZERO
         return draw(nonzero)
 
-    return PatternMatrix(tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows)))
+    return grid(tuple(tuple(entry(i, j) for j in range(cols)) for i in range(rows)))
 
 
 def single_star_cols(rng, rows, cols) -> PatternMatrix:
     """Pattern with exactly one '*' per column, as node input matrices need."""
-    grid = [[ZERO] * cols for _ in range(rows)]
+    out = [[ZERO] * cols for _ in range(rows)]
     for j in range(cols):
-        grid[int(rng.integers(rows))][j] = STAR
-    return PatternMatrix(tuple(tuple(row) for row in grid))
+        out[int(rng.integers(rows))][j] = STAR
+    return grid(out)
 
 
 def single_star_rows(rng, rows, cols) -> PatternMatrix:
     """Pattern with exactly one '*' per row, as node output matrices need."""
-    grid = [[ZERO] * cols for _ in range(rows)]
+    out = [[ZERO] * cols for _ in range(rows)]
     for i in range(rows):
-        grid[i][int(rng.integers(cols))] = STAR
-    return PatternMatrix(tuple(tuple(row) for row in grid))
+        out[i][int(rng.integers(cols))] = STAR
+    return grid(out)
 
 
 def _random_node_state(rng, n_k) -> PatternMatrix:
@@ -249,7 +285,7 @@ def random_network(rng) -> StructuredNetwork:
     """A random valid network: N <= 4 nodes, n_k <= 3, r_k = p_k <= 2."""
     num_nodes = int(rng.integers(1, 5))
     nodes = []
-    for k in range(1, num_nodes + 1):
+    for _ in range(num_nodes):
         n_k = int(rng.integers(1, 4))
         io = int(rng.integers(1, 3))
         nodes.append(
@@ -257,7 +293,6 @@ def random_network(rng) -> StructuredNetwork:
                 A=_random_node_state(rng, n_k),
                 B=single_star_cols(rng, n_k, io),
                 C=single_star_rows(rng, io, n_k),
-                index=k,
             )
         )
     r = sum(node.num_inputs for node in nodes)
@@ -279,10 +314,7 @@ def networks(draw, repeat_nodes: bool = False):
     net = random_network(rng)
     if not repeat_nodes:
         return net
-    picks = draw(st.lists(st.sampled_from(net.nodes), min_size=2, max_size=6))
-    nodes = tuple(
-        NodeSystem(node.A, node.B, node.C, index=k) for k, node in enumerate(picks, start=1)
-    )
+    nodes = tuple(draw(st.lists(st.sampled_from(net.nodes), min_size=2, max_size=6)))
     r = sum(node.num_inputs for node in nodes)
     p = sum(node.num_outputs for node in nodes)
     return StructuredNetwork(nodes, random_pattern(rng, r, p, (0.6, 0.3, 0.1)), single_star_cols(rng, r, 1))
@@ -305,14 +337,14 @@ def pat_mul_fold(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
                 acc = sym_add(acc, sym_mul(a, b))
             out_row.append(acc)
         out.append(tuple(out_row))
-    return PatternMatrix(tuple(out))
+    return grid(out)
 
 
 def pat_add_dense(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     """Reference pattern sum: sym_add of every pair of grid entries."""
     if m.shape != n.shape:
         raise DimensionMismatch(f"cannot add patterns of shapes {m.shape} and {n.shape}")
-    return PatternMatrix(
+    return grid(
         tuple(
             tuple(sym_add(a, b) for a, b in zip(mrow, nrow))
             for mrow, nrow in zip(dense(m), dense(n))
@@ -324,7 +356,7 @@ def pat_shift_dense(m: PatternMatrix) -> PatternMatrix:
     """Reference m + [I 0]: sym_add of '*' to each diagonal grid entry."""
     if m.rows > m.cols:
         raise DimensionMismatch(f"cannot shift a pattern with more rows than columns, got {m.shape}")
-    return PatternMatrix(
+    return grid(
         tuple(
             row[:i] + (sym_add(row[i], STAR),) + row[i + 1 :]
             for i, row in enumerate(dense(m))
@@ -336,7 +368,7 @@ def hstack_dense(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     """Reference [m n]: each grid row of m followed by that of n."""
     if m.rows != n.rows:
         raise DimensionMismatch(f"cannot hstack patterns with {m.rows} and {n.rows} rows")
-    return PatternMatrix(tuple(mrow + nrow for mrow, nrow in zip(dense(m), dense(n))))
+    return grid(tuple(mrow + nrow for mrow, nrow in zip(dense(m), dense(n))))
 
 
 def block_diag_dense(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
@@ -346,15 +378,15 @@ def block_diag_dense(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
         raise DimensionMismatch("block_diag needs at least one block")
     total_rows = sum(b.rows for b in blocks)
     total_cols = sum(b.cols for b in blocks)
-    grid = [[ZERO] * total_cols for _ in range(total_rows)]
+    cells = [[ZERO] * total_cols for _ in range(total_rows)]
     row_off = col_off = 0
     for block in blocks:
         for i, row in enumerate(dense(block)):
             for j, symbol in enumerate(row):
-                grid[row_off + i][col_off + j] = symbol
+                cells[row_off + i][col_off + j] = symbol
         row_off += block.rows
         col_off += block.cols
-    return PatternMatrix(tuple(tuple(row) for row in grid))
+    return grid(cells)
 
 
 def sample_realization_loop(m: PatternMatrix, seed) -> np.ndarray:
@@ -412,7 +444,7 @@ def topology_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, Patte
         [summary(input_block(network, i, j)) for j in range(1, network.num_external_inputs + 1)]
         for i in range(1, n + 1)
     ]
-    return PatternMatrix(w_tilde), PatternMatrix(h_tilde)
+    return grid(w_tilde), grid(h_tilde)
 
 
 def assembled_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
@@ -429,7 +461,7 @@ def assembled_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, Patt
             pat_mul_fold(pat_mul_fold(node.B, interconnection_block(network, i, j)), other.C)
             for j, other in enumerate(nodes, start=1)
         ]
-        blocks[i - 1] = PatternMatrix(
+        blocks[i - 1] = grid(
             tuple(
                 tuple(sym_add(a, b) for a, b in zip(a_row, bwc_row))
                 for a_row, bwc_row in zip(dense(node.A), dense(blocks[i - 1]))
@@ -441,7 +473,7 @@ def assembled_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, Patt
         ]
         for r in range(node.num_states):
             plain_rows.append(tuple(symbol for block in blocks for symbol in dense(block)[r]))
-    plain = PatternMatrix(tuple(plain_rows))
+    plain = grid(tuple(plain_rows))
     shifted = plain
     for v in range(plain.rows):
         shifted = with_entry(shifted, v, v, sym_add(plain_rows[v][v], STAR))

@@ -15,16 +15,17 @@ from strucnet import (
     build_graph,
     color_change,
     export_dot,
-    hstack,
     is_full_row_rank,
-    pat_shift,
     weak_color_change,
 )
+from strucnet.pattern import hstack, pat_shift
 from conftest import H_PATTERN, W_PATTERN
 
 from helpers import (
     color_change_reference,
     dense,
+    grid,
+    parse,
     pat_identity,
     random_pattern,
     replay_standard,
@@ -41,7 +42,7 @@ INTERCONNECTION = hstack(W_PATTERN, H_PATTERN)
 
 
 def test_build_graph_single_star():
-    graph = build_graph(PatternMatrix.from_text("* 0"))
+    graph = build_graph(parse("* 0"))
     assert graph.num_vertices == 2
     assert graph.row_count == 1
     assert graph.edges_star == {(1, 1)}
@@ -50,7 +51,7 @@ def test_build_graph_single_star():
 
 def test_build_graph_orientation():
     # entry (i, j) nonzero means an edge from column vertex j to row vertex i
-    graph = build_graph(PatternMatrix.from_text("0 * 0\n? 0 0"))
+    graph = build_graph(parse("0 * 0\n? 0 0"))
     assert graph.edges_star == {(2, 1)}
     assert graph.edges_any == {(1, 2)}
 
@@ -73,7 +74,7 @@ def test_build_graph_rejects_tall_patterns():
 
 
 def test_color_change_single_star():
-    result = color_change(build_graph(PatternMatrix.from_text("* 0")))
+    result = color_change(build_graph(parse("* 0")))
     assert result.derived_set == {1}
     assert result.colorable
 
@@ -133,7 +134,7 @@ def test_is_full_row_rank_zero():
 def test_is_full_row_rank_lone_any():
     # the only edge is a '?' edge, so nothing forces; the zero realization
     # confirms the verdict numerically
-    cert = is_full_row_rank(PatternMatrix(((ANY,),)))
+    cert = is_full_row_rank(grid([[ANY]]))
     assert not cert.colorable
     assert cert.derived_set == frozenset()
     assert np.linalg.matrix_rank(np.zeros((1, 1))) == 0
@@ -142,12 +143,12 @@ def test_is_full_row_rank_lone_any():
 def test_any_edge_counts_as_neighbor_but_cannot_force():
     # with a '?' at (2,1) vertex 1 ends with a single white out-neighbor it
     # cannot force; upgrading that entry to '*' makes the pattern colorable
-    assert not is_full_row_rank(PatternMatrix.from_text("* *\n? 0")).colorable
-    assert is_full_row_rank(PatternMatrix.from_text("* *\n* 0")).colorable
+    assert not is_full_row_rank(parse("* *\n? 0")).colorable
+    assert is_full_row_rank(parse("* *\n* 0")).colorable
 
 
 def test_weak_color_change_topology_example():
-    topo = PatternMatrix.from_text("0 0 0 * *\n* 0 0 0 0\n0 * 0 0 0")
+    topo = parse("0 0 0 * *\n* 0 0 0 0\n0 * 0 0 0")
     result = weak_color_change(build_graph(topo))
     assert result.seeds == {4, 5}
     assert result.derived_set == {1, 2, 3, 4, 5}
@@ -155,7 +156,7 @@ def test_weak_color_change_topology_example():
 
 
 def test_weak_color_change_without_star_edges():
-    graph = build_graph(PatternMatrix.from_text("0 ?\n? 0"))
+    graph = build_graph(parse("0 ?\n? 0"))
     result = weak_color_change(graph)
     assert not result.colorable
     assert result.derived_set == frozenset()
@@ -223,7 +224,7 @@ def test_new_star_edge_can_break_forcing():
     # documents why the refinement above is the right monotone move: adding
     # a star on top of a zero adds an out-neighbor and kills the unique
     # white neighbor below
-    before = PatternMatrix.from_text("* 0\n0 0")
+    before = parse("* 0\n0 0")
     after = with_entry(before, 1, 0, STAR)
     assert color_change(build_graph(before)).derived_set == {1}
     assert color_change(build_graph(after)).derived_set == frozenset()
@@ -244,7 +245,7 @@ def test_certificates_replay_exactly():
 
 
 def test_export_dot_styles():
-    dot = export_dot(build_graph(PatternMatrix.from_text("* 0")))
+    dot = export_dot(build_graph(parse("* 0")))
     assert dot.startswith("digraph")
     assert "1 -> 1 [style=solid];" in dot
 
@@ -262,7 +263,7 @@ def test_export_dot_isolated_vertices():
 
 
 def test_export_dot_marks_derived_set():
-    graph = build_graph(PatternMatrix.from_text("* 0"))
+    graph = build_graph(parse("* 0"))
     dot = export_dot(graph, color_change(graph))
     assert "1 [style=filled, fillcolor=black, fontcolor=white];" in dot
 
@@ -276,7 +277,7 @@ def test_pattern_graph_edge_sets_are_disjoint():
 
 
 def test_hand_built_graph_accepts_explicit_edges():
-    graph = PatternGraph(PatternMatrix.from_text("0 0 *\n* 0 0"))
+    graph = PatternGraph(parse("0 0 *\n* 0 0"))
     result = color_change(graph)
     assert result.colorable
     assert graph.edges_star == {(3, 1), (1, 2)}
@@ -291,9 +292,9 @@ def wide_patterns(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(wide_patterns())
-@example(PatternMatrix(tuple(tuple(ANY if i == j else ZERO for j in range(5)) for i in range(4))))
-@example(PatternMatrix.from_text("* 0 ?\n? 0 *"))
-@example(PatternMatrix.from_text("* ? 0\n0 * ?\n? 0 *"))
+@example(grid(tuple(tuple(ANY if i == j else ZERO for j in range(5)) for i in range(4))))
+@example(parse("* 0 ?\n? 0 *"))
+@example(parse("* ? 0\n0 * ?\n? 0 *"))
 @example(PatternMatrix.zeros(1, 1))
 def test_colorings_match_the_edge_set_reference(pattern):
     # the whole certificate, forcing order included, not just the derived set

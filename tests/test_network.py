@@ -19,20 +19,17 @@ from strucnet import (
     StructuredNetwork,
     analyze,
     assemble,
-    block_diag,
     build_graph,
     check_structured_system,
     extract_topology,
-    hstack,
     is_network_controllable,
     load_network,
     network_from_dict,
     node_necessary_check,
-    pat_add,
-    pat_mul,
     topology_necessary_check,
     validate,
 )
+from strucnet.pattern import block_diag, hstack, pat_add, pat_mul
 from conftest import (
     A1,
     A2,
@@ -49,10 +46,12 @@ from helpers import (
     assembled_per_block,
     block_diag_dense,
     filled,
+    grid,
     input_block,
     interconnection_block,
     network_to_dict,
     networks,
+    parse,
     pat_identity,
     random_network,
     random_pattern,
@@ -64,10 +63,7 @@ from helpers import (
 
 
 def build_demo_network() -> StructuredNetwork:
-    nodes = tuple(
-        NodeSystem(a, B_NODE, C_NODE, index=k)
-        for k, a in enumerate((A1, A2, A3), start=1)
-    )
+    nodes = tuple(NodeSystem(a, B_NODE, C_NODE) for a in (A1, A2, A3))
     return StructuredNetwork(nodes, W_PATTERN, H_PATTERN)
 
 
@@ -80,9 +76,9 @@ def test_validate_demo_network(demo_network):
 
 
 def test_validate_flags_double_star_column():
-    bad_b = PatternMatrix.from_text("* 0\n* *\n0 0\n0 0")
+    bad_b = parse("* 0\n* *\n0 0\n0 0")
     net = StructuredNetwork(
-        (NodeSystem(A1, bad_b, C_NODE, index=1),), PatternMatrix.zeros(2, 2), pat_identity(2)
+        (NodeSystem(A1, bad_b, C_NODE),), PatternMatrix.zeros(2, 2), pat_identity(2)
     )
     violations = validate(net)
     assert len(violations) == 1
@@ -91,9 +87,9 @@ def test_validate_flags_double_star_column():
 
 
 def test_validate_flags_any_in_output_pattern():
-    bad_c = PatternMatrix.from_text("0 0 ? 0\n0 0 0 *")
+    bad_c = parse("0 0 ? 0\n0 0 0 *")
     net = StructuredNetwork(
-        (NodeSystem(A1, B_NODE, bad_c, index=1),), PatternMatrix.zeros(2, 2), pat_identity(2)
+        (NodeSystem(A1, B_NODE, bad_c),), PatternMatrix.zeros(2, 2), pat_identity(2)
     )
     violations = validate(net)
     assert any(v.matrix == "C" and "'?'" in v.message for v in violations)
@@ -132,7 +128,7 @@ def test_validate_flags_any_in_output_pattern():
 )
 def test_validate_one_star_messages_are_exact(b, c, expected):
     net = StructuredNetwork(
-        (NodeSystem(A1, b, c, index=1),), PatternMatrix.zeros(2, 2), pat_identity(2)
+        (NodeSystem(A1, b, c),), PatternMatrix.zeros(2, 2), pat_identity(2)
     )
     assert [str(v) for v in validate(net)] == expected
 
@@ -140,7 +136,7 @@ def test_validate_one_star_messages_are_exact(b, c, expected):
 def test_validate_flags_dimension_problems():
     rect_a = PatternMatrix.zeros(2, 3)
     net = StructuredNetwork(
-        (NodeSystem(rect_a, PatternMatrix.from_text("*\n0"), PatternMatrix.from_text("0 * 0"), index=1),),
+        (NodeSystem(rect_a, parse("*\n0"), parse("0 * 0")),),
         PatternMatrix.zeros(5, 5),
         PatternMatrix.zeros(3, 1),
     )
@@ -155,19 +151,19 @@ def test_assemble_shapes_and_coupling_block(demo_network):
     assert plain.shape == (12, 14)
     assert shifted.shape == (12, 14)
     # coupling block feeding node 2 from node 1's outputs
-    expected = PatternMatrix.from_text("0 0 * 0\n0 0 ? *\n0 0 0 0\n0 0 0 0")
+    expected = parse("0 0 * 0\n0 0 ? *\n0 0 0 0\n0 0 0 0")
     assert submatrix(plain, 4, 8, 0, 4) == expected
     # the shifted pattern is exactly the plain one plus [I 0]
     identity_part = hstack(pat_identity(12), PatternMatrix.zeros(12, 2))
     assert shifted == pat_add(plain, identity_part)
     # input columns: only the states driven by node 1's inputs see them
-    assert submatrix(plain, 0, 4, 12, 14) == PatternMatrix.from_text("* 0\n0 *\n0 0\n0 0")
+    assert submatrix(plain, 0, 4, 12, 14) == parse("* 0\n0 *\n0 0\n0 0")
     assert submatrix(plain, 4, 12, 12, 14) == PatternMatrix.zeros(8, 2)
 
 
 def test_assemble_single_node_without_coupling():
     net = StructuredNetwork(
-        (NodeSystem(A1, B_NODE, C_NODE, index=1),),
+        (NodeSystem(A1, B_NODE, C_NODE),),
         PatternMatrix.zeros(2, 2),
         pat_identity(2),
     )
@@ -197,9 +193,9 @@ def test_network_check_certifies_the_assembled_pair(demo_network):
 
 
 def test_assemble_rejects_invalid_network():
-    bad_b = PatternMatrix.from_text("* 0\n* *\n0 0\n0 0")
+    bad_b = parse("* 0\n* *\n0 0\n0 0")
     net = StructuredNetwork(
-        (NodeSystem(A1, bad_b, C_NODE, index=1),), PatternMatrix.zeros(2, 2), pat_identity(2)
+        (NodeSystem(A1, bad_b, C_NODE),), PatternMatrix.zeros(2, 2), pat_identity(2)
     )
     with pytest.raises(AssumptionViolated) as excinfo:
         assemble(net)
@@ -215,7 +211,7 @@ def test_check_structured_system_first_node():
 def test_check_structured_system_scalar_cases():
     zero = PatternMatrix.zeros(1, 1)
     assert not check_structured_system(zero, zero).controllable
-    star = PatternMatrix(((STAR,),))
+    star = grid([[STAR]])
     assert check_structured_system(star, star).controllable
 
 
@@ -243,10 +239,10 @@ def system_pairs(draw):
     m = draw(st.integers(1, 3))
     symbols = st.sampled_from([ZERO, STAR, ANY])
 
-    def grid(rows, cols):
-        return PatternMatrix(tuple(tuple(draw(symbols) for _ in range(cols)) for _ in range(rows)))
+    def drawn(rows, cols):
+        return grid(tuple(tuple(draw(symbols) for _ in range(cols)) for _ in range(rows)))
 
-    return grid(n, n), grid(n, m)
+    return drawn(n, n), drawn(n, m)
 
 
 def _reference_full_row_rank(pattern):
@@ -276,7 +272,7 @@ def test_network_not_controllable_without_inputs(no_input_network):
 
 def test_single_node_network_reduces_to_system_check():
     net = StructuredNetwork(
-        (NodeSystem(A1, B_NODE, C_NODE, index=1),),
+        (NodeSystem(A1, B_NODE, C_NODE),),
         PatternMatrix.zeros(2, 2),
         pat_identity(2),
     )
@@ -291,7 +287,7 @@ def test_node_necessary_check_demo(demo_network):
 def test_node_necessary_check_requires_valid_network():
     bad_b = PatternMatrix.zeros(4, 2)
     net = StructuredNetwork(
-        (NodeSystem(A1, bad_b, C_NODE, index=1),), PatternMatrix.zeros(2, 2), pat_identity(2)
+        (NodeSystem(A1, bad_b, C_NODE),), PatternMatrix.zeros(2, 2), pat_identity(2)
     )
     with pytest.raises(AssumptionViolated):
         node_necessary_check(net)
@@ -300,11 +296,11 @@ def test_node_necessary_check_requires_valid_network():
 def test_node_necessary_check_decides_repeated_nodes_one_by_one():
     # nodes 1 and 3 repeat a controllable pair, node 4 drives only its last
     # two states and fails; the block coloring names each node on its own
-    b_low = PatternMatrix.from_text("0 0\n0 0\n* 0\n0 *")
+    b_low = parse("0 0\n0 0\n* 0\n0 *")
     pairs = ((A1, B_NODE), (A2, B_NODE), (A1, B_NODE), (A1, b_low))
-    nodes = tuple(NodeSystem(a, b, C_NODE, index=k) for k, (a, b) in enumerate(pairs, start=1))
+    nodes = tuple(NodeSystem(a, b, C_NODE) for a, b in pairs)
     net = StructuredNetwork(nodes, PatternMatrix.zeros(8, 8), filled(8, 1, STAR))
-    expected = [(node.index, check_structured_system(node.A, node.B).controllable) for node in nodes]
+    expected = [(k + 1, check_structured_system(a, b).controllable) for k, (a, b) in enumerate(pairs)]
     assert expected == [(1, True), (2, True), (3, True), (4, False)]
     assert node_necessary_check(net) == expected
 
@@ -314,7 +310,8 @@ def test_node_necessary_check_decides_repeated_nodes_one_by_one():
 def test_node_screen_equals_the_per_node_test(net):
     # the two colorings of the block pair decide each node as its own pair would
     assert node_necessary_check(net) == [
-        (node.index, check_structured_system(node.A, node.B).controllable) for node in net.nodes
+        (k, check_structured_system(node.A, node.B).controllable)
+        for k, node in enumerate(net.nodes, start=1)
     ]
 
 
@@ -325,7 +322,7 @@ def test_cached_views_equal_a_fresh_computation(net, broken):
     # validate reports; the network keeps its views either way
     if broken:
         first = net.nodes[0]
-        bad = NodeSystem(first.A, PatternMatrix.zeros(*first.B.shape), first.C, index=1)
+        bad = NodeSystem(first.A, PatternMatrix.zeros(*first.B.shape), first.C)
         net = StructuredNetwork((bad, *net.nodes[1:]), net.W, net.H)
     violations = validate(net)
     assert violations == validate(StructuredNetwork(net.nodes, net.W, net.H))
@@ -362,7 +359,7 @@ def chain_network(num_nodes: int, size: int) -> StructuredNetwork:
     a = PatternMatrix.from_rows(size, [()] + [((s, STAR),) for s in range(size - 1)])
     b = PatternMatrix.from_rows(1, [((0, STAR),)] + [()] * (size - 1))
     c = PatternMatrix.from_rows(size, [((size - 1, STAR),)])
-    nodes = tuple(NodeSystem(a, b, c, index=k) for k in range(1, num_nodes + 1))
+    nodes = (NodeSystem(a, b, c),) * num_nodes
     w = PatternMatrix.from_rows(num_nodes, [()] + [((k, STAR),) for k in range(num_nodes - 1)])
     h = PatternMatrix.from_rows(1, [((0, STAR),)] + [()] * (num_nodes - 1))
     return StructuredNetwork(nodes, w, h)
@@ -397,25 +394,25 @@ def test_report_patterns_hold_only_sparse_rows():
 
 def test_extract_topology_demo(demo_network):
     w_tilde, h_tilde = extract_topology(demo_network)
-    assert w_tilde == PatternMatrix.from_text("0 0 0\n* 0 0\n0 * 0")
-    assert h_tilde == PatternMatrix.from_text("* *\n0 0\n0 0")
+    assert w_tilde == parse("0 0 0\n* 0 0\n0 * 0")
+    assert h_tilde == parse("* *\n0 0\n0 0")
 
 
 def test_extract_topology_block_with_star_and_any():
-    w = PatternMatrix.from_text("* ?\n? ?")
+    w = parse("* ?\n? ?")
     net = StructuredNetwork(
         (
-            NodeSystem(pat_identity(1), pat_identity(1), pat_identity(1), index=1),
-            NodeSystem(pat_identity(1), pat_identity(1), pat_identity(1), index=2),
+            NodeSystem(pat_identity(1), pat_identity(1), pat_identity(1)),
+            NodeSystem(pat_identity(1), pat_identity(1), pat_identity(1)),
         ),
         w,
-        PatternMatrix.from_text("*\n0"),
+        parse("*\n0"),
     )
     w_tilde, h_tilde = extract_topology(net)
-    assert w_tilde == PatternMatrix.from_text("* ?\n? ?")
+    assert w_tilde == parse("* ?\n? ?")
     net_zero = StructuredNetwork(net.nodes, PatternMatrix.zeros(2, 2), net.H)
     assert extract_topology(net_zero)[0] == PatternMatrix.zeros(2, 2)
-    assert h_tilde == PatternMatrix.from_text("*\n0")
+    assert h_tilde == parse("*\n0")
 
 
 def test_extract_topology_matches_per_block_scan():
@@ -463,9 +460,9 @@ def test_topology_necessary_check_no_inputs(no_input_network):
 
 def test_topology_necessary_check_single_node():
     net = StructuredNetwork(
-        (NodeSystem(pat_identity(1), pat_identity(1), pat_identity(1), index=1),),
+        (NodeSystem(pat_identity(1), pat_identity(1), pat_identity(1)),),
         PatternMatrix.zeros(1, 1),
-        PatternMatrix.from_text("*"),
+        parse("*"),
     )
     assert topology_necessary_check(net).colorable
 
@@ -505,7 +502,7 @@ def test_analyze_demo(demo_network):
 def test_analyze_invalid_network_reports_only_violations():
     bad_b = PatternMatrix.zeros(4, 2)
     net = StructuredNetwork(
-        (NodeSystem(A1, bad_b, C_NODE, index=1),), PatternMatrix.zeros(2, 2), pat_identity(2)
+        (NodeSystem(A1, bad_b, C_NODE),), PatternMatrix.zeros(2, 2), pat_identity(2)
     )
     report = analyze(net)
     assert not report.valid
@@ -552,10 +549,9 @@ def test_network_from_dict_errors():
 
 
 def test_block_accessors(demo_network):
-    assert interconnection_block(demo_network, 2, 1) == PatternMatrix.from_text("* 0\n? *")
+    assert interconnection_block(demo_network, 2, 1) == parse("* 0\n? *")
     assert interconnection_block(demo_network, 1, 3) == PatternMatrix.zeros(2, 2)
-    assert input_block(demo_network, 1, 2) == PatternMatrix.from_text("0\n*")
+    assert input_block(demo_network, 1, 2) == parse("0\n*")
     assert demo_network.num_external_inputs == 2
-    assert demo_network.total_states == 12
     assert demo_network.total_inputs == 6
     assert demo_network.total_outputs == 6

@@ -12,16 +12,16 @@ from strucnet import (
     StructuredNetwork,
     is_full_row_rank,
     is_network_controllable,
-    pat_add,
-    sample_realization,
 )
 from strucnet.oracle import AuditConfig, AuditOutcome, audit_network
+from strucnet.pattern import pat_add, sample_realization
 from conftest import A1, C_NODE
 
 from helpers import (
     audit_rank,
     dense,
     enumerate_patterns,
+    grid,
     is_member,
     kalman_controllable,
     pat_identity,
@@ -85,7 +85,7 @@ def test_audit_rank_identity():
 
 
 def test_audit_rank_lone_any_fails_sometimes():
-    outcome = audit_rank(PatternMatrix(((ANY,),)), AuditConfig(trials=50, seed=2))
+    outcome = audit_rank(grid([[ANY]]), AuditConfig(trials=50, seed=2))
     assert outcome.failures >= 1
     assert outcome.first_failure is not None
     trial, detail = outcome.first_failure
@@ -140,7 +140,7 @@ def test_audit_network_is_deterministic(demo_network):
 
 def test_audit_network_rejects_invalid_network():
     net = StructuredNetwork(
-        (NodeSystem(A1, PatternMatrix.zeros(4, 2), C_NODE, index=1),),
+        (NodeSystem(A1, PatternMatrix.zeros(4, 2), C_NODE),),
         PatternMatrix.zeros(2, 2),
         pat_identity(2),
     )
@@ -199,7 +199,7 @@ def test_shift_exclusion_randomized():
 
 
 def test_shift_exclusion_scalar_instances():
-    star = PatternMatrix(((STAR,),))
+    star = grid([[STAR]])
     assert is_full_row_rank(star).colorable
     shifted_ok = is_full_row_rank(pat_add(star, pat_identity(1))).colorable
     assert not shifted_ok  # '*' + '*' is '?', which the zero matrix realizes

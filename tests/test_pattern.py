@@ -1,5 +1,6 @@
 """Symbol algebra, pattern matrix operations, sampling, and block assembly."""
 
+import dataclasses
 import itertools
 import json
 
@@ -8,44 +9,42 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import strucnet
 from strucnet import (
     ANY,
     STAR,
-    SYMBOLS,
     ZERO,
     DimensionMismatch,
     PatternMatrix,
     PatternParseError,
     PatternSymbol,
-    block_diag,
-    hstack,
     load_pattern,
-    pat_add,
-    pat_mul,
-    pat_shift,
-    sample_realization,
-    sym_add,
-    sym_mul,
 )
+from strucnet.pattern import block_diag, hstack, pat_add, pat_mul, pat_shift, sample_realization
 from conftest import A1, C_NODE
 
 from helpers import (
+    SYMBOLS,
     ProductExactness,
     block_diag_dense,
     dense,
     enumerate_patterns,
     exact_product_condition,
     filled,
+    grid,
     hstack_dense,
     is_member,
     pat_add_dense,
     pat_identity,
     pat_mul_fold,
+    parse,
     pat_shift_dense,
     random_pattern,
     sample_realization_loop,
     sparse_patterns,
     submatrix,
+    sym_add,
+    sym_mul,
     tokens,
 )
 
@@ -75,12 +74,10 @@ def test_symbol_multiplication_table():
 def test_symbol_tokens_round_trip():
     assert len(PatternSymbol) == 3
     for token in ("0", "*", "?"):
-        assert PatternSymbol.from_token(token).token == token
+        assert tokens(PatternMatrix.from_tokens([[token]])) == [[token]]
 
 
 def test_invalid_token_rejected():
-    with pytest.raises(PatternParseError):
-        PatternSymbol.from_token("x")
     with pytest.raises(PatternParseError, match="row 2, column 1"):
         PatternMatrix.from_tokens([["0", "*"], ["x", "?"]])
 
@@ -96,7 +93,7 @@ def test_symbol_laws_exhaustive():
 
 
 def test_pat_add_star_star_gives_any():
-    assert pat_add(PatternMatrix(((STAR,),)), PatternMatrix(((STAR,),))) == PatternMatrix(((ANY,),))
+    assert pat_add(grid([[STAR]]), grid([[STAR]])) == grid([[ANY]])
 
 
 def test_pat_add_zero_is_identity():
@@ -128,14 +125,14 @@ def test_pat_mul_identity_preserves_pattern():
 
 def test_pat_mul_coupling_block():
     # W block (2,1) of the demo network times the node output pattern
-    w21 = PatternMatrix.from_text("* 0\n? *")
-    assert pat_mul(w21, C_NODE) == PatternMatrix.from_text("0 0 * 0\n0 0 ? *")
+    w21 = parse("* 0\n? *")
+    assert pat_mul(w21, C_NODE) == parse("0 0 * 0\n0 0 ? *")
 
 
 def test_pat_mul_inner_sum_cancels_to_any():
-    row = PatternMatrix(((STAR, STAR),))
-    col = PatternMatrix(((STAR,), (STAR,)))
-    assert pat_mul(row, col) == PatternMatrix(((ANY,),))
+    row = grid([[STAR, STAR]])
+    col = grid([[STAR], [STAR]])
+    assert pat_mul(row, col) == grid([[ANY]])
 
 
 def test_pat_mul_shape_mismatch():
@@ -177,7 +174,7 @@ def test_pat_mul_associative_random_shapes():
 
 # Row 2 and column 3 are all zero: a sparse row that lists nothing, and a
 # column that no row lists.
-ZERO_ROW_AND_COLUMN = PatternMatrix.from_text("0 * 0 0\n0 0 0 0\n? 0 0 *")
+ZERO_ROW_AND_COLUMN = parse("0 * 0 0\n0 0 0 0\n? 0 0 *")
 
 
 @st.composite
@@ -189,7 +186,7 @@ def product_operands(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(product_operands())
-@example((ZERO_ROW_AND_COLUMN, PatternMatrix.from_text("0 *\n0 0\n* 0\n* ?")))
+@example((ZERO_ROW_AND_COLUMN, parse("0 *\n0 0\n* 0\n* ?")))
 @example((PatternMatrix.zeros(2, 3), ZERO_ROW_AND_COLUMN))
 def test_pat_mul_matches_reference_fold(operands):
     m, n = operands
@@ -211,10 +208,10 @@ def test_pat_add_matches_entrywise_sym_add(operands):
     m, n = operands
     total = pat_add(m, n)
     assert total == pat_add_dense(m, n)
-    grid, m_grid, n_grid = dense(total), dense(m), dense(n)
+    cells, m_cells, n_cells = dense(total), dense(m), dense(n)
     for i in range(m.rows):
         for j in range(m.cols):
-            assert grid[i][j] is sym_add(m_grid[i][j], n_grid[i][j])
+            assert cells[i][j] is sym_add(m_cells[i][j], n_cells[i][j])
 
 
 @st.composite
@@ -239,7 +236,7 @@ def test_pat_shift_adds_the_identity_to_the_leading_block(operands):
 
 
 def test_pat_shift_diagonal_rule():
-    assert pat_shift(PatternMatrix.from_text("0 * ? 0\n* * ? ?\n? 0 ? *")) == PatternMatrix.from_text(
+    assert pat_shift(parse("0 * ? 0\n* * ? ?\n? 0 ? *")) == parse(
         "* * ? 0\n* ? ? ?\n? 0 ? *"
     )
     with pytest.raises(DimensionMismatch):
@@ -247,14 +244,14 @@ def test_pat_shift_diagonal_rule():
 
 
 def test_pat_identity_layout():
-    assert pat_identity(1) == PatternMatrix(((STAR,),))
-    assert pat_identity(2) == PatternMatrix.from_text("* 0\n0 *")
+    assert pat_identity(1) == grid([[STAR]])
+    assert pat_identity(2) == parse("* 0\n0 *")
     assert pat_add(pat_identity(2), PatternMatrix.zeros(2, 2)) == pat_identity(2)
 
 
 def test_exact_product_condition_row():
     # node input patterns transposed have one '*' per row
-    b_t = PatternMatrix.from_text("* 0 0 0\n0 * 0 0")
+    b_t = parse("* 0 0 0\n0 * 0 0")
     assert exact_product_condition(filled(3, 2, ANY), b_t) is ProductExactness.ROW_CONDITION
 
 
@@ -263,7 +260,7 @@ def test_exact_product_condition_both():
 
 
 def test_exact_product_condition_column():
-    n = PatternMatrix.from_text("? 0\n0 ?\n? 0")
+    n = parse("? 0\n0 ?\n? 0")
     assert exact_product_condition(pat_identity(3), n) is ProductExactness.COLUMN_CONDITION
 
 
@@ -278,13 +275,13 @@ def test_exact_product_condition_shape_mismatch():
 
 
 def test_is_member_basics():
-    assert is_member(np.array([[1.5]]), PatternMatrix(((STAR,),)))
-    assert not is_member(np.array([[0.0]]), PatternMatrix(((STAR,),)))
-    assert is_member(np.array([[0.0]]), PatternMatrix(((ANY,),)))
-    assert is_member(np.array([[0.0]]), PatternMatrix(((ZERO,),)))
-    assert not is_member(np.array([[0.25]]), PatternMatrix(((ZERO,),)))
+    assert is_member(np.array([[1.5]]), grid([[STAR]]))
+    assert not is_member(np.array([[0.0]]), grid([[STAR]]))
+    assert is_member(np.array([[0.0]]), grid([[ANY]]))
+    assert is_member(np.array([[0.0]]), grid([[ZERO]]))
+    assert not is_member(np.array([[0.25]]), grid([[ZERO]]))
     with pytest.raises(DimensionMismatch):
-        is_member(np.zeros((1, 2)), PatternMatrix(((ZERO,),)))
+        is_member(np.zeros((1, 2)), grid([[ZERO]]))
 
 
 def test_sum_of_realizations_lands_in_sum_pattern():
@@ -315,7 +312,7 @@ def test_product_of_realizations_lands_in_product_pattern():
     # node-style factors guarantee the conditioned branch is exercised
     for _ in range(50):
         m = random_pattern(rng, 3, 2)
-        n = PatternMatrix.from_text("0 * 0\n0 0 *")
+        n = parse("0 * 0\n0 0 *")
         assert exact_product_condition(m, n) is not ProductExactness.NEITHER
         x = sample_realization(m, rng)
         y = sample_realization(n, rng)
@@ -360,16 +357,16 @@ def test_every_member_of_sum_pattern_splits_matrix_level():
         m = random_pattern(rng, 2, 2)
         n = random_pattern(rng, 2, 2)
         total = pat_add(m, n)
-        grid, m_grid, n_grid = dense(total), dense(m), dense(n)
-        x = np.array([[rng.choice(_targets(grid[i][j])) for j in range(2)] for i in range(2)])
+        cells, m_cells, n_cells = dense(total), dense(m), dense(n)
+        x = np.array([[rng.choice(_targets(cells[i][j])) for j in range(2)] for i in range(2)])
         a = np.zeros((2, 2))
         b = np.zeros((2, 2))
         for i in range(2):
             for j in range(2):
                 a[i, j], b[i, j] = next(
                     (u, v)
-                    for u in _allowed(m_grid[i][j])
-                    for v in _allowed(n_grid[i][j])
+                    for u in _allowed(m_cells[i][j])
+                    for v in _allowed(n_cells[i][j])
                     if u + v == x[i, j]
                 )
         assert is_member(a, m) and is_member(b, n)
@@ -417,9 +414,9 @@ def _same_bits(x, y):
 @example((filled(3, 2, STAR), 2, 3))
 def test_sample_realization_matches_the_scalar_loop(case):
     m, seed, chained = case
-    grid = dense(m)
+    cells = dense(m)
     assert m.nonzeros == tuple(
-        (i, j, grid[i][j]) for i in range(m.rows) for j in range(m.cols) if grid[i][j] is not ZERO
+        (i, j, cells[i][j]) for i in range(m.rows) for j in range(m.cols) if cells[i][j] is not ZERO
     )
     assert _same_bits(sample_realization(m, seed), sample_realization_loop(m, seed))
     ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -434,14 +431,14 @@ def test_sample_realization_zero_pattern():
 
 
 def test_sample_realization_star_magnitude():
-    m = PatternMatrix(((STAR,),))
+    m = grid([[STAR]])
     for seed in range(50):
         value = sample_realization(m, seed)[0, 0]
         assert 0.5 <= abs(value) <= 2.0
 
 
 def test_sample_realization_any_hits_zero_and_nonzero():
-    m = PatternMatrix(((ANY,),))
+    m = grid([[ANY]])
     draws = [sample_realization(m, seed)[0, 0] for seed in range(200)]
     zero_share = sum(1 for v in draws if v == 0.0) / len(draws)
     assert 0.1 < zero_share < 0.45
@@ -458,7 +455,7 @@ def test_sample_realization_membership():
 def test_hstack_shapes():
     stacked = hstack(pat_identity(2), PatternMatrix.zeros(2, 1))
     assert stacked.shape == (2, 3)
-    assert stacked == PatternMatrix.from_text("* 0 0\n0 * 0")
+    assert stacked == parse("* 0 0\n0 * 0")
     with pytest.raises(DimensionMismatch):
         hstack(pat_identity(2), PatternMatrix.zeros(3, 1))
 
@@ -498,24 +495,14 @@ def test_block_diag_matches_dense_reference(blocks):
 def test_sparse_and_dense_forms_agree(m):
     sparse = PatternMatrix.from_rows(m.cols, m.row_nonzeros)
     assert set(vars(sparse)) == {"cols", "row_nonzeros"}  # no dense grid is kept
-    grid = dense(sparse)
-    from_grid = PatternMatrix(grid)
-    assert set(vars(from_grid)) == {"cols", "row_nonzeros"}
+    cells = dense(sparse)
+    from_grid = grid(cells)
     assert from_grid == sparse == m and hash(from_grid) == hash(sparse) == hash(m)
     assert sparse.nonzeros == tuple(
-        (i, j, grid[i][j]) for i in range(m.rows) for j in range(m.cols) if grid[i][j] is not ZERO
+        (i, j, cells[i][j]) for i in range(m.rows) for j in range(m.cols) if cells[i][j] is not ZERO
     )
     assert PatternMatrix.from_tokens(tokens(m)) == m
     assert PatternMatrix.from_json(m.to_sparse()) == m
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 8).flatmap(lambda r: st.integers(1, 8).flatmap(lambda c: sparse_patterns(r, c))))
-@example(ZERO_ROW_AND_COLUMN)
-@example(PatternMatrix.zeros(2, 3))
-def test_text_form_is_written_from_the_rows(m):
-    assert str(m) == "\n".join(" ".join(symbol.token for symbol in row) for row in dense(m))
-    assert PatternMatrix.from_text(str(m)) == m
 
 
 @pytest.mark.parametrize(
@@ -556,21 +543,9 @@ def test_pattern_grid_must_be_rectangular():
     with pytest.raises(DimensionMismatch):
         PatternMatrix.from_tokens([])
     with pytest.raises(DimensionMismatch, match="^row 3 has 1 entries, expected 2$"):
-        PatternMatrix(((STAR, ZERO), (ANY, STAR), (ZERO,)))
+        PatternMatrix.from_tokens([["*", "0"], ["?", "*"], ["0"]])
     with pytest.raises(DimensionMismatch):
-        PatternMatrix(((),))
-
-
-def test_constructor_names_the_entry_that_is_no_symbol():
-    with pytest.raises(PatternParseError) as excinfo:
-        PatternMatrix(((STAR, "x"),))
-    assert str(excinfo.value) == "row 1, column 2: 'x' is not a pattern symbol"
-    with pytest.raises(PatternParseError) as excinfo:
-        PatternMatrix(((STAR, ZERO), (ANY, None)))
-    assert str(excinfo.value) == "row 2, column 2: None is not a pattern symbol"
-    # the first bad row decides, whether its fault is width or symbols
-    with pytest.raises(PatternParseError, match="^row 1, column 1"):
-        PatternMatrix((("*", ZERO), (ANY,)))
+        PatternMatrix.from_tokens([[]])
 
 
 def test_from_tokens_matches_per_token_parse():
@@ -578,9 +553,9 @@ def test_from_tokens_matches_per_token_parse():
     tokens = ["0", "*", "?"]
     for _ in range(50):
         rows, cols = rng.integers(1, 6, size=2)
-        grid = [[tokens[v] for v in rng.integers(0, 3, size=cols)] for _ in range(rows)]
-        expected = tuple(tuple(PatternSymbol.from_token(t) for t in row) for row in grid)
-        assert dense(PatternMatrix.from_tokens(grid)) == expected
+        rows_of_tokens = [[tokens[v] for v in rng.integers(0, 3, size=cols)] for _ in range(rows)]
+        expected = tuple(tuple(PatternSymbol(t) for t in row) for row in rows_of_tokens)
+        assert dense(PatternMatrix.from_tokens(rows_of_tokens)) == expected
     for bad in (["x"], 0, None, " *", "**", True, 1.0):
         with pytest.raises(PatternParseError) as excinfo:
             PatternMatrix.from_tokens([["0", "*"], ["?", bad]])
@@ -594,3 +569,25 @@ def test_load_pattern_rejects_bad_json(tmp_path):
     path.write_text("[[\"0\",")
     with pytest.raises(PatternParseError):
         load_pattern(path)
+
+
+def test_public_surface_is_pinned():
+    assert sorted(strucnet.__all__) == [
+        "ANY", "AnalysisReport", "AssumptionViolated", "BadShape", "ColoringResult",
+        "DimensionMismatch", "NetworkFormatError", "NodeSystem", "NumericBreakdown",
+        "PatternGraph", "PatternMatrix", "PatternParseError", "PatternSymbol", "STAR",
+        "StructuredNetwork", "SystemCheck", "Violation", "ZERO", "analyze", "assemble",
+        "build_graph", "check_structured_system", "color_change", "export_dot",
+        "extract_topology", "is_full_row_rank", "is_network_controllable", "load_network",
+        "load_pattern", "network_from_dict", "node_necessary_check",
+        "topology_necessary_check", "validate", "weak_color_change",
+    ]
+    for name in strucnet.__all__:
+        getattr(strucnet, name)
+    for module in (strucnet, strucnet.pattern):
+        assert not {"sym_add", "sym_mul", "SYMBOLS"} & set(vars(module)), module.__name__
+    assert not hasattr(PatternMatrix, "from_text")
+    with pytest.raises(TypeError):
+        PatternMatrix([[STAR]])
+    assert [field.name for field in dataclasses.fields(strucnet.NodeSystem)] == ["A", "B", "C"]
+    assert not hasattr(strucnet.StructuredNetwork, "total_states")

@@ -70,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("path", help="network JSON file")
     audit.add_argument("--trials", type=int, default=100)
     audit.add_argument("--seed", type=int, default=0)
-    audit.add_argument("--tol", type=float, default=1e-8)
 
     dot = sub.add_parser("export-dot", help="emit a DOT rendering of one of the graphs")
     dot.add_argument("path", help="network JSON file")
@@ -135,7 +134,7 @@ def _cmd_audit(args) -> int:
     from .oracle import AuditConfig, audit_network  # loads numpy, which only audit needs
 
     try:
-        cfg = AuditConfig(trials=args.trials, seed=args.seed, rank_tolerance=args.tol)
+        cfg = AuditConfig(trials=args.trials, seed=args.seed)
     except ValueError as exc:  # a bad option value is a usage error
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
@@ -159,9 +158,8 @@ def _cmd_export_dot(args) -> int:
     coloring = None  # the interconnection graph is drawn uncolored
     if args.which == "interconnection":
         pattern = hstack(network.W, network.H)
-        missing = pattern.rows - pattern.cols
-        if missing > 0:  # a tall [W H] is drawn on vertices 1..r; zero columns add no edges
-            pattern = hstack(pattern, PatternMatrix.zeros(pattern.rows, missing))
+        if pattern.rows > pattern.cols:  # a tall [W H] is drawn on vertices 1..r
+            pattern = PatternMatrix.from_rows(pattern.rows, pattern.row_nonzeros)
     elif args.which == "topology":
         pattern = hstack(*extract_topology(network))
         coloring = topology_necessary_check(network)

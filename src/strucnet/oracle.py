@@ -3,9 +3,9 @@
 Sampling one realization at a time can never certify a strong structural
 property, so the audit is a consistency check, not a proof: when a
 network is certified controllable, every sampled realization must pass
-the Kalman rank test. A failure is a defect (or a tolerance problem),
-never new information about the pattern class. This module imports
-numpy; `import strucnet` does not load it.
+the Kalman rank test. A failure is a defect (or the fixed rank threshold
+misjudging one realization), never new information about the pattern
+class. This module imports numpy; `import strucnet` does not load it.
 """
 
 from __future__ import annotations
@@ -19,23 +19,23 @@ from .network import StructuredNetwork, require_valid
 from .pattern import sample_realization
 
 
+#: A singular value counts toward the numeric rank when it exceeds this
+#: share of the largest one.
+RANK_TOLERANCE = 1e-8
+
+
 @dataclass(frozen=True)
 class AuditConfig:
-    """Trial count, base seed, and the relative singular-value threshold."""
+    """Trial count and base seed of an audit run."""
 
     trials: int = 100
     seed: int = 0
-    rank_tolerance: float = 1e-8
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not 0.0 < self.rank_tolerance < 1.0:
-            raise ValueError(
-                f"rank_tolerance must lie in (0, 1), got {self.rank_tolerance}"
-            )
 
 
 @dataclass
@@ -65,15 +65,15 @@ class AuditOutcome:
         }
 
 
-def _numeric_rank(matrix: np.ndarray, tol: float) -> int:
-    """Rank as the number of singular values above tol relative to the largest."""
+def _numeric_rank(matrix: np.ndarray) -> int:
+    """Rank as the number of singular values above RANK_TOLERANCE relative to the largest."""
     sigma = np.linalg.svd(matrix, compute_uv=False)
     if sigma.size == 0 or sigma[0] == 0.0:
         return 0
-    return int(np.sum(sigma > tol * sigma[0]))
+    return int(np.sum(sigma > RANK_TOLERANCE * sigma[0]))
 
 
-def _controllability_rank(a: np.ndarray, b: np.ndarray, tol: float) -> int:
+def _controllability_rank(a: np.ndarray, b: np.ndarray) -> int:
     """Numeric rank of [B, AB, ..., A^(n-1) B] with per-column normalization.
 
     Normalizing the columns keeps the powers of A from drowning the early
@@ -88,9 +88,8 @@ def _controllability_rank(a: np.ndarray, b: np.ndarray, tol: float) -> int:
     ctrb = np.hstack(blocks)
     norms = np.linalg.norm(ctrb, axis=0)
     nonzero = norms > 0.0
-    ctrb = ctrb.copy()
     ctrb[:, nonzero] /= norms[nonzero]
-    return _numeric_rank(ctrb, tol)
+    return _numeric_rank(ctrb)
 
 
 def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
@@ -117,7 +116,7 @@ def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
         closed = a + b @ w @ c
         inputs = b @ h
         try:
-            rank = _controllability_rank(closed, inputs, cfg.rank_tolerance)
+            rank = _controllability_rank(closed, inputs)
         except np.linalg.LinAlgError as exc:
             raise NumericBreakdown(
                 f"numeric breakdown in trial {trial} (seed {cfg.seed}): {exc}"

@@ -328,12 +328,10 @@ def sample_realization(m: PatternMatrix, seed) -> np.ndarray:
     [0.5, 2.0] with a random sign; '?' entries are 0 with probability 0.25
     and otherwise uniform on [-2, 2].
 
-    The nonzeros are visited row-major and each takes the next doubles of
-    the stream: a star its magnitude then its sign, a '?' its zero test
-    then, unless that sets it to 0, its value. The doubles are drawn in
-    bulk, never more than the entries still to come take at least, so the
-    matrix and the Generator's end state equal those of one scalar draw
-    per double (uniform(low, high) is low + (high - low) * random()).
+    One call draws two doubles per nonzero, and the nonzeros take them in
+    row-major order. A star's first double sets its magnitude and its
+    second its sign (negative from 0.5 up); a '?' is 0 when its first
+    double is below 0.25 and otherwise takes its value from the second.
     """
     import numpy as np
 
@@ -342,28 +340,16 @@ def sample_realization(m: PatternMatrix, seed) -> np.ndarray:
     nonzeros = m.nonzeros
     if not nonzeros:
         return values
-    # doubles still to draw at least: two per star, one per '?'
-    owed = len(nonzeros) + sum(symbol is STAR for _, _, symbol in nonzeros)
-    draws = rng.random(owed).tolist()
-    pos = 0
+    draws = rng.random(2 * len(nonzeros)).tolist()
     out = []
-    for _, _, symbol in nonzeros:
-        need = 2 if symbol is STAR else 1
-        if pos + need > len(draws):  # earlier '?' entries took a second double
-            draws += rng.random(owed - (len(draws) - pos)).tolist()
-        first = draws[pos]
-        pos += need
-        owed -= need
+    for (_, _, symbol), first, second in zip(nonzeros, draws[0::2], draws[1::2]):
         if symbol is STAR:
             magnitude = _STAR_MAG_LOW + (_STAR_MAG_HIGH - _STAR_MAG_LOW) * first
-            out.append(magnitude if draws[pos - 1] < 0.5 else -magnitude)
+            out.append(magnitude if second < 0.5 else -magnitude)
         elif first < _ANY_ZERO_PROB:
             out.append(0.0)
         else:
-            if pos == len(draws):
-                draws += rng.random(owed + 1).tolist()
-            out.append(_ANY_LOW + (_ANY_HIGH - _ANY_LOW) * draws[pos])
-            pos += 1
+            out.append(_ANY_LOW + (_ANY_HIGH - _ANY_LOW) * second)
     rows, cols, _ = zip(*nonzeros)
     values[rows, cols] = out
     return values

@@ -165,7 +165,7 @@ def network_to_dict(network: StructuredNetwork) -> dict:
     }
 
 
-def kalman_controllable(a, b, tol: float = 1e-8) -> bool:
+def kalman_controllable(a, b) -> bool:
     """Classical rank test: the pair (a, b) is controllable iff the
     controllability matrix has rank n (the audit's own rank routine)."""
     a = np.asarray(a, dtype=float)
@@ -176,7 +176,7 @@ def kalman_controllable(a, b, tol: float = 1e-8) -> bool:
         raise ValueError(
             f"input matrix has shape {b.shape}, expected {a.shape[0]} rows"
         )
-    return _controllability_rank(a, b, tol) == a.shape[0]
+    return _controllability_rank(a, b) == a.shape[0]
 
 
 def audit_rank(m: PatternMatrix, cfg: AuditConfig) -> AuditOutcome:
@@ -192,7 +192,7 @@ def audit_rank(m: PatternMatrix, cfg: AuditConfig) -> AuditOutcome:
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, trial])
         values = sample_realization(m, rng)
-        rank = _numeric_rank(values, cfg.rank_tolerance)
+        rank = _numeric_rank(values)
         failure = None
         if rank < m.rows:
             failure = f"numeric row rank {rank} < {m.rows}"
@@ -387,26 +387,6 @@ def block_diag_dense(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
         row_off += block.rows
         col_off += block.cols
     return grid(cells)
-
-
-def sample_realization_loop(m: PatternMatrix, seed) -> np.ndarray:
-    """Reference sampler: every entry in row-major order, one scalar draw
-    per random number. A star draws its magnitude, then its sign; a '?'
-    draws its zero test, then its value unless the test gave 0."""
-    rng = np.random.default_rng(seed)
-    values = np.zeros(m.shape)
-    for i, row in enumerate(dense(m)):
-        for j, symbol in enumerate(row):
-            if symbol is STAR:
-                magnitude = rng.uniform(0.5, 2.0)
-                sign = 1.0 if rng.random() < 0.5 else -1.0
-                values[i, j] = sign * magnitude
-            elif symbol is ANY:
-                if rng.random() < 0.25:
-                    values[i, j] = 0.0
-                else:
-                    values[i, j] = rng.uniform(-2.0, 2.0)
-    return values
 
 
 def _offsets(sizes: Iterable[int]) -> list[int]:

@@ -40,7 +40,6 @@ from helpers import (
 )
 
 RANDOM_NETWORK_COUNT = 220
-RANK_TOL = 1e-8
 
 
 def _report(num: int, ok: bool, detail: str, elapsed: float, budget: float):
@@ -175,7 +174,7 @@ def test_criterion_7_oracle_consistency(random_suite):
     demo = load_network(NETWORK_FILE)
     targets = [demo] + [net for net, verdict in zip(networks, verdicts) if verdict]
     for idx, network in enumerate(targets):
-        cfg = AuditConfig(trials=100, seed=7000 + idx, rank_tolerance=RANK_TOL)
+        cfg = AuditConfig(trials=100, seed=7000 + idx)
         outcome = audit_network(network, cfg)
         failures += outcome.failures
         audited += 1
@@ -184,7 +183,7 @@ def test_criterion_7_oracle_consistency(random_suite):
     _report(
         7,
         ok,
-        f"{audited} certified networks x 100 realizations at tol {RANK_TOL:g}, {failures} failures",
+        f"{audited} certified networks x 100 realizations, {failures} failures",
         elapsed,
         budget=60.0,
     )

@@ -411,10 +411,11 @@ def test_audit_rejects_zero_trials(capsys):
     assert excinfo.value.code == 2
 
 
-def test_audit_rejects_bad_tolerance(capsys):
+def test_audit_rejects_tol_as_unknown_option(capsys):
     with pytest.raises(SystemExit) as excinfo:
-        main(["audit", str(NETWORK_FILE), "--tol", "2.0"])
+        main(["audit", "--tol", "1e-8", str(NETWORK_FILE)])
     assert excinfo.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_audit_rejects_negative_seed(capsys):

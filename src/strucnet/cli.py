@@ -4,7 +4,8 @@ Subcommands operate on JSON files (pattern grids or network objects) and
 print reports with machine-checkable certificates. Exit codes: 0 for a
 positive verdict (or a consistent audit), 1 for a negative one, 2 for
 input or usage errors and for an audit whose numeric rank test breaks
-down.
+down, and 141 when the reader of stdout goes away before the output is
+written.
 """
 
 from __future__ import annotations
@@ -88,12 +89,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_check(args) -> int:
-    network = load_network(args.path)
-    report = analyze(network)
+    report = analyze(load_network(args.path))  # the network is freed before encoding
     if not report.valid:
         raise AssumptionViolated(report.violations)
     if args.json:
-        print(json.dumps(report.to_dict()))
+        print(json.dumps(report.to_dict(), check_circular=False))
     else:
         print(report.to_text(), end="")
     return 0 if report.controllable else 1
@@ -103,7 +103,7 @@ def _cmd_rank(args) -> int:
     result = is_full_row_rank(load_pattern(args.path))
     if args.json:
         payload = {"full_row_rank": result.colorable, **result.to_dict()}
-        print(json.dumps(payload))
+        print(json.dumps(payload, check_circular=False))
     else:
         print(f"full row rank: {'yes' if result.colorable else 'no'}")
         print(f"derived set: {sorted(result.derived_set)}")
@@ -118,7 +118,7 @@ def _cmd_topo(args) -> int:
     w_tilde, h_tilde = extract_topology(network)
     coloring = topology_necessary_check(network)
     if args.json:
-        print(json.dumps(topology_dict(w_tilde, h_tilde, coloring)))
+        print(json.dumps(topology_dict(w_tilde, h_tilde, coloring), check_circular=False))
     else:
         for name, summary in (("W~", w_tilde), ("H~", h_tilde)):  # sparse: N x N can be large
             print(f"{name} ({summary.rows} x {summary.cols}; nonzeros as row column token):")
@@ -148,7 +148,7 @@ def _cmd_audit(args) -> int:
         "consistent": consistent,
         "note": "sampling is a consistency check, not a proof",
     }
-    print(json.dumps(payload))
+    print(json.dumps(payload, check_circular=False))
     return 0 if consistent else 1
 
 
@@ -186,7 +186,13 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        if sys.stdout is not None:  # None when started with stdout closed
+            sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
+    except BrokenPipeError:  # stdout closed early, as under `| head`: not an input error
+        sys.stdout = None  # the interpreter skips a None stdout when it flushes at exit
+        return 141  # 128 + SIGPIPE
     except AssumptionViolated as exc:
         for violation in exc.violations:
             print(f"error: {violation}", file=sys.stderr)

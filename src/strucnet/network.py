@@ -159,7 +159,7 @@ class StructuredNetwork:
                     col = col_block[j]
                     if symbol is STAR or col not in target:
                         target[col] = symbol
-            summaries.append(PatternMatrix.from_rows(width, (sorted(row.items()) for row in rows)))
+            summaries.append(PatternMatrix._trusted(width, (sorted(row.items()) for row in rows)))
         return summaries[0], summaries[1]
 
 

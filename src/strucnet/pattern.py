@@ -57,8 +57,10 @@ class PatternMatrix:
     below works on it in time linear in the nonzeros; no dense grid is
     kept.
 
-    from_rows is the one checked constructor; from_tokens and from_json
-    read the JSON forms and build through it.
+    from_rows is the checked constructor for outside input, and the
+    sparse branch of from_json builds through it. from_tokens and the
+    algebra build their rows in order and in range, and wrap them
+    unchecked through _trusted.
     """
 
     cols: int
@@ -74,13 +76,18 @@ class PatternMatrix:
         are '*' or '?'. The check takes O(rows + nonzeros) and a rejected
         pair is named by its 1-based row and column.
         """
-        rows = tuple(map(tuple, rows))
-        if type(cols) is not int or cols < 1 or not rows:
+        matrix = cls._trusted(cols, rows)
+        if type(cols) is not int or cols < 1 or not matrix.row_nonzeros:
             raise DimensionMismatch("a pattern matrix needs at least one row and one column")
-        _check_rows(cols, rows)
+        _check_rows(cols, matrix.row_nonzeros)
+        return matrix
+
+    @classmethod
+    def _trusted(cls, cols: int, rows: Iterable[Sequence]) -> "PatternMatrix":
+        """Wrap rows the library built, valid by construction, without checking them."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "cols", cols)
-        object.__setattr__(matrix, "row_nonzeros", rows)
+        object.__setattr__(matrix, "row_nonzeros", tuple(map(tuple, rows)))
         return matrix
 
     @property
@@ -128,7 +135,7 @@ class PatternMatrix:
         for i, width in enumerate(widths):
             if width != widths[0]:
                 raise DimensionMismatch(f"row {i + 1} has {width} entries, expected {widths[0]}")
-        return cls.from_rows(widths[0], rows)
+        return cls._trusted(widths[0], rows)
 
     @classmethod
     def from_json(cls, obj) -> "PatternMatrix":
@@ -138,7 +145,8 @@ class PatternMatrix:
         sparse form that `check --json` writes,
         {"shape": [r, c], "entries": [[i, j, token], ...]}: 1-based
         positions in any order, each at most once, tokens '*' or '?', every
-        position not listed '0'.
+        position not listed '0'. An entry may also be a tuple, as to_sparse
+        gives it.
         """
         if not isinstance(obj, dict):
             return cls.from_tokens(obj)
@@ -161,7 +169,7 @@ class PatternMatrix:
             raise PatternParseError(f"'entries' must be a list, got {type(entries).__name__}")
         by_row: dict[int, list[tuple[int, PatternSymbol]]] = {}
         for k, entry in enumerate(entries):
-            if not (isinstance(entry, list) and len(entry) == 3):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
                 raise PatternParseError(
                     f"entries[{k}]: expected [row, column, token], got {entry!r}"
                 )
@@ -187,7 +195,9 @@ class PatternMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "PatternMatrix":
-        return cls.from_rows(cols, repeat((), rows))
+        if rows < 1 or type(cols) is not int or cols < 1:
+            raise DimensionMismatch("a pattern matrix needs at least one row and one column")
+        return cls._trusted(cols, repeat((), rows))
 
     @cached_property
     def nonzeros(self) -> tuple[tuple[int, int, PatternSymbol], ...]:
@@ -197,11 +207,19 @@ class PatternMatrix:
         )
 
     def to_sparse(self) -> dict:
-        """Shape plus the nonzeros as 1-based [row, column, token], row-major."""
-        # tokens by identity: symbol.value and an Enum-keyed dict both run Python per entry
+        """Shape plus the nonzeros as 1-based (row, column, token) tuples, row-major.
+
+        json writes the tuples as arrays, and from_json reads either.
+        """
+        # tokens by identity: symbol.value and an Enum-keyed dict both run Python per entry;
+        # tuples come from a free list, and the collector stops tracking them
         return {
             "shape": [self.rows, self.cols],
-            "entries": [[i + 1, j + 1, "*" if s is STAR else "?"] for i, j, s in self.nonzeros],
+            "entries": [
+                (i, j + 1, "*" if s is STAR else "?")
+                for i, row in enumerate(self.row_nonzeros, start=1)
+                for j, s in row
+            ],
         }
 
 
@@ -258,7 +276,7 @@ def pat_add(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
         for j, symbol in nrow:
             merged[j] = ANY if j in merged else symbol
         rows.append(sorted(merged.items()))
-    return PatternMatrix.from_rows(m.cols, rows)
+    return PatternMatrix._trusted(m.cols, rows)
 
 
 def pat_mul(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
@@ -287,7 +305,7 @@ def pat_mul(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
             for j, b in right[k]:
                 acc[j] = ANY if j in acc or a is ANY else b
         rows.append(sorted(acc.items()))
-    return PatternMatrix.from_rows(n.cols, rows)
+    return PatternMatrix._trusted(n.cols, rows)
 
 
 def pat_shift(m: PatternMatrix) -> PatternMatrix:
@@ -307,7 +325,7 @@ def pat_shift(m: PatternMatrix) -> PatternMatrix:
             rows.append(row[:k] + ((i, ANY),) + row[k + 1 :])
         else:
             rows.append(row[:k] + ((i, STAR),) + row[k:])
-    return PatternMatrix.from_rows(m.cols, rows)
+    return PatternMatrix._trusted(m.cols, rows)
 
 
 # Sampler constants. Star entries are kept away from zero so that numeric
@@ -361,7 +379,7 @@ def hstack(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
         raise DimensionMismatch(
             f"cannot hstack patterns with {m.rows} and {n.rows} rows"
         )
-    return PatternMatrix.from_rows(
+    return PatternMatrix._trusted(
         m.cols + n.cols,
         (
             mrow + _offset(nrow, m.cols) if nrow else mrow
@@ -380,7 +398,7 @@ def block_diag(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
     for block in blocks:
         rows.extend(_offset(row, col_off) for row in block.row_nonzeros)
         col_off += block.cols
-    return PatternMatrix.from_rows(col_off, rows)
+    return PatternMatrix._trusted(col_off, rows)
 
 
 def read_json(path, error: type[ValueError]):

@@ -4,11 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
-from strucnet import PatternMatrix, is_network_controllable, load_network
+from strucnet import AnalysisReport, PatternMatrix, is_network_controllable, load_network
+from strucnet import cli
 from strucnet.cli import build_parser, main
 from conftest import (
     INTERCONNECTION_FILE,
@@ -339,6 +341,81 @@ def test_topo_text_grows_with_nonzeros_not_nodes(tmp_path, capsys):
     assert code == 0
     assert len(out.encode()) < 200_000
     assert f"W~ ({n} x {n}; nonzeros as row column token):\n2 1 *\n3 2 *\n" in out
+
+
+def test_check_frees_the_network_before_encoding_the_report(monkeypatch, capsys):
+    # the network holds most of a verdict's objects; encoding runs without it
+    loaded = []
+    load, encode = cli.load_network, AnalysisReport.to_dict
+
+    def load_and_watch(path):
+        network = load(path)
+        loaded.append(weakref.ref(network))
+        return network
+
+    def encode_and_look(report):
+        alive.append(loaded[0]() is not None)
+        return encode(report)
+
+    alive = []
+    monkeypatch.setattr(cli, "load_network", load_and_watch)
+    monkeypatch.setattr(AnalysisReport, "to_dict", encode_and_look)
+    code, out, _ = run(capsys, "check", NETWORK_FILE, "--json")
+    assert code == 0 and json.loads(out)["controllable"] is True
+    assert alive == [False]
+
+
+class _ClosedPipe:
+    """A stdout whose reader went away: writing or flushing, as named, raises BrokenPipeError."""
+
+    def __init__(self, failing: str):
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check", NETWORK_FILE, "--json"], ["topo", NETWORK_FILE], ["rank", INTERCONNECTION_FILE]],
+    ids=["check", "topo", "rank"],
+)
+def test_broken_pipe_exits_141_without_an_error_line(monkeypatch, capsys, argv, failing):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(failing))
+    assert main([str(a) for a in argv]) == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_broken_pipe_in_a_fresh_process_is_quiet(tmp_path):
+    # about 340 KB of report, more than a pipe holds, so the write fails once the reader is gone
+    n = 2000
+    one = [["*"]]
+    net = {
+        "nodes": [{"A": [["0"]], "B": one, "C": one} for _ in range(n)],
+        "W": {"shape": [n, n], "entries": [[k + 1, k, "*"] for k in range(1, n)]},
+        "H": {"shape": [n, 1], "entries": [[1, 1, "*"]]},
+    }
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(net))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "strucnet.cli", "check", "--json", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_topo_without_inputs(capsys):

@@ -20,7 +20,16 @@ from strucnet import (
     PatternSymbol,
     load_pattern,
 )
-from strucnet.pattern import block_diag, hstack, pat_add, pat_mul, pat_shift, sample_realization
+from strucnet.network import is_network_controllable
+from strucnet.pattern import (
+    _check_rows,
+    block_diag,
+    hstack,
+    pat_add,
+    pat_mul,
+    pat_shift,
+    sample_realization,
+)
 from conftest import A1, C_NODE
 
 from helpers import (
@@ -34,6 +43,7 @@ from helpers import (
     grid,
     hstack_dense,
     is_member,
+    networks,
     pat_add_dense,
     pat_identity,
     pat_mul_fold,
@@ -497,6 +507,78 @@ def test_sparse_and_dense_forms_agree(m):
     )
     assert PatternMatrix.from_tokens(tokens(m)) == m
     assert PatternMatrix.from_json(m.to_sparse()) == m
+
+
+def assert_rows_pass_the_check(m):
+    """m's rows are what from_rows accepts: tuples of in-range, increasing (column, '*'|'?') pairs."""
+    assert m.rows >= 1 and m.cols >= 1
+    assert type(m.row_nonzeros) is tuple and all(type(row) is tuple for row in m.row_nonzeros)
+    _check_rows(m.cols, m.row_nonzeros)
+    assert PatternMatrix.from_rows(m.cols, m.row_nonzeros) == m
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda r: st.integers(1, 5).flatmap(
+            lambda c: st.tuples(
+                sparse_patterns(r, c),
+                sparse_patterns(r, c),
+                st.integers(1, 5).flatmap(lambda q: sparse_patterns(c, q)),
+                st.lists(st.lists(st.sampled_from("0*?"), min_size=c, max_size=c), min_size=r, max_size=r),
+            )
+        )
+    )
+)
+@example((ZERO_ROW_AND_COLUMN, ZERO_ROW_AND_COLUMN, PatternMatrix.zeros(4, 1), [["0"] * 4] * 3))
+def test_unchecked_builders_give_rows_that_pass_the_check(operands):
+    # the builders wrap their rows without _check_rows; each result must pass it
+    m, n, k, token_grid = operands
+    r, c = m.shape
+    for built in (
+        PatternMatrix.from_tokens(token_grid),
+        pat_add(m, n),
+        pat_mul(m, k),
+        pat_shift(hstack(m, PatternMatrix.zeros(r, r))),
+        hstack(m, n),
+        block_diag([m, k, n]),
+        PatternMatrix.zeros(r, c),
+    ):
+        assert_rows_pass_the_check(built)
+    if r <= c:
+        assert_rows_pass_the_check(pat_shift(m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(networks(), networks(repeat_nodes=True)))
+def test_network_views_give_rows_that_pass_the_check(network):
+    check = is_network_controllable(network)
+    for built in (network.A_blk, network.B_blk, network.C_blk, *network.topology, *check.patterns):
+        assert_rows_pass_the_check(built)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda r: st.integers(1, 8).flatmap(lambda c: sparse_patterns(r, c))))
+@example(PatternMatrix.zeros(2, 3))
+def test_sparse_form_round_trips_with_tuple_entries(m):
+    sparse = m.to_sparse()
+    assert all(type(entry) is tuple for entry in sparse["entries"])
+    assert PatternMatrix.from_json(sparse) == m
+    written = json.loads(json.dumps(sparse))
+    assert written["entries"] == [list(entry) for entry in sparse["entries"]]
+    assert PatternMatrix.from_json(written) == m
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (2, True), (-1, 1)])
+def test_zeros_rejects_an_empty_shape(rows, cols):
+    with pytest.raises(DimensionMismatch, match="^a pattern matrix needs at least one row and one column$"):
+        PatternMatrix.zeros(rows, cols)
+
+
+def test_from_json_names_a_short_tuple_entry():
+    with pytest.raises(PatternParseError) as excinfo:
+        PatternMatrix.from_json({"shape": [2, 2], "entries": [(1, 1, "*"), (2, 2)]})
+    assert str(excinfo.value) == "entries[1]: expected [row, column, token], got (2, 2)"
 
 
 @pytest.mark.parametrize(

@@ -16,7 +16,9 @@ are class-exact, so colorability of the two assembled patterns decides
 strong structural controllability of the whole family. Two cheaper
 necessary conditions are also provided: every node system must itself be
 controllable (two colorings of the block pair decide all nodes), and the
-per-block topology summary of (W, H) must be weakly colorable.
+per-block topology summary of (W, H) must be weakly colorable. A failing
+node's left null vector, padded with zeros, is the network's and vanishes
+on forced rows, so analyze colors only nodes the verdict left uncolored.
 
 A StructuredNetwork is frozen, so each view derived from it is computed
 once and shared by every stage; each stage still validates first.
@@ -283,7 +285,15 @@ def is_network_controllable(network: StructuredNetwork) -> SystemCheck:
     return check_structured_system(*assemble(network))
 
 
-def node_necessary_check(network: StructuredNetwork) -> list[tuple[int, bool]]:
+def _failing(nodes: tuple[NodeSystem, ...], check: SystemCheck) -> set[int]:
+    """Positions in nodes of the owners of the states that check left uncolored."""
+    ends = list(accumulate(node.num_states for node in nodes))
+    return {bisect_right(ends, v - 1) for v in check.plain.uncolored | check.shifted.uncolored}
+
+
+def node_necessary_check(
+    network: StructuredNetwork, verdict: SystemCheck | None = None
+) -> list[tuple[int, bool]]:
     """Run the per-node controllability test; any failure rules the network out.
 
     A controllable network needs every node system (A_k, B_k) to be
@@ -291,15 +301,28 @@ def node_necessary_check(network: StructuredNetwork) -> list[tuple[int, bool]]:
     of [A_blk B_blk] is the disjoint union of the node graphs and the color
     change rule acts within each, so the two colorings of the block pair
     decide all nodes: node k fails iff one of its states stays uncolored in
-    either, the owner of a state found by bisecting the nodes' state ends.
-    Returns (node number, controllable) per node, in node order, numbering
-    the nodes from 1.
+    either. Given the verdict is_network_controllable(network), only nodes
+    owning a state it left uncolored are colored and the rest pass, with
+    the same answer: if node k fails, some realization has z_k != 0 with
+    z_k^T [A_k' B_k'] = 0 (or [M_k B_k'], M_k in the class of A_k+I). Padded
+    with zeros, z is a left null vector of a realization of [A+BWC BH] (or
+    its shift), as z_k^T B_k' = 0 cancels both BWC and BH; it vanishes on
+    every forced row, so a state of node k stays uncolored in the verdict.
+    Returns (node number, controllable) per node, numbered from 1.
     """
     require_valid(network)
-    check = check_structured_system(network.A_blk, network.B_blk)
-    ends = list(accumulate(node.num_states for node in network.nodes))
-    failed = {bisect_right(ends, v - 1) for v in check.plain.uncolored | check.shifted.uncolored}
-    return [(k + 1, k not in failed) for k in range(network.num_nodes)]
+    nodes, states = network.nodes, network.A_blk.rows
+    if verdict is not None and verdict.patterns[0].rows != states:
+        raise DimensionMismatch(f"the verdict has {verdict.patterns[0].rows} states, not {states}")
+    suspects = range(len(nodes)) if verdict is None else sorted(_failing(nodes, verdict))
+    picked = tuple(nodes[k] for k in suspects)
+    failed = set()
+    if len(picked) == len(nodes):
+        failed = _failing(nodes, check_structured_system(network.A_blk, network.B_blk))
+    elif picked:  # the suspects' block diagonals are temporaries, not cached
+        blocks = block_diag([node.A for node in picked]), block_diag([node.B for node in picked])
+        failed = {suspects[k] for k in _failing(picked, check_structured_system(*blocks))}
+    return [(k + 1, k not in failed) for k in range(len(nodes))]
 
 
 def extract_topology(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
@@ -409,10 +432,11 @@ def analyze(network: StructuredNetwork) -> AnalysisReport:
     violations = validate(network)
     if violations:
         return AnalysisReport(violations=violations)
+    verdict = is_network_controllable(network)
     return AnalysisReport(
         violations=[],
-        network_check=is_network_controllable(network),
-        node_checks=node_necessary_check(network),
+        network_check=verdict,
+        node_checks=node_necessary_check(network, verdict),
         topology=extract_topology(network),
         topology_coloring=topology_necessary_check(network),
     )

@@ -113,8 +113,12 @@ class PatternMatrix:
             if not isinstance(raw_row, (list, tuple)):
                 raise PatternParseError(f"row {i + 1}: expected a list of tokens")
             widths.append(len(raw_row))
-            if raw_row.count("0") == len(raw_row):
+            zeros = raw_row.count("0")
+            if zeros == len(raw_row):
                 rows.append(())
+                continue
+            if zeros == len(raw_row) - 1 and "*" in raw_row:  # one '*', found in C
+                rows.append(((raw_row.index("*"), STAR),))
                 continue
             # only the tokens other than "0" are looked up; a failing row is
             # scanned again to name its column
@@ -253,11 +257,6 @@ def _check_rows(cols: int, rows: tuple) -> None:
             last = j
 
 
-def _offset(row: tuple[tuple[int, PatternSymbol], ...], by: int) -> tuple:
-    """A sparse row with every column moved right by `by`."""
-    return tuple((j + by, symbol) for j, symbol in row)
-
-
 def pat_add(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     """Entrywise sum of two equally sized pattern matrices.
 
@@ -320,7 +319,7 @@ def pat_shift(m: PatternMatrix) -> PatternMatrix:
         raise DimensionMismatch(f"cannot shift a pattern with more rows than columns, got {m.shape}")
     rows = []
     for i, row in enumerate(m.row_nonzeros):
-        k = bisect_left(row, i, key=itemgetter(0))
+        k = bisect_left(row, (i,))  # (i,) sorts before (i, symbol): no symbols are compared
         if k < len(row) and row[k][0] == i:
             rows.append(row[:k] + ((i, ANY),) + row[k + 1 :])
         else:
@@ -379,10 +378,11 @@ def hstack(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
         raise DimensionMismatch(
             f"cannot hstack patterns with {m.rows} and {n.rows} rows"
         )
+    by = m.cols
     return PatternMatrix._trusted(
-        m.cols + n.cols,
+        by + n.cols,
         (
-            mrow + _offset(nrow, m.cols) if nrow else mrow
+            mrow + tuple([(j + by, symbol) for j, symbol in nrow]) if nrow else mrow
             for mrow, nrow in zip(m.row_nonzeros, n.row_nonzeros)
         ),
     )
@@ -396,7 +396,7 @@ def block_diag(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
     rows = []
     col_off = 0
     for block in blocks:
-        rows.extend(_offset(row, col_off) for row in block.row_nonzeros)
+        rows.extend([[(j + col_off, symbol) for j, symbol in row] for row in block.row_nonzeros])
         col_off += block.cols
     return PatternMatrix._trusted(col_off, rows)
 

@@ -13,6 +13,8 @@ FIXTURES = REPO_ROOT / "fixtures"
 
 NETWORK_FILE = FIXTURES / "three_node_network.json"
 NO_INPUT_NETWORK_FILE = FIXTURES / "three_node_network_no_input.json"
+# the demo with node 3's inputs moved to states 3 and 4: node 3 alone fails
+NODE_FAIL_NETWORK_FILE = FIXTURES / "three_node_network_node_fail.json"
 SPARSE_NETWORK_FILE = FIXTURES / "three_node_network_sparse.json"
 INTERCONNECTION_FILE = FIXTURES / "interconnection_pattern.json"
 

@@ -16,6 +16,7 @@ from conftest import (
     INTERCONNECTION_FILE,
     NETWORK_FILE,
     NO_INPUT_NETWORK_FILE,
+    NODE_FAIL_NETWORK_FILE,
     REPO_ROOT,
     SPARSE_NETWORK_FILE,
 )
@@ -44,6 +45,20 @@ def test_check_uncontrollable_network_prints_witness(capsys):
     assert code == 1
     assert "controllable: no" in out
     assert "uncolored vertices" in out
+
+
+def test_check_names_the_one_failing_node_in_a_fresh_process():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "strucnet.cli", "check", str(NODE_FAIL_NETWORK_FILE)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert "controllable: no" in proc.stdout
+    assert "node systems: 1: ok, 2: ok, 3: FAIL\n" in proc.stdout
 
 
 def test_check_json_round_trips_and_is_stable(capsys):

@@ -29,6 +29,7 @@ from strucnet import (
     topology_necessary_check,
     validate,
 )
+from strucnet import network as network_module
 from strucnet.pattern import block_diag, hstack, pat_add, pat_mul
 from conftest import (
     A1,
@@ -293,11 +294,14 @@ def test_node_necessary_check_requires_valid_network():
         node_necessary_check(net)
 
 
+# nodes 1 and 3 repeat a controllable pair, node 4 drives only its last
+# two states and fails
+REPEATED_PAIRS = ((A1, B_NODE), (A2, B_NODE), (A1, B_NODE), (A1, parse("0 0\n0 0\n* 0\n0 *")))
+
+
 def test_node_necessary_check_decides_repeated_nodes_one_by_one():
-    # nodes 1 and 3 repeat a controllable pair, node 4 drives only its last
-    # two states and fails; the block coloring names each node on its own
-    b_low = parse("0 0\n0 0\n* 0\n0 *")
-    pairs = ((A1, B_NODE), (A2, B_NODE), (A1, B_NODE), (A1, b_low))
+    # the block coloring names each node on its own
+    pairs = REPEATED_PAIRS
     nodes = tuple(NodeSystem(a, b, C_NODE) for a, b in pairs)
     net = StructuredNetwork(nodes, PatternMatrix.zeros(8, 8), filled(8, 1, STAR))
     expected = [(k + 1, check_structured_system(a, b).controllable) for k, (a, b) in enumerate(pairs)]
@@ -313,6 +317,44 @@ def test_node_screen_equals_the_per_node_test(net):
         (k, check_structured_system(node.A, node.B).controllable)
         for k, node in enumerate(net.nodes, start=1)
     ]
+
+
+def test_node_screen_given_the_verdict_colors_only_the_suspect_nodes(monkeypatch, demo_network):
+    # every node input gets its own external input, so the network coloring
+    # leaves only node 4's states uncolored
+    nodes = tuple(NodeSystem(a, b, C_NODE) for a, b in REPEATED_PAIRS)
+    net = StructuredNetwork(nodes, PatternMatrix.zeros(8, 8), pat_identity(8))
+    positive, negative = is_network_controllable(demo_network), is_network_controllable(net)
+    assert positive.controllable and not negative.controllable
+    calls = []
+    original = network_module.check_structured_system
+
+    def spy(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(network_module, "check_structured_system", spy)
+    assert node_necessary_check(demo_network, positive) == [(1, True), (2, True), (3, True)]
+    assert calls == []
+    assert node_necessary_check(net, negative) == [(1, True), (2, True), (3, True), (4, False)]
+    assert calls == [REPEATED_PAIRS[3]]
+
+
+def test_node_screen_rejects_the_verdict_of_another_network(demo_network):
+    other = StructuredNetwork(
+        (NodeSystem(A1, B_NODE, C_NODE),), PatternMatrix.zeros(2, 2), pat_identity(2)
+    )
+    with pytest.raises(DimensionMismatch, match="the verdict has 4 states, not 12"):
+        node_necessary_check(demo_network, is_network_controllable(other))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(networks(), networks(repeat_nodes=True)))
+def test_node_screen_given_the_verdict_equals_the_full_screen(net):
+    # only nodes that own a state the verdict left uncolored can fail
+    full = node_necessary_check(net)
+    assert node_necessary_check(net, is_network_controllable(net)) == full
+    assert analyze(net).node_checks == full
 
 
 @settings(max_examples=100, deadline=None)
@@ -475,6 +517,7 @@ def test_necessary_conditions_follow_from_controllability():
         assert validate(net) == []
         if is_network_controllable(net).controllable:
             controllable_seen += 1
+            # without a verdict, so the screen runs in full
             assert all(ok for _, ok in node_necessary_check(net))
             assert topology_necessary_check(net).colorable
     assert controllable_seen >= 10

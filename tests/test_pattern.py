@@ -632,9 +632,10 @@ def test_from_tokens_matches_per_token_parse():
         rows_of_tokens = [[tokens[v] for v in rng.integers(0, 3, size=cols)] for _ in range(rows)]
         expected = tuple(tuple(PatternSymbol(t) for t in row) for row in rows_of_tokens)
         assert dense(PatternMatrix.from_tokens(rows_of_tokens)) == expected
-    for bad in (["x"], 0, None, " *", "**", True, 1.0):
+    # a row of "0" tokens and one "*" takes a shortcut; a bad token never does
+    for bad, first in itertools.product((["x"], 0, None, " *", "**", True, 1.0), "?*0"):
         with pytest.raises(PatternParseError) as excinfo:
-            PatternMatrix.from_tokens([["0", "*"], ["?", bad]])
+            PatternMatrix.from_tokens([["0", "*"], [first, bad]])
         assert str(excinfo.value) == (
             f"row 2, column 2: invalid pattern token {bad!r}, expected one of '0', '*', '?'"
         )

@@ -49,7 +49,6 @@ from .pattern import (
     STAR,
     ZERO,
     PatternMatrix,
-    PatternSymbol,
     load_pattern,
 )
 
@@ -68,7 +67,6 @@ __all__ = [
     "PatternGraph",
     "PatternMatrix",
     "PatternParseError",
-    "PatternSymbol",
     "STAR",
     "StructuredNetwork",
     "SystemCheck",

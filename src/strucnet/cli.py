@@ -90,8 +90,6 @@ def _parser() -> argparse.ArgumentParser:
 
 def _cmd_check(args) -> int:
     report = analyze(load_network(args.path))  # the network is freed before encoding
-    if not report.valid:
-        raise AssumptionViolated(report.violations)
     if args.json:
         print(json.dumps(report.to_dict(), check_circular=False))
     else:

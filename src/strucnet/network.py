@@ -38,7 +38,6 @@ from .pattern import (
     MAX_SPARSE_SIZE,
     STAR,
     PatternMatrix,
-    PatternSymbol,
     block_diag,
     hstack,
     pat_add,
@@ -154,7 +153,7 @@ class StructuredNetwork:
         summaries = []
         blocks = ((self.W, self.output_node, self.num_nodes), (self.H, range(m), m))
         for pattern, col_block, width in blocks:
-            rows: list[dict[int, PatternSymbol]] = [{} for _ in self.nodes]
+            rows: list[dict[int, str]] = [{} for _ in self.nodes]
             for row_node, row in zip(self.input_node, pattern.row_nonzeros):
                 target = rows[row_node]
                 for j, symbol in row:
@@ -349,52 +348,35 @@ def topology_necessary_check(network: StructuredNetwork) -> ColoringResult:
 
 @dataclass
 class AnalysisReport:
-    """Everything the full pipeline produces for one network."""
+    """Everything the full pipeline produces for one valid network."""
 
-    violations: list[Violation]
-    network_check: SystemCheck | None = None
-    node_checks: list[tuple[int, bool]] | None = None
-    topology: tuple[PatternMatrix, PatternMatrix] | None = None
-    topology_coloring: ColoringResult | None = None
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
+    network_check: SystemCheck
+    node_checks: list[tuple[int, bool]]
+    topology: tuple[PatternMatrix, PatternMatrix]
+    topology_coloring: ColoringResult
 
     @property
-    def controllable(self) -> bool | None:
-        return self.network_check.controllable if self.network_check else None
+    def controllable(self) -> bool:
+        return self.network_check.controllable
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "valid": self.valid,
-            "violations": [str(v) for v in self.violations],
+        """JSON form; "valid" and "violations" stay for readers of the report layout."""
+        plain, shifted = self.network_check.patterns
+        return {
+            "valid": True,
+            "violations": [],
             "controllable": self.controllable,
-        }
-        if self.network_check is not None:
-            plain, shifted = self.network_check.patterns
-            out["patterns"] = {
-                "assembled": plain.to_sparse(),
-                "assembled_shifted": shifted.to_sparse(),
-            }
-            out["checks"] = {
+            "patterns": {"assembled": plain.to_sparse(), "assembled_shifted": shifted.to_sparse()},
+            "checks": {
                 "assembled": self.network_check.plain.to_dict(),
                 "assembled_shifted": self.network_check.shifted.to_dict(),
-            }
-        if self.node_checks is not None:
-            out["node_checks"] = [{"node": k, "controllable": ok} for k, ok in self.node_checks]
-        if self.topology is not None:
-            out["topology"] = topology_dict(*self.topology, self.topology_coloring)
-        return out
+            },
+            "node_checks": [{"node": k, "controllable": ok} for k, ok in self.node_checks],
+            "topology": topology_dict(*self.topology, self.topology_coloring),
+        }
 
     def to_text(self) -> str:
-        lines = []
-        if not self.valid:
-            lines.append("network is invalid:")
-            lines.extend(f"  - {v}" for v in self.violations)
-            return "\n".join(lines) + "\n"
-        assert self.network_check and self.node_checks and self.topology_coloring
-        lines.append(f"controllable: {'yes' if self.controllable else 'no'}")
+        lines = [f"controllable: {'yes' if self.controllable else 'no'}"]
         lines.append("  " + _coloring_text("[A+BWC BH]", self.network_check.plain))
         lines.append("  " + _coloring_text("[A+I+BWC BH]", self.network_check.shifted))
         node_bits = ", ".join(f"{k}: {'ok' if ok else 'FAIL'}" for k, ok in self.node_checks)
@@ -425,16 +407,13 @@ def _coloring_text(label: str, coloring: ColoringResult) -> str:
 
 
 def analyze(network: StructuredNetwork) -> AnalysisReport:
-    """Run validation, the necessary screens, and the full test.
+    """Validate, then run the full test and the necessary screens.
 
-    An invalid network yields a report that carries only the violations.
+    An invalid network raises AssumptionViolated, as every stage does.
     """
-    violations = validate(network)
-    if violations:
-        return AnalysisReport(violations=violations)
+    require_valid(network)
     verdict = is_network_controllable(network)
     return AnalysisReport(
-        violations=[],
         network_check=verdict,
         node_checks=node_necessary_check(network, verdict),
         topology=extract_topology(network),

@@ -8,6 +8,11 @@ and multiplication rules entrywise, so that the result is a sound
 over-approximation of the sums/products of the underlying classes. A
 pattern is stored as the nonzeros of each row, and the algebra touches
 only those.
+
+An entry is its token: ZERO, STAR and ANY are the strings "0", "*" and
+"?". Every stored symbol is STAR or ANY itself, so the algebra compares
+them by identity, and a row holds only ints and strings, which the
+cyclic collector stops tracking.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
@@ -28,22 +32,12 @@ if TYPE_CHECKING:  # numpy is imported where it is used, so the symbolic path ne
     import numpy as np
 
 
-class PatternSymbol(Enum):
-    """One pattern entry: exactly zero, surely nonzero, or arbitrary."""
+ZERO = "0"
+STAR = "*"
+ANY = "?"
 
-    ZERO = "0"
-    STAR = "*"
-    ANY = "?"
-
-    def __repr__(self) -> str:  # keeps printed grids readable in test output
-        return f"<{self.value}>"
-
-
-ZERO = PatternSymbol.ZERO
-STAR = PatternSymbol.STAR
-ANY = PatternSymbol.ANY
-
-_SYMBOL_OF_TOKEN = {"0": ZERO, "*": STAR, "?": ANY}
+# maps a nonzero token from outside, or any str equal to it, onto the shared symbol
+_SYMBOL_OF_TOKEN = {"*": STAR, "?": ANY}
 
 
 @dataclass(frozen=True, init=False)
@@ -52,10 +46,10 @@ class PatternMatrix:
 
     cols is the column count; row_nonzeros holds, for each row, the
     (column, symbol) pairs of its nonzero entries, with 0-based columns in
-    strictly increasing order and symbols '*' or '?'. Every entry not
-    listed is '0'. Equality and hashing use this form, and the algebra
-    below works on it in time linear in the nonzeros; no dense grid is
-    kept.
+    strictly increasing order and symbols STAR or ANY themselves, not
+    merely equal strings. Every entry not listed is '0'. Equality and
+    hashing use this form, and the algebra below works on it in time
+    linear in the nonzeros; no dense grid is kept.
 
     from_rows is the checked constructor for outside input, and the
     sparse branch of from_json builds through it. from_tokens and the
@@ -64,17 +58,16 @@ class PatternMatrix:
     """
 
     cols: int
-    row_nonzeros: tuple[tuple[tuple[int, PatternSymbol], ...], ...]
+    row_nonzeros: tuple[tuple[tuple[int, str], ...], ...]
 
     @classmethod
-    def from_rows(
-        cls, cols: int, rows: Iterable[Sequence[tuple[int, PatternSymbol]]]
-    ) -> "PatternMatrix":
+    def from_rows(cls, cols: int, rows: Iterable[Sequence[tuple[int, str]]]) -> "PatternMatrix":
         """Build from the column count and each row's (column, symbol) pairs.
 
         Columns are 0-based and strictly increasing within a row; symbols
-        are '*' or '?'. The check takes O(rows + nonzeros) and a rejected
-        pair is named by its 1-based row and column.
+        are STAR or ANY, and an equal but distinct str is rejected. The
+        check takes O(rows + nonzeros) and a rejected pair is named by its
+        1-based row and column.
         """
         matrix = cls._trusted(cols, rows)
         if type(cols) is not int or cols < 1 or not matrix.row_nonzeros:
@@ -128,7 +121,7 @@ class PatternMatrix:
                 )
             except (KeyError, TypeError):  # an unknown or unhashable token
                 for j, token in enumerate(raw_row):
-                    if not (isinstance(token, str) and token in _SYMBOL_OF_TOKEN):
+                    if token != "0" and not (isinstance(token, str) and token in _SYMBOL_OF_TOKEN):
                         raise PatternParseError(
                             f"row {i + 1}, column {j + 1}: invalid pattern token {token!r}, "
                             "expected one of '0', '*', '?'"
@@ -171,7 +164,7 @@ class PatternMatrix:
             )
         if not isinstance(entries, list):
             raise PatternParseError(f"'entries' must be a list, got {type(entries).__name__}")
-        by_row: dict[int, list[tuple[int, PatternSymbol]]] = {}
+        by_row: dict[int, list[tuple[int, str]]] = {}
         for k, entry in enumerate(entries):
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
                 raise PatternParseError(
@@ -187,7 +180,7 @@ class PatternMatrix:
                     f"entries[{k}]: position ({i}, {j}) is outside the shape {shape}"
                 )
             symbol = _SYMBOL_OF_TOKEN.get(token) if isinstance(token, str) else None
-            if symbol is None or symbol is ZERO:
+            if symbol is None:
                 raise PatternParseError(
                     f"entries[{k}]: invalid pattern token {token!r}, expected '*' or '?'"
                 )
@@ -199,12 +192,12 @@ class PatternMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "PatternMatrix":
-        if rows < 1 or type(cols) is not int or cols < 1:
+        if type(rows) is not int or rows < 1 or type(cols) is not int or cols < 1:
             raise DimensionMismatch("a pattern matrix needs at least one row and one column")
         return cls._trusted(cols, repeat((), rows))
 
     @cached_property
-    def nonzeros(self) -> tuple[tuple[int, int, PatternSymbol], ...]:
+    def nonzeros(self) -> tuple[tuple[int, int, str], ...]:
         """(i, j, symbol) of every nonzero entry, 0-based and row-major."""
         return tuple(
             (i, j, symbol) for i, row in enumerate(self.row_nonzeros) for j, symbol in row
@@ -215,14 +208,10 @@ class PatternMatrix:
 
         json writes the tuples as arrays, and from_json reads either.
         """
-        # tokens by identity: symbol.value and an Enum-keyed dict both run Python per entry;
-        # tuples come from a free list, and the collector stops tracking them
         return {
             "shape": [self.rows, self.cols],
             "entries": [
-                (i, j + 1, "*" if s is STAR else "?")
-                for i, row in enumerate(self.row_nonzeros, start=1)
-                for j, s in row
+                (i, j + 1, s) for i, row in enumerate(self.row_nonzeros, start=1) for j, s in row
             ],
         }
 
@@ -299,7 +288,7 @@ def pat_mul(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
             k, a = row[0]
             rows.append(right[k] if a is STAR else tuple((j, ANY) for j, _ in right[k]))
             continue
-        acc: dict[int, PatternSymbol] = {}
+        acc: dict[int, str] = {}
         for k, a in row:
             for j, b in right[k]:
                 acc[j] = ANY if j in acc or a is ANY else b

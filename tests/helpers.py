@@ -51,7 +51,6 @@ from strucnet.pattern import (
     STAR,
     ZERO,
     PatternMatrix,
-    PatternSymbol,
     pat_shift,
     sample_realization,
 )
@@ -74,17 +73,17 @@ _MUL = {
 }
 
 
-def sym_add(a: PatternSymbol, b: PatternSymbol) -> PatternSymbol:
+def sym_add(a: str, b: str) -> str:
     """Add two pattern symbols."""
     return _ADD[(a, b)]
 
 
-def sym_mul(a: PatternSymbol, b: PatternSymbol) -> PatternSymbol:
+def sym_mul(a: str, b: str) -> str:
     """Multiply two pattern symbols."""
     return _MUL[(a, b)]
 
 
-def grid(rows: Sequence[Sequence[PatternSymbol]]) -> PatternMatrix:
+def grid(rows: Sequence[Sequence[str]]) -> PatternMatrix:
     """The pattern of a dense grid of symbols, built by the checked constructor."""
     nonzeros = ([(j, s) for j, s in enumerate(row) if s is not ZERO] for row in rows)
     return PatternMatrix.from_rows(len(rows[0]), nonzeros)
@@ -95,7 +94,7 @@ def parse(text: str) -> PatternMatrix:
     return PatternMatrix.from_tokens([line.split() for line in text.strip().splitlines()])
 
 
-def dense(m: PatternMatrix) -> tuple[tuple[PatternSymbol, ...], ...]:
+def dense(m: PatternMatrix) -> tuple[tuple[str, ...], ...]:
     """The full grid of m: each row's listed symbols, '0' everywhere else."""
     out = []
     for row in m.row_nonzeros:
@@ -108,10 +107,10 @@ def dense(m: PatternMatrix) -> tuple[tuple[PatternSymbol, ...], ...]:
 
 def tokens(m: PatternMatrix) -> list[list[str]]:
     """The grid of m as rows of "0"/"*"/"?" tokens, the dense JSON form."""
-    return [[symbol.value for symbol in row] for row in dense(m)]
+    return [list(row) for row in dense(m)]
 
 
-def filled(rows: int, cols: int, symbol: PatternSymbol) -> PatternMatrix:
+def filled(rows: int, cols: int, symbol: str) -> PatternMatrix:
     return grid(((symbol,) * cols,) * rows)
 
 
@@ -119,7 +118,7 @@ def submatrix(m: PatternMatrix, row_start: int, row_stop: int, col_start: int, c
     return grid(tuple(row[col_start:col_stop] for row in dense(m)[row_start:row_stop]))
 
 
-def with_entry(m: PatternMatrix, i: int, j: int, symbol: PatternSymbol) -> PatternMatrix:
+def with_entry(m: PatternMatrix, i: int, j: int, symbol: str) -> PatternMatrix:
     """Copy of m with entry (i, j) replaced."""
     rows = [list(row) for row in dense(m)]
     rows[i][j] = symbol
@@ -414,7 +413,7 @@ def topology_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, Patte
     """Reference (W~, H~): each block of W and H sliced out and summarized,
     '*' if it holds a '*', else '?' if it holds a '?', else '0'."""
 
-    def summary(block: PatternMatrix) -> PatternSymbol:
+    def summary(block: PatternMatrix) -> str:
         symbols = {symbol for row in dense(block) for symbol in row}
         return STAR if STAR in symbols else ANY if ANY in symbols else ZERO
 
@@ -435,7 +434,7 @@ def assembled_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, Patt
     entrywise sym_add, and the shift adds '*' to each diagonal entry.
     """
     nodes = network.nodes
-    plain_rows: list[tuple[PatternSymbol, ...]] = []
+    plain_rows: list[tuple[str, ...]] = []
     for i, node in enumerate(nodes, start=1):
         blocks = [
             pat_mul_fold(pat_mul_fold(node.B, interconnection_block(network, i, j)), other.C)
@@ -477,7 +476,7 @@ class ProductExactness(Enum):
     NEITHER = "neither"
 
 
-def _single_star_lines(lines: Iterable[tuple[PatternSymbol, ...]]) -> bool:
+def _single_star_lines(lines: Iterable[tuple[str, ...]]) -> bool:
     return all(line.count(STAR) == 1 and line.count(ANY) == 0 for line in lines)
 
 

@@ -1,6 +1,7 @@
 """Network validation, assembly, controllability tests, topology, JSON IO."""
 
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -525,7 +526,6 @@ def test_necessary_conditions_follow_from_controllability():
 
 def test_analyze_demo(demo_network):
     report = analyze(demo_network)
-    assert report.valid
     assert report.controllable
     assert all(ok for _, ok in report.node_checks)
     assert report.topology_coloring.colorable
@@ -543,20 +543,36 @@ def test_analyze_demo(demo_network):
 
 
 def test_analyze_invalid_network_reports_only_violations():
+    """analyze raises, like every stage, with exactly the violations validate lists."""
     bad_b = PatternMatrix.zeros(4, 2)
     net = StructuredNetwork(
         (NodeSystem(A1, bad_b, C_NODE),), PatternMatrix.zeros(2, 2), pat_identity(2)
     )
-    report = analyze(net)
-    assert not report.valid
-    assert report.controllable is None
-    assert report.network_check is None
-    assert "invalid" in report.to_text()
+    with pytest.raises(AssumptionViolated) as excinfo:
+        analyze(net)
+    assert excinfo.value.violations == validate(net) != []
+
+
+def test_pattern_rows_leave_the_collector():
+    """Rows hold only ints and strs, so full collections untrack every level of them."""
+    network = load_network(NETWORK_FILE)
+    verdict = is_network_controllable(network)
+    patterns = [m for node in network.nodes for m in (node.A, node.B, node.C)]
+    patterns += [network.W, network.H, network.A_blk, network.B_blk]
+    patterns += [*network.topology, *verdict.patterns]
+    # a collection untracks a tuple once its items are untracked: pairs, rows, row_nonzeros
+    for _ in range(3):
+        gc.collect()
+    tracked = [
+        t for m in patterns for row in m.row_nonzeros for t in (*row, row) if gc.is_tracked(t)
+    ]
+    tracked += [m.row_nonzeros for m in patterns if gc.is_tracked(m.row_nonzeros)]
+    assert tracked == []
 
 
 def test_analyze_no_input_variant(no_input_network):
     report = analyze(no_input_network)
-    assert report.valid and report.controllable is False
+    assert report.controllable is False
     payload = report.to_dict()
     assert payload["topology"]["weakly_colorable"] is False
     assert payload["topology"]["uncolored"] == [1, 2, 3]

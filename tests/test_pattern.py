@@ -17,7 +17,6 @@ from strucnet import (
     DimensionMismatch,
     PatternMatrix,
     PatternParseError,
-    PatternSymbol,
     load_pattern,
 )
 from strucnet.network import is_network_controllable
@@ -81,7 +80,7 @@ def test_symbol_multiplication_table():
 
 
 def test_symbol_tokens_round_trip():
-    assert len(PatternSymbol) == 3
+    assert (ZERO, STAR, ANY) == ("0", "*", "?")
     for token in ("0", "*", "?"):
         assert tokens(PatternMatrix.from_tokens([[token]])) == [[token]]
 
@@ -569,7 +568,7 @@ def test_sparse_form_round_trips_with_tuple_entries(m):
     assert PatternMatrix.from_json(written) == m
 
 
-@pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (2, True), (-1, 1)])
+@pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (2, True), (-1, 1), (True, 2), (2.0, 2)])
 def test_zeros_rejects_an_empty_shape(rows, cols):
     with pytest.raises(DimensionMismatch, match="^a pattern matrix needs at least one row and one column$"):
         PatternMatrix.zeros(rows, cols)
@@ -587,16 +586,16 @@ def test_from_json_names_a_short_tuple_entry():
         (0, [()], DimensionMismatch, "a pattern matrix needs at least one row and one column"),
         (3, [], DimensionMismatch, "a pattern matrix needs at least one row and one column"),
         (True, [()], DimensionMismatch, "a pattern matrix needs at least one row and one column"),
-        (3, [(), [[1, STAR]]], PatternParseError, "row 2: [1, <*>] is not a (column, symbol) pair"),
-        (3, [[(1.0, STAR)]], PatternParseError, "row 1: (1.0, <*>) is not a (column, symbol) pair"),
-        (3, [[(True, STAR)]], PatternParseError, "row 1: (True, <*>) is not a (column, symbol) pair"),
-        (3, [[(0, STAR, ANY)]], PatternParseError, "row 1: (0, <*>, <?>) is not a (column, symbol) pair"),
+        (3, [(), [[1, STAR]]], PatternParseError, "row 2: [1, '*'] is not a (column, symbol) pair"),
+        (3, [[(1.0, STAR)]], PatternParseError, "row 1: (1.0, '*') is not a (column, symbol) pair"),
+        (3, [[(True, STAR)]], PatternParseError, "row 1: (True, '*') is not a (column, symbol) pair"),
+        (3, [[(0, STAR, ANY)]], PatternParseError, "row 1: (0, '*', '?') is not a (column, symbol) pair"),
         (3, [[(0, STAR), (3, ANY)]], DimensionMismatch, "row 1: column 4 is out of range 1..3"),
         (3, [(), [(-1, STAR)]], DimensionMismatch, "row 2: column 0 is out of range 1..3"),
         (3, [[(1, STAR), (1, ANY)]], PatternParseError, "row 1, column 2 appears twice"),
         (3, [[(2, STAR), (0, ANY)]], PatternParseError, "row 1: column 1 follows column 3, columns must increase"),
-        (3, [[(0, ZERO)]], PatternParseError, "row 1, column 1: <0> is not a nonzero pattern symbol"),
-        (3, [[(1, "*")]], PatternParseError, "row 1, column 2: '*' is not a nonzero pattern symbol"),
+        (3, [[(0, ZERO)]], PatternParseError, "row 1, column 1: '0' is not a nonzero pattern symbol"),
+        (3, [[(1, "x")]], PatternParseError, "row 1, column 2: 'x' is not a nonzero pattern symbol"),
     ],
 )
 def test_from_rows_rejects_malformed_rows(cols, rows, error, message):
@@ -630,7 +629,7 @@ def test_from_tokens_matches_per_token_parse():
     for _ in range(50):
         rows, cols = rng.integers(1, 6, size=2)
         rows_of_tokens = [[tokens[v] for v in rng.integers(0, 3, size=cols)] for _ in range(rows)]
-        expected = tuple(tuple(PatternSymbol(t) for t in row) for row in rows_of_tokens)
+        expected = tuple(map(tuple, rows_of_tokens))
         assert dense(PatternMatrix.from_tokens(rows_of_tokens)) == expected
     # a row of "0" tokens and one "*" takes a shortcut; a bad token never does
     for bad, first in itertools.product((["x"], 0, None, " *", "**", True, 1.0), "?*0"):
@@ -639,6 +638,24 @@ def test_from_tokens_matches_per_token_parse():
         assert str(excinfo.value) == (
             f"row 2, column 2: invalid pattern token {bad!r}, expected one of '0', '*', '?'"
         )
+
+
+def test_outside_tokens_are_stored_as_the_shared_symbols():
+    class Token(str):
+        pass
+
+    star, any_ = Token("*"), Token("?")
+    from_tokens = PatternMatrix.from_tokens([[star, "0", any_], [Token("0"), star, "0"]])
+    from_json = PatternMatrix.from_json(
+        {"shape": [2, 3], "entries": [[1, 1, star], [1, 3, any_], [2, 2, star]]}
+    )
+    for m in (from_tokens, from_json):
+        symbols = [symbol for _, _, symbol in m.nonzeros]
+        assert len(symbols) == 3
+        assert all(s is shared for s, shared in zip(symbols, (STAR, ANY, STAR)))
+    with pytest.raises(PatternParseError) as excinfo:
+        PatternMatrix.from_rows(3, [[(0, STAR)], [(1, star)]])
+    assert str(excinfo.value) == "row 2, column 2: '*' is not a nonzero pattern symbol"
 
 
 def test_load_pattern_rejects_bad_json(tmp_path):
@@ -652,7 +669,7 @@ def test_public_surface_is_pinned():
     assert sorted(strucnet.__all__) == [
         "ANY", "AnalysisReport", "AssumptionViolated", "BadShape", "ColoringResult",
         "DimensionMismatch", "NetworkFormatError", "NodeSystem", "NumericBreakdown",
-        "PatternGraph", "PatternMatrix", "PatternParseError", "PatternSymbol", "STAR",
+        "PatternGraph", "PatternMatrix", "PatternParseError", "STAR",
         "StructuredNetwork", "SystemCheck", "Violation", "ZERO", "analyze", "assemble",
         "build_graph", "check_structured_system", "color_change", "export_dot",
         "extract_topology", "is_full_row_rank", "is_network_controllable", "load_network",

@@ -12,7 +12,6 @@ sampler are imported from `strucnet.pattern`.
 
 from .errors import (
     AssumptionViolated,
-    BadShape,
     DimensionMismatch,
     NetworkFormatError,
     NumericBreakdown,
@@ -58,7 +57,6 @@ __all__ = [
     "ANY",
     "AnalysisReport",
     "AssumptionViolated",
-    "BadShape",
     "ColoringResult",
     "DimensionMismatch",
     "NetworkFormatError",

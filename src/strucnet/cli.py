@@ -17,13 +17,12 @@ import sys
 
 from .errors import (
     AssumptionViolated,
-    BadShape,
     DimensionMismatch,
     NetworkFormatError,
     NumericBreakdown,
     PatternParseError,
 )
-from .graph import build_graph, export_dot, is_full_row_rank
+from .graph import build_graph, export_dot, is_full_row_rank, weak_color_change
 from .network import (
     analyze,
     extract_topology,
@@ -37,7 +36,6 @@ from .pattern import PatternMatrix, hstack, load_pattern
 
 _INPUT_ERRORS = (
     AssumptionViolated,
-    BadShape,
     DimensionMismatch,
     NetworkFormatError,
     NumericBreakdown,
@@ -160,7 +158,7 @@ def _cmd_export_dot(args) -> int:
             pattern = PatternMatrix.from_rows(pattern.rows, pattern.row_nonzeros)
     elif args.which == "topology":
         pattern = hstack(*extract_topology(network))
-        coloring = topology_necessary_check(network)
+        coloring = weak_color_change(build_graph(pattern))
     else:
         check = is_network_controllable(network)
         plain, shifted = check.patterns

@@ -7,10 +7,6 @@ class DimensionMismatch(ValueError):
     """Operands have incompatible shapes for the requested operation."""
 
 
-class BadShape(ValueError):
-    """A pattern matrix has more rows than columns where p <= q is required."""
-
-
 class PatternParseError(ValueError):
     """A pattern grid contains an invalid token; the message carries the position."""
 

@@ -16,11 +16,12 @@ without the exactly-one restriction; it is plain reachability.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import BadShape
+from .errors import DimensionMismatch
 from .pattern import STAR, PatternMatrix
 
 
@@ -49,19 +50,22 @@ class PatternGraph:
 
 @dataclass(frozen=True)
 class ColoringResult:
-    """Outcome of a forcing run: the black set plus a replayable certificate.
+    """Outcome of a forcing run: a replayable certificate and what it left white.
 
     forcing_sequence lists (forcer, forced) pairs in the order they were
-    applied; each forced vertex appears exactly once and derived_set is
-    the seeds plus the forced vertices. uncolored holds the vertices the
-    rule had to reach but left white: the row vertices 1..p for the
-    standard rule, every vertex 1..q for the weak rule.
+    applied; each forced vertex appears exactly once. uncolored holds the
+    vertices the rule had to reach but left white: the row vertices 1..p
+    for the standard rule, every vertex 1..q for the weak rule.
     """
 
-    derived_set: frozenset[int]
     forcing_sequence: tuple[tuple[int, int], ...]
     uncolored: frozenset[int]
-    seeds: frozenset[int] = field(default_factory=frozenset)
+    seeds: frozenset[int] = frozenset()
+
+    @property
+    def derived_set(self) -> frozenset[int]:
+        """The black set: the seeds plus the forced vertices."""
+        return self.seeds | {target for _, target in self.forcing_sequence}
 
     @property
     def colorable(self) -> bool:
@@ -80,9 +84,7 @@ class ColoringResult:
 def build_graph(m: PatternMatrix) -> PatternGraph:
     """Digraph of a p-by-q pattern, defined for p <= q."""
     if m.rows > m.cols:
-        raise BadShape(
-            f"graph is defined for patterns with rows <= cols, got {m.shape}"
-        )
+        raise DimensionMismatch(f"graph is defined for patterns with rows <= cols, got {m.shape}")
     return PatternGraph(m)
 
 
@@ -96,39 +98,35 @@ def color_change(graph: PatternGraph) -> ColoringResult:
     scheduling choice.
     """
     rows = graph.pattern.row_nonzeros
-    # per vertex (0-based): its white out-neighbors, how many of them are
-    # star edges, and their index sum, which names the last one left
+    # per vertex (0-based): its white out-neighbors and their index sum,
+    # which names the last one left
     count = [0] * graph.num_vertices
-    stars = [0] * graph.num_vertices
     total = [0] * graph.num_vertices
     for t, row in enumerate(rows, start=1):
-        for j, symbol in row:
+        for j, _ in row:
             count[j] += 1
             total[j] += t
-            if symbol is STAR:
-                stars[j] += 1
 
     queue = deque(j for j, c in enumerate(count) if c == 1)
     forced: list[tuple[int, int]] = []
     while queue:
         j = queue.popleft()
-        if count[j] != 1 or stars[j] != 1:
+        if count[j] != 1:
             continue
         target = total[j]
+        row = rows[target - 1]
+        if row[bisect_left(row, (j,))][1] is not STAR:  # the edge j -> target is '?'
+            continue
         forced.append((j + 1, target))
-        for u, symbol in rows[target - 1]:
+        for u, _ in row:
             count[u] -= 1
             total[u] -= target
-            if symbol is STAR:
-                stars[u] -= 1
             if count[u] == 1:
                 queue.append(u)
 
-    black = frozenset(target for _, target in forced)
     return ColoringResult(
-        derived_set=black,
         forcing_sequence=tuple(forced),
-        uncolored=frozenset(range(1, graph.row_count + 1)) - black,
+        uncolored=frozenset(range(1, graph.row_count + 1)).difference(t for _, t in forced),
     )
 
 
@@ -161,7 +159,6 @@ def weak_color_change(graph: PatternGraph) -> ColoringResult:
                 queue.append(target)
 
     return ColoringResult(
-        derived_set=frozenset(black),
         forcing_sequence=tuple(forced),
         uncolored=frozenset(range(1, graph.num_vertices + 1)) - black,
         seeds=seeds,

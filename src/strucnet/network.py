@@ -137,24 +137,18 @@ class StructuredNetwork:
     def C_blk(self) -> PatternMatrix:
         return block_diag([node.C for node in self.nodes])
 
-    # the 0-based position of the node that owns each node input (row of W) and output
-    @cached_property
-    def input_node(self) -> tuple[int, ...]:
-        return tuple(k for k, node in enumerate(self.nodes) for _ in range(node.num_inputs))
-
-    @cached_property
-    def output_node(self) -> tuple[int, ...]:
-        return tuple(k for k, node in enumerate(self.nodes) for _ in range(node.num_outputs))
-
     @cached_property
     def topology(self) -> tuple[PatternMatrix, PatternMatrix]:
         """The block summary (W~, H~) of a valid network; see extract_topology."""
         m = self.num_external_inputs
+        # the 0-based position of the node that owns each node input (row of W) and output
+        input_node = [k for k, node in enumerate(self.nodes) for _ in range(node.num_inputs)]
+        output_node = [k for k, node in enumerate(self.nodes) for _ in range(node.num_outputs)]
         summaries = []
-        blocks = ((self.W, self.output_node, self.num_nodes), (self.H, range(m), m))
+        blocks = ((self.W, output_node, self.num_nodes), (self.H, range(m), m))
         for pattern, col_block, width in blocks:
             rows: list[dict[int, str]] = [{} for _ in self.nodes]
-            for row_node, row in zip(self.input_node, pattern.row_nonzeros):
+            for row_node, row in zip(input_node, pattern.row_nonzeros):
                 target = rows[row_node]
                 for j, symbol in row:
                     col = col_block[j]

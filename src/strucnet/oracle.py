@@ -99,8 +99,9 @@ def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
     derived from (cfg.seed, trial), forms A + B W C and B H numerically,
     and tests controllability. The block patterns are the ones the network
     keeps for the symbolic verdict. Trials are independent, so the outcome
-    does not depend on execution order. A trial whose rank computation
-    fails raises NumericBreakdown naming that trial.
+    does not depend on execution order. A trial whose arrays cannot be
+    allocated or whose rank computation fails raises NumericBreakdown
+    naming that trial.
     """
     require_valid(network)
     a_pat, b_pat, c_pat = network.A_blk, network.B_blk, network.C_blk
@@ -108,18 +109,20 @@ def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
     outcome = AuditOutcome()
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, trial])
-        a = sample_realization(a_pat, rng)
-        b = sample_realization(b_pat, rng)
-        c = sample_realization(c_pat, rng)
-        w = sample_realization(network.W, rng)
-        h = sample_realization(network.H, rng)
-        closed = a + b @ w @ c
-        inputs = b @ h
         try:
-            rank = _controllability_rank(closed, inputs)
+            a = sample_realization(a_pat, rng)
+            b = sample_realization(b_pat, rng)
+            c = sample_realization(c_pat, rng)
+            w = sample_realization(network.W, rng)
+            h = sample_realization(network.H, rng)
+            rank = _controllability_rank(a + b @ w @ c, b @ h)
         except np.linalg.LinAlgError as exc:
             raise NumericBreakdown(
                 f"numeric breakdown in trial {trial} (seed {cfg.seed}): {exc}"
+            ) from None
+        except MemoryError:
+            raise NumericBreakdown(
+                f"out of memory in trial {trial} (seed {cfg.seed}) for {n} x {n} realizations"
             ) from None
         failure = None
         if rank < n:

@@ -37,7 +37,6 @@ import numpy as np
 from hypothesis import strategies as st
 
 from strucnet import (
-    BadShape,
     ColoringResult,
     DimensionMismatch,
     NodeSystem,
@@ -186,7 +185,7 @@ def audit_rank(m: PatternMatrix, cfg: AuditConfig) -> AuditOutcome:
     nothing.
     """
     if m.rows > m.cols:
-        raise BadShape(f"row-rank audit needs rows <= cols, got {m.shape}")
+        raise DimensionMismatch(f"row-rank audit needs rows <= cols, got {m.shape}")
     outcome = AuditOutcome()
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, trial])
@@ -631,7 +630,6 @@ def color_change_reference(graph: PatternGraph) -> ColoringResult:
                 queue.append(u)
 
     return ColoringResult(
-        derived_set=frozenset(black),
         forcing_sequence=tuple(forced),
         uncolored=frozenset(range(1, graph.row_count + 1)) - black,
     )
@@ -656,7 +654,6 @@ def weak_color_change_reference(graph: PatternGraph) -> ColoringResult:
                 queue.append(target)
 
     return ColoringResult(
-        derived_set=frozenset(black),
         forcing_sequence=tuple(forced),
         uncolored=frozenset(range(1, graph.num_vertices + 1)) - black,
         seeds=seeds,

@@ -497,6 +497,18 @@ def test_audit_numeric_breakdown_is_error(capsys, monkeypatch):
     assert err == "error: numeric breakdown in trial 0 (seed 5): SVD did not converge\n"
 
 
+@pytest.mark.parametrize("stage", ["sample_realization", "_controllability_rank"])
+def test_audit_out_of_memory_is_error(capsys, monkeypatch, stage):
+    # the allocation is faked: a realization too large to allocate is never made
+    def unallocatable(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(f"strucnet.oracle.{stage}", unallocatable)
+    code, out, err = run(capsys, "audit", NETWORK_FILE, "--trials", "3", "--seed", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory in trial 0 (seed 5) for 12 x 12 realizations\n"
+
+
 def test_audit_rejects_zero_trials(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["audit", str(NETWORK_FILE), "--trials", "0"])

@@ -1,5 +1,7 @@
 """Graph construction, both color change rules, certificates, DOT export."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,8 @@ from strucnet import (
     ANY,
     STAR,
     ZERO,
-    BadShape,
+    ColoringResult,
+    DimensionMismatch,
     PatternGraph,
     PatternMatrix,
     build_graph,
@@ -69,7 +72,7 @@ def test_build_graph_no_edges():
 
 
 def test_build_graph_rejects_tall_patterns():
-    with pytest.raises(BadShape):
+    with pytest.raises(DimensionMismatch):
         build_graph(PatternMatrix.zeros(2, 1))
 
 
@@ -301,3 +304,13 @@ def test_colorings_match_the_edge_set_reference(pattern):
     for graph in (build_graph(pattern), build_graph(pat_shift(pattern))):
         assert color_change(graph) == color_change_reference(graph)
         assert weak_color_change(graph) == weak_color_change_reference(graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_patterns())
+def test_coloring_keeps_the_certificate_and_derives_the_black_set(pattern):
+    fields = [f.name for f in dataclasses.fields(ColoringResult)]
+    assert fields == ["forcing_sequence", "uncolored", "seeds"]
+    graph = build_graph(pattern)
+    for result in (color_change(graph), weak_color_change(graph)):
+        assert result.derived_set == result.seeds | {t for _, t in result.forcing_sequence}

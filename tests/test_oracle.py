@@ -98,9 +98,9 @@ def test_audit_rank_assembled_demo(demo_network):
 
 
 def test_audit_rank_rejects_tall_patterns():
-    from strucnet import BadShape
+    from strucnet import DimensionMismatch
 
-    with pytest.raises(BadShape):
+    with pytest.raises(DimensionMismatch):
         audit_rank(PatternMatrix.zeros(2, 1), AuditConfig(trials=1))
 
 

@@ -667,7 +667,7 @@ def test_load_pattern_rejects_bad_json(tmp_path):
 
 def test_public_surface_is_pinned():
     assert sorted(strucnet.__all__) == [
-        "ANY", "AnalysisReport", "AssumptionViolated", "BadShape", "ColoringResult",
+        "ANY", "AnalysisReport", "AssumptionViolated", "ColoringResult",
         "DimensionMismatch", "NetworkFormatError", "NodeSystem", "NumericBreakdown",
         "PatternGraph", "PatternMatrix", "PatternParseError", "STAR",
         "StructuredNetwork", "SystemCheck", "Violation", "ZERO", "analyze", "assemble",

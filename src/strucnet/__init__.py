@@ -31,7 +31,6 @@ from .network import (
     NodeSystem,
     StructuredNetwork,
     SystemCheck,
-    Violation,
     analyze,
     assemble,
     check_structured_system,
@@ -68,7 +67,6 @@ __all__ = [
     "STAR",
     "StructuredNetwork",
     "SystemCheck",
-    "Violation",
     "ZERO",
     "analyze",
     "assemble",

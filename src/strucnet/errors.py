@@ -20,9 +20,8 @@ class NumericBreakdown(ValueError):
 
 
 class AssumptionViolated(ValueError):
-    """A structured network fails validation; carries the list of violations."""
+    """A structured network fails validation; violations lists the located messages."""
 
     def __init__(self, violations):
         self.violations = list(violations)
-        lines = "; ".join(str(v) for v in self.violations)
-        super().__init__(f"network fails validation: {lines}")
+        super().__init__(f"network fails validation: {'; '.join(self.violations)}")

@@ -35,10 +35,6 @@ class PatternGraph:
     def num_vertices(self) -> int:
         return self.pattern.cols
 
-    @property
-    def row_count(self) -> int:
-        return self.pattern.rows
-
     @cached_property
     def edges_star(self) -> frozenset[tuple[int, int]]:
         return frozenset((j + 1, i + 1) for i, j, symbol in self.pattern.nonzeros if symbol is STAR)
@@ -126,7 +122,7 @@ def color_change(graph: PatternGraph) -> ColoringResult:
 
     return ColoringResult(
         forcing_sequence=tuple(forced),
-        uncolored=frozenset(range(1, graph.row_count + 1)).difference(t for _, t in forced),
+        uncolored=frozenset(range(1, graph.pattern.rows + 1)).difference(t for _, t in forced),
     )
 
 
@@ -139,7 +135,7 @@ def weak_color_change(graph: PatternGraph) -> ColoringResult:
     every vertex of 1..q ends black; with p = q the seed set is empty and
     a nonempty graph is never weakly colorable.
     """
-    seeds = frozenset(range(graph.row_count + 1, graph.num_vertices + 1))
+    seeds = frozenset(range(graph.pattern.rows + 1, graph.num_vertices + 1))
     # star out-neighbors of vertices 1..q, ascending since rows are read in order
     star_out: list[list[int]] = [[] for _ in range(graph.num_vertices + 1)]
     for t, row in enumerate(graph.pattern.row_nonzeros, start=1):
@@ -149,7 +145,7 @@ def weak_color_change(graph: PatternGraph) -> ColoringResult:
 
     black = set(seeds)
     forced: list[tuple[int, int]] = []
-    queue = deque(range(graph.row_count + 1, graph.num_vertices + 1))
+    queue = deque(range(graph.pattern.rows + 1, graph.num_vertices + 1))
     while queue:
         v = queue.popleft()
         for target in star_out[v]:

@@ -55,18 +55,6 @@ class NodeSystem:
     B: PatternMatrix
     C: PatternMatrix
 
-    @property
-    def num_states(self) -> int:
-        return self.A.rows
-
-    @property
-    def num_inputs(self) -> int:
-        return self.B.cols
-
-    @property
-    def num_outputs(self) -> int:
-        return self.C.rows
-
 
 @dataclass(frozen=True)
 class StructuredNetwork:
@@ -79,50 +67,29 @@ class StructuredNetwork:
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
 
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def total_inputs(self) -> int:
-        return sum(node.num_inputs for node in self.nodes)
-
-    @property
-    def total_outputs(self) -> int:
-        return sum(node.num_outputs for node in self.nodes)
-
-    @property
-    def num_external_inputs(self) -> int:
-        return self.H.cols
-
     @cached_property
-    def violations(self) -> tuple[Violation, ...]:
-        """Dimension and one-star violations; validate() returns a list copy."""
-        violations: list[Violation] = []
+    def violations(self) -> tuple[str, ...]:
+        """Located dimension and one-star messages; validate() returns a list copy."""
+        violations: list[str] = []
         for k, node in enumerate(self.nodes, start=1):
-            n = node.A.rows
+            n, at = node.A.rows, f"node {k}, matrix"
             if node.A.rows != node.A.cols:
-                violations.append(Violation(k, "A", f"must be square, got {node.A.shape}"))
+                violations.append(f"{at} A: must be square, got {node.A.shape}")
             if node.B.rows != n:
-                violations.append(
-                    Violation(k, "B", f"has {node.B.rows} rows, expected {n} to match A")
-                )
+                violations.append(f"{at} B: has {node.B.rows} rows, expected {n} to match A")
             if node.C.cols != n:
-                violations.append(
-                    Violation(k, "C", f"has {node.C.cols} columns, expected {n} to match A")
-                )
-            violations.extend(_check_single_star(node.B, k, "B", by_row=False))
-            violations.extend(_check_single_star(node.C, k, "C", by_row=True))
+                violations.append(f"{at} C: has {node.C.cols} columns, expected {n} to match A")
+            violations.extend(_check_single_star(node.B, f"{at} B", by_row=False))
+            violations.extend(_check_single_star(node.C, f"{at} C", by_row=True))
 
-        r, p = self.total_inputs, self.total_outputs
+        r = sum(node.B.cols for node in self.nodes)
+        p = sum(node.C.rows for node in self.nodes)
         if self.W.shape != (r, p):
             violations.append(
-                Violation(None, "W", f"has shape {self.W.shape}, expected ({r}, {p}) from node blocks")
+                f"matrix W: has shape {self.W.shape}, expected ({r}, {p}) from node blocks"
             )
         if self.H.rows != r:
-            violations.append(
-                Violation(None, "H", f"has {self.H.rows} rows, expected {r} from node blocks")
-            )
+            violations.append(f"matrix H: has {self.H.rows} rows, expected {r} from node blocks")
         return tuple(violations)
 
     @cached_property
@@ -140,12 +107,12 @@ class StructuredNetwork:
     @cached_property
     def topology(self) -> tuple[PatternMatrix, PatternMatrix]:
         """The block summary (W~, H~) of a valid network; see extract_topology."""
-        m = self.num_external_inputs
+        m = self.H.cols
         # the 0-based position of the node that owns each node input (row of W) and output
-        input_node = [k for k, node in enumerate(self.nodes) for _ in range(node.num_inputs)]
-        output_node = [k for k, node in enumerate(self.nodes) for _ in range(node.num_outputs)]
+        input_node = [k for k, node in enumerate(self.nodes) for _ in range(node.B.cols)]
+        output_node = [k for k, node in enumerate(self.nodes) for _ in range(node.C.rows)]
         summaries = []
-        blocks = ((self.W, output_node, self.num_nodes), (self.H, range(m), m))
+        blocks = ((self.W, output_node, len(self.nodes)), (self.H, range(m), m))
         for pattern, col_block, width in blocks:
             rows: list[dict[int, str]] = [{} for _ in self.nodes]
             for row_node, row in zip(input_node, pattern.row_nonzeros):
@@ -156,19 +123,6 @@ class StructuredNetwork:
                         target[col] = symbol
             summaries.append(PatternMatrix._trusted(width, (sorted(row.items()) for row in rows)))
         return summaries[0], summaries[1]
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One validation failure, naming the node, matrix, and position."""
-
-    node: int | None
-    matrix: str
-    message: str
-
-    def __str__(self) -> str:
-        prefix = f"node {self.node}, matrix {self.matrix}" if self.node else f"matrix {self.matrix}"
-        return f"{prefix}: {self.message}"
 
 
 @dataclass(frozen=True)
@@ -189,10 +143,11 @@ class SystemCheck:
         return self.plain.colorable and self.shifted.colorable
 
 
-def _check_single_star(m: PatternMatrix, node: int, name: str, by_row: bool) -> list[Violation]:
+def _check_single_star(m: PatternMatrix, where: str, by_row: bool) -> list[str]:
     """One '*' and no '?' in every column of m, or in every row when by_row.
 
-    Reads the sparse rows; the columns are gathered from them in row order.
+    Each message starts with where. Reads the sparse rows; the columns are
+    gathered from them in row order.
     """
     kind = "row" if by_row else "column"
     if by_row:
@@ -209,24 +164,20 @@ def _check_single_star(m: PatternMatrix, node: int, name: str, by_row: bool) -> 
         for b, symbol in line:
             if symbol is ANY:
                 i, j = (a, b + 1) if by_row else (b + 1, a)
-                violations.append(
-                    Violation(node, name, f"'?' entry at row {i}, column {j} is not allowed")
-                )
+                violations.append(f"{where}: '?' entry at row {i}, column {j} is not allowed")
         stars = sum(symbol is STAR for _, symbol in line)
         if stars != 1:
-            violations.append(
-                Violation(node, name, f"{kind} {a} has {stars} '*' entries, expected exactly one")
-            )
+            violations.append(f"{where}: {kind} {a} has {stars} '*' entries, expected exactly one")
     return violations
 
 
-def validate(network: StructuredNetwork) -> list[Violation]:
+def validate(network: StructuredNetwork) -> list[str]:
     """Check dimensions and the one-star input/output restriction.
 
-    Returns an empty list when the network is well formed: each node has a
-    square A with matching B and C, each B column and C row selects
-    exactly one state with a single '*', and W, H agree with the block
-    sizes the nodes induce. The list is a fresh copy of the cached one.
+    Returns a fresh list of messages such as "node 2, matrix C: row 1 has
+    0 '*' entries, expected exactly one", empty when each node has a
+    square A with matching B and C, each B column and C row holds a single
+    '*', and W, H agree with the block sizes the nodes induce.
     """
     return list(network.violations)
 
@@ -280,7 +231,7 @@ def is_network_controllable(network: StructuredNetwork) -> SystemCheck:
 
 def _failing(nodes: tuple[NodeSystem, ...], check: SystemCheck) -> set[int]:
     """Positions in nodes of the owners of the states that check left uncolored."""
-    ends = list(accumulate(node.num_states for node in nodes))
+    ends = list(accumulate(node.A.rows for node in nodes))
     return {bisect_right(ends, v - 1) for v in check.plain.uncolored | check.shifted.uncolored}
 
 

@@ -391,10 +391,10 @@ def block_diag(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
 
 
 def read_json(path, error: type[ValueError]):
-    """Parse a UTF-8 JSON file; undecodable or over-nested text raises error."""
+    """Parse a UTF-8 JSON file; bad text, an over-long integer or deep nesting raises error."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}: not valid JSON: {exc}") from None
 
 

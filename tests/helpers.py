@@ -293,8 +293,8 @@ def random_network(rng) -> StructuredNetwork:
                 C=single_star_rows(rng, io, n_k),
             )
         )
-    r = sum(node.num_inputs for node in nodes)
-    p = sum(node.num_outputs for node in nodes)
+    r = sum(node.B.cols for node in nodes)
+    p = sum(node.C.rows for node in nodes)
     m = int(rng.integers(1, 3))
     w = random_pattern(rng, r, p, (0.6, 0.3, 0.1))
     if rng.random() < 0.5:
@@ -313,8 +313,8 @@ def networks(draw, repeat_nodes: bool = False):
     if not repeat_nodes:
         return net
     nodes = tuple(draw(st.lists(st.sampled_from(net.nodes), min_size=2, max_size=6)))
-    r = sum(node.num_inputs for node in nodes)
-    p = sum(node.num_outputs for node in nodes)
+    r = sum(node.B.cols for node in nodes)
+    p = sum(node.C.rows for node in nodes)
     return StructuredNetwork(nodes, random_pattern(rng, r, p, (0.6, 0.3, 0.1)), single_star_cols(rng, r, 1))
 
 
@@ -397,14 +397,14 @@ def _offsets(sizes: Iterable[int]) -> list[int]:
 
 def interconnection_block(network: StructuredNetwork, i: int, j: int) -> PatternMatrix:
     """Block W^(ij): rows of node i's inputs, columns of node j's outputs (1-based)."""
-    rows = _offsets(node.num_inputs for node in network.nodes)
-    cols = _offsets(node.num_outputs for node in network.nodes)
+    rows = _offsets(node.B.cols for node in network.nodes)
+    cols = _offsets(node.C.rows for node in network.nodes)
     return submatrix(network.W, rows[i - 1], rows[i], cols[j - 1], cols[j])
 
 
 def input_block(network: StructuredNetwork, i: int, j: int) -> PatternMatrix:
     """Block H^(ij): rows of node i's inputs, the single column of input j."""
-    rows = _offsets(node.num_inputs for node in network.nodes)
+    rows = _offsets(node.B.cols for node in network.nodes)
     return submatrix(network.H, rows[i - 1], rows[i], j - 1, j)
 
 
@@ -416,10 +416,10 @@ def topology_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, Patte
         symbols = {symbol for row in dense(block) for symbol in row}
         return STAR if STAR in symbols else ANY if ANY in symbols else ZERO
 
-    n = network.num_nodes
+    n = len(network.nodes)
     w_tilde = [[summary(interconnection_block(network, i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
     h_tilde = [
-        [summary(input_block(network, i, j)) for j in range(1, network.num_external_inputs + 1)]
+        [summary(input_block(network, i, j)) for j in range(1, network.H.cols + 1)]
         for i in range(1, n + 1)
     ]
     return grid(w_tilde), grid(h_tilde)
@@ -447,9 +447,9 @@ def assembled_per_block(network: StructuredNetwork) -> tuple[PatternMatrix, Patt
         )
         blocks += [
             pat_mul_fold(node.B, input_block(network, i, k))
-            for k in range(1, network.num_external_inputs + 1)
+            for k in range(1, network.H.cols + 1)
         ]
-        for r in range(node.num_states):
+        for r in range(node.A.rows):
             plain_rows.append(tuple(symbol for block in blocks for symbol in dense(block)[r]))
     plain = grid(tuple(plain_rows))
     shifted = plain
@@ -541,7 +541,7 @@ def applicable_weak_forces(graph: PatternGraph, black: set[int]) -> list[tuple[i
 
 def weak_forced_set(graph: PatternGraph, rng=None) -> set[int]:
     """Reference fixpoint of the weak rule via one-at-a-time forcing."""
-    black = set(range(graph.row_count + 1, graph.num_vertices + 1))
+    black = set(range(graph.pattern.rows + 1, graph.num_vertices + 1))
     while True:
         forces = applicable_weak_forces(graph, black)
         if not forces:
@@ -555,7 +555,7 @@ def weak_forced_set(graph: PatternGraph, rng=None) -> set[int]:
 
 def star_reachable(graph: PatternGraph) -> set[int]:
     """BFS reachability from the seed vertices along star edges only."""
-    seeds = set(range(graph.row_count + 1, graph.num_vertices + 1))
+    seeds = set(range(graph.pattern.rows + 1, graph.num_vertices + 1))
     reached = set(seeds)
     frontier = list(seeds)
     star_out: dict[int, set[int]] = {v: set() for v in range(1, graph.num_vertices + 1)}
@@ -631,13 +631,13 @@ def color_change_reference(graph: PatternGraph) -> ColoringResult:
 
     return ColoringResult(
         forcing_sequence=tuple(forced),
-        uncolored=frozenset(range(1, graph.row_count + 1)) - black,
+        uncolored=frozenset(range(1, graph.pattern.rows + 1)) - black,
     )
 
 
 def weak_color_change_reference(graph: PatternGraph) -> ColoringResult:
     """The weak rule on the graph's star edge set, in the library's order."""
-    seeds = frozenset(range(graph.row_count + 1, graph.num_vertices + 1))
+    seeds = frozenset(range(graph.pattern.rows + 1, graph.num_vertices + 1))
     star_out: dict[int, list[int]] = {v: [] for v in range(1, graph.num_vertices + 1)}
     for src, dst in sorted(graph.edges_star):
         star_out[src].append(dst)

@@ -283,6 +283,19 @@ def test_unreadable_json_is_input_error(tmp_path, capsys, command, write):
     assert err.startswith(f"error: {bad}: not valid JSON")
 
 
+@pytest.mark.parametrize("command", ["check", "rank"])
+def test_over_long_integer_is_input_error(tmp_path, capsys, command):
+    """A 5,000-digit integer where a token goes fails at parse where Python
+    caps integer digits, and at the token check where it does not."""
+    bad = tmp_path / "long.json"
+    grid, one = [["LONG"]], [["*"]]
+    obj = {"nodes": [{"A": [["0"]], "B": one, "C": one}], "W": grid, "H": one}
+    bad.write_text(json.dumps(obj if command == "check" else grid).replace('"LONG"', "9" * 5000))
+    code, out, err = run(capsys, command, bad)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(capsys, "check", "no_such_file.json")
     assert code == 2 and err

@@ -47,7 +47,7 @@ INTERCONNECTION = hstack(W_PATTERN, H_PATTERN)
 def test_build_graph_single_star():
     graph = build_graph(parse("* 0"))
     assert graph.num_vertices == 2
-    assert graph.row_count == 1
+    assert graph.pattern.rows == 1
     assert graph.edges_star == {(1, 1)}
     assert graph.edges_any == frozenset()
 
@@ -276,7 +276,7 @@ def test_pattern_graph_edge_sets_are_disjoint():
     for _ in range(30):
         graph = build_graph(random_pattern(rng, 3, 5))
         assert not (graph.edges_star & graph.edges_any)
-        assert all(1 <= dst <= graph.row_count for _, dst in graph.edges_star | graph.edges_any)
+        assert all(1 <= dst <= graph.pattern.rows for _, dst in graph.edges_star | graph.edges_any)
 
 
 def test_hand_built_graph_accepts_explicit_edges():

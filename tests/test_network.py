@@ -84,8 +84,7 @@ def test_validate_flags_double_star_column():
     )
     violations = validate(net)
     assert len(violations) == 1
-    assert violations[0].node == 1 and violations[0].matrix == "B"
-    assert "column 1" in violations[0].message
+    assert violations[0].startswith("node 1, matrix B: column 1 ")
 
 
 def test_validate_flags_any_in_output_pattern():
@@ -94,9 +93,9 @@ def test_validate_flags_any_in_output_pattern():
         (NodeSystem(A1, B_NODE, bad_c),), PatternMatrix.zeros(2, 2), pat_identity(2)
     )
     violations = validate(net)
-    assert any(v.matrix == "C" and "'?'" in v.message for v in violations)
+    assert any(v.startswith("node 1, matrix C: '?'") for v in violations)
     # the '?' also leaves row 1 without its single star
-    assert any(v.matrix == "C" and "row 1" in v.message for v in violations)
+    assert any(v.startswith("node 1, matrix C: row 1 ") for v in violations)
 
 
 @pytest.mark.parametrize(
@@ -132,20 +131,23 @@ def test_validate_one_star_messages_are_exact(b, c, expected):
     net = StructuredNetwork(
         (NodeSystem(A1, b, c),), PatternMatrix.zeros(2, 2), pat_identity(2)
     )
-    assert [str(v) for v in validate(net)] == expected
+    assert validate(net) == expected
 
 
 def test_validate_flags_dimension_problems():
     rect_a = PatternMatrix.zeros(2, 3)
     net = StructuredNetwork(
-        (NodeSystem(rect_a, parse("*\n0"), parse("0 * 0")),),
+        (NodeSystem(rect_a, parse("*\n0\n0"), parse("0 * 0")),),
         PatternMatrix.zeros(5, 5),
         PatternMatrix.zeros(3, 1),
     )
-    violations = validate(net)
-    assert any(v.matrix == "A" and "square" in v.message for v in violations)
-    assert any(v.matrix == "W" for v in violations)
-    assert any(v.matrix == "H" for v in violations)
+    assert validate(net) == [
+        "node 1, matrix A: must be square, got (2, 3)",
+        "node 1, matrix B: has 3 rows, expected 2 to match A",
+        "node 1, matrix C: has 3 columns, expected 2 to match A",
+        "matrix W: has shape (5, 5), expected (1, 1) from node blocks",
+        "matrix H: has 3 rows, expected 1 from node blocks",
+    ]
 
 
 def test_assemble_shapes_and_coupling_block(demo_network):
@@ -601,10 +603,31 @@ def test_network_from_dict_errors():
         network_from_dict({"nodes": [{"A": [["0"]], "B": [["*"]], "C": [["*"]]}], "H": [["*"]]})
 
 
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ([], "expected a JSON object, got list"),
+        ({"nodes": [], "W": [["0"]], "H": [["*"]]}, "'nodes' must be a non-empty list"),
+        ({"nodes": {}, "W": [["0"]], "H": [["*"]]}, "'nodes' must be a non-empty list"),
+        ({"nodes": [["0"]], "W": [["0"]], "H": [["*"]]}, "nodes[0] must be an object"),
+        (
+            {"nodes": [{"A": "0", "B": [["*"]], "C": [["*"]]}], "W": [["0"]], "H": [["*"]]},
+            "nodes[0].A: expected a list of rows, got str",
+        ),
+        (
+            {"nodes": [{"A": ["0"], "B": [["*"]], "C": [["*"]]}], "W": [["0"]], "H": [["*"]]},
+            "nodes[0].A: row 1: expected a list of tokens",
+        ),
+    ],
+    ids=["top-level-list", "empty-nodes", "non-list-nodes", "non-object-node", "non-list-grid", "non-list-row"],
+)
+def test_network_from_dict_layout_messages_are_exact(obj, message):
+    with pytest.raises(NetworkFormatError) as excinfo:
+        network_from_dict(obj)
+    assert str(excinfo.value) == message
+
+
 def test_block_accessors(demo_network):
     assert interconnection_block(demo_network, 2, 1) == parse("* 0\n? *")
     assert interconnection_block(demo_network, 1, 3) == PatternMatrix.zeros(2, 2)
     assert input_block(demo_network, 1, 2) == parse("0\n*")
-    assert demo_network.num_external_inputs == 2
-    assert demo_network.total_inputs == 6
-    assert demo_network.total_outputs == 6

@@ -670,7 +670,7 @@ def test_public_surface_is_pinned():
         "ANY", "AnalysisReport", "AssumptionViolated", "ColoringResult",
         "DimensionMismatch", "NetworkFormatError", "NodeSystem", "NumericBreakdown",
         "PatternGraph", "PatternMatrix", "PatternParseError", "STAR",
-        "StructuredNetwork", "SystemCheck", "Violation", "ZERO", "analyze", "assemble",
+        "StructuredNetwork", "SystemCheck", "ZERO", "analyze", "assemble",
         "build_graph", "check_structured_system", "color_change", "export_dot",
         "extract_topology", "is_full_row_rank", "is_network_controllable", "load_network",
         "load_pattern", "network_from_dict", "node_necessary_check",

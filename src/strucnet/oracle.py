@@ -16,12 +16,17 @@ import numpy as np
 
 from .errors import NumericBreakdown
 from .network import StructuredNetwork, require_valid
-from .pattern import sample_realization
+from .pattern import STAR, _realization_values
 
 
 #: A singular value counts toward the numeric rank when it exceeds this
 #: share of the largest one.
 RANK_TOLERANCE = 1e-8
+
+#: Trials run in chunks whose stacked arrays take about this many bytes
+#: (see _ChunkSampler); a chunk holds at least one trial, so a network
+#: too large for two gets one trial per chunk, as without chunks.
+_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -32,6 +37,10 @@ class AuditConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -65,31 +74,103 @@ class AuditOutcome:
         }
 
 
-def _numeric_rank(matrix: np.ndarray) -> int:
-    """Rank as the number of singular values above RANK_TOLERANCE relative to the largest."""
+def _numeric_rank(matrix: np.ndarray) -> np.ndarray:
+    """Rank as the number of singular values above RANK_TOLERANCE relative to the largest.
+
+    matrix may be a stack (..., rows, cols); the result holds one rank per
+    slice, and a single matrix gives one integer.
+    """
     sigma = np.linalg.svd(matrix, compute_uv=False)
-    if sigma.size == 0 or sigma[0] == 0.0:
-        return 0
-    return int(np.sum(sigma > RANK_TOLERANCE * sigma[0]))
+    return np.count_nonzero(sigma > RANK_TOLERANCE * sigma[..., :1], axis=-1)
 
 
-def _controllability_rank(a: np.ndarray, b: np.ndarray) -> int:
+def _controllability_rank(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Numeric rank of [B, AB, ..., A^(n-1) B] with per-column normalization.
 
     Normalizing the columns keeps the powers of A from drowning the early
-    blocks, which matters once n grows past a handful of states.
+    blocks, which matters once n grows past a handful of states. a and b
+    may be stacks (..., n, n) and (..., n, m) of pairs; the result holds
+    one rank per pair.
     """
-    n = a.shape[0]
+    n = a.shape[-1]
     blocks = [b]
     current = b
     for _ in range(n - 1):
         current = a @ current
         blocks.append(current)
-    ctrb = np.hstack(blocks)
-    norms = np.linalg.norm(ctrb, axis=0)
-    nonzero = norms > 0.0
-    ctrb[:, nonzero] /= norms[nonzero]
+    ctrb = np.concatenate(blocks, axis=-1)
+    norms = np.linalg.norm(ctrb, axis=-2, keepdims=True)
+    np.divide(ctrb, norms, out=ctrb, where=norms > 0.0)
     return _numeric_rank(ctrb)
+
+
+class _ChunkSampler:
+    """Draws the realizations of a network's A_blk, B_blk, C_blk, W and H for a run of trials.
+
+    Trial t draws from its own generator, seeded with (seed, t), in one
+    call of two doubles per nonzero of the five patterns together. The
+    nonzeros take them pattern by pattern and row-major within each, the
+    stream of five sample_realization calls on that generator. The values
+    of all trials are then mapped and scattered at once into one zero
+    buffer, of which each pattern's stack of matrices is a view.
+
+    per_chunk is how many trials one chunk evaluates: as many as
+    _CHUNK_BYTES holds, at least one. A trial's share is its sampled
+    patterns plus twice the n x nm Kalman matrix and the n x n state
+    matrix (the Krylov blocks and their concatenation); numpy's and
+    LAPACK's scratch space comes on top.
+    """
+
+    def __init__(self, network: StructuredNetwork):
+        patterns = (network.A_blk, network.B_blk, network.C_blk, network.W, network.H)
+        self.shapes = [p.shape for p in patterns]
+        self.offsets = [0]
+        flat, star = [], []
+        for p in patterns:
+            base, cols = self.offsets[-1], p.cols
+            for i, j, symbol in p.nonzeros:
+                flat.append(base + i * cols + j)
+                star.append(symbol is STAR)
+            self.offsets.append(base + p.rows * cols)
+        self.flat = np.array(flat, dtype=np.intp)
+        self.star = np.array(star, dtype=bool)
+        n, m = network.A_blk.rows, network.H.cols
+        self.per_chunk = max(1, _CHUNK_BYTES // (8 * (self.offsets[-1] + 2 * n * n * (m + 1))))
+
+    def sample(self, seed: int, trials: range) -> list[np.ndarray]:
+        """The stacked realizations, one (len(trials), rows, cols) array per pattern."""
+        draws = np.empty((len(trials), 2 * len(self.flat)))
+        for row, trial in zip(draws, trials):
+            np.random.default_rng([seed, trial]).random(out=row)
+        buffer = np.zeros((len(trials), self.offsets[-1]))
+        buffer[:, self.flat] = _realization_values(self.star, draws[:, 0::2], draws[:, 1::2])
+        return [
+            buffer[:, start:stop].reshape(len(trials), *shape)
+            for start, stop, shape in zip(self.offsets, self.offsets[1:], self.shapes)
+        ]
+
+
+def _chunk_ranks(sampler: _ChunkSampler, seed: int, trials: range) -> list[int]:
+    """Controllability rank of each trial's realization of A + B W C and B H."""
+    a, b, c, w, h = sampler.sample(seed, trials)
+    return _controllability_rank(a + b @ w @ c, b @ h).tolist()
+
+
+def _ranks(sampler: _ChunkSampler, cfg: AuditConfig, trials: range, n: int) -> list[int]:
+    """The ranks of one chunk. A numeric breakdown reruns it trial by trial,
+    so the error names the trial that breaks down."""
+    try:
+        return _chunk_ranks(sampler, cfg.seed, trials)
+    except np.linalg.LinAlgError as exc:
+        if len(trials) == 1:
+            raise NumericBreakdown(
+                f"numeric breakdown in trial {trials[0]} (seed {cfg.seed}): {exc}"
+            ) from None
+    except MemoryError:
+        raise NumericBreakdown(
+            f"out of memory in trial {trials[0]} (seed {cfg.seed}) for {n} x {n} realizations"
+        ) from None
+    return [rank for trial in trials for rank in _ranks(sampler, cfg, range(trial, trial + 1), n)]
 
 
 def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
@@ -99,33 +180,18 @@ def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
     derived from (cfg.seed, trial), forms A + B W C and B H numerically,
     and tests controllability. The block patterns are the ones the network
     keeps for the symbolic verdict. Trials are independent, so the outcome
-    does not depend on execution order. A trial whose arrays cannot be
-    allocated or whose rank computation fails raises NumericBreakdown
-    naming that trial.
+    does not depend on execution order: they run in chunks of stacked
+    arrays (see _CHUNK_BYTES) and give the outcome of one trial at a time.
+    A trial whose rank computation fails raises NumericBreakdown naming
+    that trial; arrays that cannot be allocated raise it naming the first
+    trial of their chunk.
     """
     require_valid(network)
-    a_pat, b_pat, c_pat = network.A_blk, network.B_blk, network.C_blk
-    n = a_pat.rows
+    n = network.A_blk.rows
+    sampler = _ChunkSampler(network)
     outcome = AuditOutcome()
-    for trial in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, trial])
-        try:
-            a = sample_realization(a_pat, rng)
-            b = sample_realization(b_pat, rng)
-            c = sample_realization(c_pat, rng)
-            w = sample_realization(network.W, rng)
-            h = sample_realization(network.H, rng)
-            rank = _controllability_rank(a + b @ w @ c, b @ h)
-        except np.linalg.LinAlgError as exc:
-            raise NumericBreakdown(
-                f"numeric breakdown in trial {trial} (seed {cfg.seed}): {exc}"
-            ) from None
-        except MemoryError:
-            raise NumericBreakdown(
-                f"out of memory in trial {trial} (seed {cfg.seed}) for {n} x {n} realizations"
-            ) from None
-        failure = None
-        if rank < n:
-            failure = f"controllability rank {rank} < {n}"
-        outcome.record(trial, failure)
+    for start in range(0, cfg.trials, sampler.per_chunk):
+        trials = range(start, min(start + sampler.per_chunk, cfg.trials))
+        for trial, rank in zip(trials, _ranks(sampler, cfg, trials, n)):
+            outcome.record(trial, f"controllability rank {rank} < {n}" if rank < n else None)
     return outcome

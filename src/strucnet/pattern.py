@@ -326,6 +326,21 @@ _ANY_HIGH = 2.0
 _ANY_ZERO_PROB = 0.25
 
 
+def _realization_values(star, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The values that nonzeros take from their two doubles, elementwise.
+
+    star marks the '*' nonzeros (the rest are '?'); first and second hold
+    each nonzero's two doubles and may carry leading axes, over which star
+    broadcasts. This is the one value rule of every sampler.
+    """
+    import numpy as np
+
+    magnitude = _STAR_MAG_LOW + (_STAR_MAG_HIGH - _STAR_MAG_LOW) * first
+    star_values = np.where(second < 0.5, magnitude, -magnitude)
+    any_values = np.where(first < _ANY_ZERO_PROB, 0.0, _ANY_LOW + (_ANY_HIGH - _ANY_LOW) * second)
+    return np.where(star, star_values, any_values)
+
+
 def sample_realization(m: PatternMatrix, seed) -> np.ndarray:
     """Draw one numeric matrix from the pattern class of m.
 
@@ -346,18 +361,9 @@ def sample_realization(m: PatternMatrix, seed) -> np.ndarray:
     nonzeros = m.nonzeros
     if not nonzeros:
         return values
-    draws = rng.random(2 * len(nonzeros)).tolist()
-    out = []
-    for (_, _, symbol), first, second in zip(nonzeros, draws[0::2], draws[1::2]):
-        if symbol is STAR:
-            magnitude = _STAR_MAG_LOW + (_STAR_MAG_HIGH - _STAR_MAG_LOW) * first
-            out.append(magnitude if second < 0.5 else -magnitude)
-        elif first < _ANY_ZERO_PROB:
-            out.append(0.0)
-        else:
-            out.append(_ANY_LOW + (_ANY_HIGH - _ANY_LOW) * second)
-    rows, cols, _ = zip(*nonzeros)
-    values[rows, cols] = out
+    rows, cols, symbols = zip(*nonzeros)
+    draws = rng.random(2 * len(nonzeros))
+    values[rows, cols] = _realization_values([s is STAR for s in symbols], draws[0::2], draws[1::2])
     return values
 
 

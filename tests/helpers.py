@@ -22,8 +22,10 @@ one-entry edits, and a pattern from a grid of symbols (grid) or from
 token text (parse). So are the symbol tables the references fold with
 (SYMBOLS, sym_add, sym_mul) and the other names only tests call: the
 identity pattern, the class-membership test, the dense network writer,
-the Kalman and row-rank audits, and the sweeps behind the theorem that a
-pattern and its identity shift never both certify full row rank.
+the Kalman and row-rank audits, the chain network, and the sweeps behind
+the theorem that a pattern and its identity shift never both certify full
+row rank. The network audit one trial at a time is kept here as the
+reference that the chunked library audit must match exactly.
 """
 
 from __future__ import annotations
@@ -196,6 +198,37 @@ def audit_rank(m: PatternMatrix, cfg: AuditConfig) -> AuditOutcome:
             failure = f"numeric row rank {rank} < {m.rows}"
         outcome.record(trial, failure)
     return outcome
+
+
+def audit_network_reference(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
+    """Reference network audit: one trial at a time, five sample_realization
+    calls on the trial's generator and one Kalman rank per trial."""
+    n = network.A_blk.rows
+    outcome = AuditOutcome()
+    for trial in range(cfg.trials):
+        rng = np.random.default_rng([cfg.seed, trial])
+        a, b, c, w, h = (
+            sample_realization(m, rng)
+            for m in (network.A_blk, network.B_blk, network.C_blk, network.W, network.H)
+        )
+        rank = _controllability_rank(a + b @ w @ c, b @ h)
+        outcome.record(trial, f"controllability rank {rank} < {n}" if rank < n else None)
+    return outcome
+
+
+def chain_network(nodes: int) -> StructuredNetwork:
+    """A chain of identical 5-state nodes: each node's states form a path
+    from its input to its output, node k feeds node k + 1, and the single
+    external input drives node 1."""
+    path = PatternMatrix.from_rows(5, [()] + [((i, STAR),) for i in range(4)])
+    node = NodeSystem(
+        A=path,
+        B=PatternMatrix.from_rows(1, [((0, STAR),)] + [()] * 4),
+        C=PatternMatrix.from_rows(5, [((4, STAR),)]),
+    )
+    w = PatternMatrix.from_rows(nodes, [()] + [((k, STAR),) for k in range(nodes - 1)])
+    h = PatternMatrix.from_rows(1, [((0, STAR),)] + [()] * (nodes - 1))
+    return StructuredNetwork((node,) * nodes, w, h)
 
 
 def enumerate_patterns(rows: int, cols: int):

@@ -510,7 +510,36 @@ def test_audit_numeric_breakdown_is_error(capsys, monkeypatch):
     assert err == "error: numeric breakdown in trial 0 (seed 5): SVD did not converge\n"
 
 
-@pytest.mark.parametrize("stage", ["sample_realization", "_controllability_rank"])
+def test_audit_numeric_breakdown_names_a_later_trial(capsys, monkeypatch):
+    # only trial 4 draws NaN, and only an SVD input holding NaN breaks down;
+    # all seven trials share one chunk, which is rerun one trial at a time
+    real_rng, real_svd = np.random.default_rng, np.linalg.svd
+
+    class NanDraws:
+        def __init__(self, seed):
+            self.rng = real_rng(seed)
+
+        def random(self, *args, **kwargs):
+            draws = self.rng.random(*args, **kwargs)
+            draws[...] = np.nan
+            return draws
+
+    def rng(seed):
+        return NanDraws(seed) if seed == [5, 4] else real_rng(seed)
+
+    def svd(matrix, *args, **kwargs):
+        if np.isnan(matrix).any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_svd(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", rng)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    code, out, err = run(capsys, "audit", NETWORK_FILE, "--trials", "7", "--seed", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: numeric breakdown in trial 4 (seed 5): SVD did not converge\n"
+
+
+@pytest.mark.parametrize("stage", ["_ChunkSampler.sample", "_controllability_rank"])
 def test_audit_out_of_memory_is_error(capsys, monkeypatch, stage):
     # the allocation is faked: a realization too large to allocate is never made
     def unallocatable(*args, **kwargs):

@@ -1,31 +1,39 @@
 """Numeric rank oracle, sampling audits, and exhaustive sweeps (the last in helpers)."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strucnet import (
     ANY,
     STAR,
     AssumptionViolated,
     NodeSystem,
+    NumericBreakdown,
     PatternMatrix,
     StructuredNetwork,
     is_full_row_rank,
     is_network_controllable,
 )
+from strucnet import oracle
 from strucnet.oracle import AuditConfig, AuditOutcome, audit_network
 from strucnet.pattern import pat_add, sample_realization
 from conftest import A1, C_NODE
 
 from helpers import (
+    audit_network_reference,
     audit_rank,
+    chain_network,
     dense,
     enumerate_patterns,
     grid,
     is_member,
     kalman_controllable,
+    networks,
     pat_identity,
     random_pattern,
     shift_exclusion_exhaustive,
@@ -40,6 +48,16 @@ def test_audit_config_validation():
         AuditConfig(trials=0)
     with pytest.raises(ValueError):
         AuditConfig(seed=-1)
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"trials": 2.5}, {"trials": True}, {"trials": "3"}, {"seed": 1.5}, {"seed": False}]
+)
+def test_audit_config_rejects_non_int(kwargs):
+    # range() would raise a TypeError for these only once the audit runs
+    name, value = next(iter(kwargs.items()))
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+        AuditConfig(**kwargs)
 
 
 def test_kalman_scalar_integrator():
@@ -145,6 +163,77 @@ def test_audit_network_rejects_invalid_network():
     )
     with pytest.raises(AssumptionViolated):
         audit_network(net, AuditConfig(trials=1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    networks(),
+    st.integers(1, 45),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 16384, oracle._CHUNK_BYTES]),
+)
+def test_audit_network_equals_one_trial_at_a_time(net, trials, seed, chunk_bytes):
+    # a 1-byte budget runs one trial per chunk; 16 KiB splits most runs
+    # into several chunks, with a partial one at the end
+    cfg = AuditConfig(trials=trials, seed=seed)
+    with mock.patch.object(oracle, "_CHUNK_BYTES", chunk_bytes):
+        assert audit_network(net, cfg) == audit_network_reference(net, cfg)
+
+
+@pytest.mark.parametrize(
+    "nodes, chunks, trials_past_chunks",
+    [
+        (20, 1, 2),  # 100 states: one trial per chunk
+        (6, 2, 3),  # 30 states: two full chunks and a partial one
+    ],
+)
+def test_audit_network_equals_one_trial_at_a_time_across_chunks(nodes, chunks, trials_past_chunks):
+    net = chain_network(nodes)
+    per_chunk = oracle._ChunkSampler(net).per_chunk
+    assert (per_chunk == 1) == (nodes == 20)
+    for seed in (0, 9):
+        cfg = AuditConfig(trials=chunks * per_chunk + trials_past_chunks, seed=seed)
+        assert audit_network(net, cfg) == audit_network_reference(net, cfg)
+
+
+def test_audit_out_of_memory_names_the_first_trial_of_its_chunk(demo_network):
+    per_chunk = oracle._ChunkSampler(demo_network).per_chunk
+    real_sample = oracle._ChunkSampler.sample
+
+    def sample(self, seed, trials):
+        if trials[0] > 0:  # the second chunk cannot be allocated
+            raise MemoryError
+        return real_sample(self, seed, trials)
+
+    with mock.patch.object(oracle._ChunkSampler, "sample", sample):
+        with pytest.raises(NumericBreakdown) as excinfo:
+            audit_network(demo_network, AuditConfig(trials=per_chunk + 5, seed=1))
+    assert str(excinfo.value) == f"out of memory in trial {per_chunk} (seed 1) for 12 x 12 realizations"
+
+
+@settings(max_examples=50, deadline=None)
+@given(networks(), st.integers(0, 2**32 - 1), st.integers(0, 1000))
+def test_chunk_sampler_draws_the_stream_of_five_sample_realization_calls(net, seed, first):
+    # one random(2 K) call per trial, split over A, B, C, W and H in that
+    # order, gives exactly what five sample_realization calls give
+    patterns = (net.A_blk, net.B_blk, net.C_blk, net.W, net.H)
+    trials = range(first, first + 3)
+    stacked = oracle._ChunkSampler(net).sample(seed, trials)
+    for k, trial in enumerate(trials):
+        rng = np.random.default_rng([seed, trial])
+        for m, values in zip(patterns, stacked):
+            assert np.array_equal(values[k], sample_realization(m, rng))
+
+
+def test_controllability_rank_of_a_stack_is_the_rank_of_each_slice():
+    rng = np.random.default_rng(32)
+    a = rng.normal(size=(6, 4, 4))
+    b = rng.normal(size=(6, 4, 2))
+    b[1] = 0.0
+    a[2] = np.eye(4)
+    ranks = oracle._controllability_rank(a, b)
+    assert ranks.tolist() == [oracle._controllability_rank(x, y) for x, y in zip(a, b)]
+    assert ranks[1] == 0 and ranks[2] == 2
 
 
 def test_audit_samples_are_class_members(demo_network):

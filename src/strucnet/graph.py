@@ -18,18 +18,19 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DimensionMismatch
-from .pattern import STAR, PatternMatrix
+from .pattern import STAR, FrozenRecord, PatternMatrix
 
 
-@dataclass(frozen=True)
-class PatternGraph:
+class PatternGraph(FrozenRecord):
     """Digraph of a validated pattern; row i's nonzeros are vertex i's in-edges."""
 
-    pattern: PatternMatrix
+    __match_args__ = ("pattern",)
+
+    def __init__(self, pattern: PatternMatrix):
+        self.__dict__.update(pattern=pattern)
 
     @property
     def num_vertices(self) -> int:
@@ -44,8 +45,7 @@ class PatternGraph:
         return frozenset((j + 1, i + 1) for i, j, symbol in self.pattern.nonzeros if symbol is not STAR)
 
 
-@dataclass(frozen=True)
-class ColoringResult:
+class ColoringResult(FrozenRecord):
     """Outcome of a forcing run: a replayable certificate and what it left white.
 
     forcing_sequence lists (forcer, forced) pairs in the order they were
@@ -54,9 +54,15 @@ class ColoringResult:
     for the standard rule, every vertex 1..q for the weak rule.
     """
 
-    forcing_sequence: tuple[tuple[int, int], ...]
-    uncolored: frozenset[int]
-    seeds: frozenset[int] = frozenset()
+    __match_args__ = ("forcing_sequence", "uncolored", "seeds")
+
+    def __init__(
+        self,
+        forcing_sequence: tuple[tuple[int, int], ...],
+        uncolored: frozenset[int],
+        seeds: frozenset[int] = frozenset(),
+    ):
+        self.__dict__.update(forcing_sequence=forcing_sequence, uncolored=uncolored, seeds=seeds)
 
     @property
     def derived_set(self) -> frozenset[int]:

@@ -27,7 +27,6 @@ once and shared by every stage; each stage still validates first.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -37,7 +36,9 @@ from .pattern import (
     ANY,
     MAX_SPARSE_SIZE,
     STAR,
+    FrozenRecord,
     PatternMatrix,
+    Record,
     block_diag,
     hstack,
     pat_add,
@@ -47,25 +48,25 @@ from .pattern import (
 )
 
 
-@dataclass(frozen=True)
-class NodeSystem:
+class NodeSystem(FrozenRecord):
     """One node: state pattern A, input pattern B, output pattern C. Reports number nodes from 1."""
 
-    A: PatternMatrix
-    B: PatternMatrix
-    C: PatternMatrix
+    __match_args__ = ("A", "B", "C")
+
+    def __init__(self, A: PatternMatrix, B: PatternMatrix, C: PatternMatrix):
+        self.__dict__.update(A=A, B=B, C=C)
 
 
-@dataclass(frozen=True)
-class StructuredNetwork:
-    """N node systems plus interconnection patterns W (r x p) and H (r x m)."""
+class StructuredNetwork(FrozenRecord):
+    """N node systems plus interconnection patterns W (r x p) and H (r x m).
 
-    nodes: tuple[NodeSystem, ...]
-    W: PatternMatrix
-    H: PatternMatrix
+    nodes may be any iterable and is kept as a tuple.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+    __match_args__ = ("nodes", "W", "H")
+
+    def __init__(self, nodes: tuple[NodeSystem, ...], W: PatternMatrix, H: PatternMatrix):
+        self.__dict__.update(nodes=tuple(nodes), W=W, H=H)
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
@@ -125,8 +126,7 @@ class StructuredNetwork:
         return summaries[0], summaries[1]
 
 
-@dataclass(frozen=True)
-class SystemCheck:
+class SystemCheck(FrozenRecord):
     """Verdict of the two-pattern rank test, with coloring certificates.
 
     plain certifies the unshifted pattern [A B]; shifted certifies
@@ -134,9 +134,15 @@ class SystemCheck:
     graphs are colorable.
     """
 
-    plain: ColoringResult
-    shifted: ColoringResult
-    patterns: tuple[PatternMatrix, PatternMatrix]
+    __match_args__ = ("plain", "shifted", "patterns")
+
+    def __init__(
+        self,
+        plain: ColoringResult,
+        shifted: ColoringResult,
+        patterns: tuple[PatternMatrix, PatternMatrix],
+    ):
+        self.__dict__.update(plain=plain, shifted=shifted, patterns=patterns)
 
     @property
     def controllable(self) -> bool:
@@ -291,14 +297,22 @@ def topology_necessary_check(network: StructuredNetwork) -> ColoringResult:
     return weak_color_change(build_graph(hstack(*extract_topology(network))))
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(Record):
     """Everything the full pipeline produces for one valid network."""
 
-    network_check: SystemCheck
-    node_checks: list[tuple[int, bool]]
-    topology: tuple[PatternMatrix, PatternMatrix]
-    topology_coloring: ColoringResult
+    __match_args__ = ("network_check", "node_checks", "topology", "topology_coloring")
+
+    def __init__(
+        self,
+        network_check: SystemCheck,
+        node_checks: list[tuple[int, bool]],
+        topology: tuple[PatternMatrix, PatternMatrix],
+        topology_coloring: ColoringResult,
+    ):
+        self.network_check = network_check
+        self.node_checks = node_checks
+        self.topology = topology
+        self.topology_coloring = topology_coloring
 
     @property
     def controllable(self) -> bool:

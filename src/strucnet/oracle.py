@@ -10,13 +10,11 @@ class. This module imports numpy; `import strucnet` does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericBreakdown
 from .network import StructuredNetwork, require_valid
-from .pattern import STAR, _realization_values
+from .pattern import STAR, FrozenRecord, Record, _realization_values
 
 
 #: A singular value counts toward the numeric rank when it exceeds this
@@ -29,31 +27,33 @@ RANK_TOLERANCE = 1e-8
 _CHUNK_BYTES = 1 << 19
 
 
-@dataclass(frozen=True)
-class AuditConfig:
+class AuditConfig(FrozenRecord):
     """Trial count and base seed of an audit run."""
 
-    trials: int = 100
-    seed: int = 0
+    __match_args__ = ("trials", "seed")
 
-    def __post_init__(self):
-        for name in ("trials", "seed"):
-            value = getattr(self, name)
+    def __init__(self, trials: int = 100, seed: int = 0):
+        for name, value in (("trials", trials), ("seed", seed)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if trials < 1:
+            raise ValueError(f"trials must be >= 1, got {trials}")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
+        self.__dict__.update(trials=trials, seed=seed)
 
 
-@dataclass
-class AuditOutcome:
+class AuditOutcome(Record):
     """Counters from an audit run; first_failure keeps the earliest witness."""
 
-    trials_run: int = 0
-    failures: int = 0
-    first_failure: tuple[int, str] | None = None
+    __match_args__ = ("trials_run", "failures", "first_failure")
+
+    def __init__(
+        self, trials_run: int = 0, failures: int = 0, first_failure: tuple[int, str] | None = None
+    ):
+        self.trials_run = trials_run
+        self.failures = failures
+        self.first_failure = first_failure
 
     def record(self, trial: int, failure: str | None):
         self.trials_run += 1

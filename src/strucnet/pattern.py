@@ -18,19 +18,17 @@ cyclic collector stops tracking.
 from __future__ import annotations
 
 import json
+import os
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import DimensionMismatch, PatternParseError
 
-if TYPE_CHECKING:  # numpy is imported where it is used, so the symbolic path never loads it
-    import numpy as np
-
+# numpy is imported inside the functions that use it, so the symbolic path
+# never loads it; the np.ndarray annotations stay unevaluated strings.
 
 ZERO = "0"
 STAR = "*"
@@ -40,8 +38,47 @@ ANY = "?"
 _SYMBOL_OF_TOKEN = {"*": STAR, "?": ANY}
 
 
-@dataclass(frozen=True, init=False)
-class PatternMatrix:
+class Record:
+    """A record of the fields that __match_args__ names, in that order.
+
+    Records compare equal when they are of the same class and their fields
+    are equal, and their repr lists the fields. A mutable record is not
+    hashable; FrozenRecord adds hashing and refuses assignment.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """An immutable record: hashed by its fields, which cannot be assigned or deleted.
+
+    __init__ fills the instance __dict__ directly, and functools.cached_property
+    stores its values there too, so cached views still work.
+    """
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PatternMatrix(FrozenRecord):
     """Immutable pattern matrix, stored as the sorted nonzeros of each row.
 
     cols is the column count; row_nonzeros holds, for each row, the
@@ -54,9 +91,11 @@ class PatternMatrix:
     from_rows is the checked constructor for outside input, and the
     sparse branch of from_json builds through it. from_tokens and the
     algebra build their rows in order and in range, and wrap them
-    unchecked through _trusted.
+    unchecked through _trusted. There is no public __init__: calling
+    PatternMatrix(...) raises TypeError.
     """
 
+    __match_args__ = ("cols", "row_nonzeros")
     cols: int
     row_nonzeros: tuple[tuple[tuple[int, str], ...], ...]
 
@@ -79,8 +118,7 @@ class PatternMatrix:
     def _trusted(cls, cols: int, rows: Iterable[Sequence]) -> "PatternMatrix":
         """Wrap rows the library built, valid by construction, without checking them."""
         matrix = object.__new__(cls)
-        object.__setattr__(matrix, "cols", cols)
-        object.__setattr__(matrix, "row_nonzeros", tuple(map(tuple, rows)))
+        matrix.__dict__.update(cols=cols, row_nonzeros=tuple(map(tuple, rows)))
         return matrix
 
     @property
@@ -397,9 +435,14 @@ def block_diag(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
 
 
 def read_json(path, error: type[ValueError]):
-    """Parse a UTF-8 JSON file; bad text, an over-long integer or deep nesting raises error."""
+    """Parse a UTF-8 JSON file; bad text, an over-long integer or deep nesting raises error.
+
+    path is opened as given. An int raises TypeError: it is never read as
+    a file descriptor.
+    """
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(os.fspath(path), encoding="utf-8") as fh:
+            return json.loads(fh.read())
     except (ValueError, RecursionError) as exc:
         raise error(f"{path}: not valid JSON: {exc}") from None
 

@@ -762,6 +762,36 @@ def test_only_audit_loads_numpy():
     assert (proc.returncode, proc.stdout) == (0, "True\n"), proc.stderr
 
 
+# Runs under `python -S`: no site hook can have loaded a module before the CLI does.
+_STDLIB_PROBE = """
+import contextlib, io, json, sys
+
+src, net, pattern = sys.argv[1:]
+sys.path.insert(0, src)
+import strucnet.cli
+
+commands = [
+    ["check", net], ["check", net, "--json"], ["rank", pattern], ["topo", net],
+    *(["export-dot", net, "--which", which]
+      for which in ("assembled", "assembled-shifted", "interconnection", "topology")),
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [strucnet.cli.main(argv) for argv in commands]
+heavy = sorted({"dataclasses", "inspect", "pathlib", "typing"} & set(sys.modules))
+print(json.dumps([codes, heavy]))
+"""
+
+
+def test_cli_loads_no_dataclasses_inspect_pathlib_or_typing():
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _STDLIB_PROBE,
+         str(REPO_ROOT / "src"), str(NETWORK_FILE), str(INTERCONNECTION_FILE)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 1, 0, 0, 0, 0, 0], []]
+
+
 def test_missing_subcommand_rejected(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])

@@ -1,7 +1,5 @@
 """Graph construction, both color change rules, certificates, DOT export."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -309,8 +307,7 @@ def test_colorings_match_the_edge_set_reference(pattern):
 @settings(max_examples=200, deadline=None)
 @given(wide_patterns())
 def test_coloring_keeps_the_certificate_and_derives_the_black_set(pattern):
-    fields = [f.name for f in dataclasses.fields(ColoringResult)]
-    assert fields == ["forcing_sequence", "uncolored", "seeds"]
+    assert ColoringResult.__match_args__ == ("forcing_sequence", "uncolored", "seeds")
     graph = build_graph(pattern)
     for result in (color_change(graph), weak_color_change(graph)):
         assert result.derived_set == result.seeds | {t for _, t in result.forcing_sequence}

@@ -1,6 +1,5 @@
 """Network validation, assembly, controllability tests, topology, JSON IO."""
 
-import dataclasses
 import gc
 
 import numpy as np
@@ -31,7 +30,7 @@ from strucnet import (
     validate,
 )
 from strucnet import network as network_module
-from strucnet.pattern import block_diag, hstack, pat_add, pat_mul
+from strucnet.pattern import Record, block_diag, hstack, pat_add, pat_mul
 from conftest import (
     A1,
     A2,
@@ -405,12 +404,12 @@ def chain_network(num_nodes: int, size: int) -> StructuredNetwork:
 
 
 def _patterns_in(obj, found: list) -> list:
-    """Every PatternMatrix reachable from obj through dataclass fields, tuples and lists."""
+    """Every PatternMatrix reachable from obj through record fields, tuples and lists."""
     if isinstance(obj, PatternMatrix):
         found.append(obj)
-    elif dataclasses.is_dataclass(obj):
-        for field in dataclasses.fields(obj):
-            _patterns_in(getattr(obj, field.name), found)
+    elif isinstance(obj, Record):
+        for name in obj.__match_args__:
+            _patterns_in(getattr(obj, name), found)
     elif isinstance(obj, (tuple, list)):
         for item in obj:
             _patterns_in(item, found)

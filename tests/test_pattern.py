@@ -1,8 +1,11 @@
 """Symbol algebra, pattern matrix operations, sampling, and block assembly."""
 
-import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -19,8 +22,11 @@ from strucnet import (
     PatternParseError,
     load_pattern,
 )
-from strucnet.network import is_network_controllable
+from strucnet.network import analyze, is_network_controllable
+from strucnet.oracle import AuditConfig, AuditOutcome
 from strucnet.pattern import (
+    FrozenRecord,
+    Record,
     _check_rows,
     block_diag,
     hstack,
@@ -29,7 +35,7 @@ from strucnet.pattern import (
     pat_shift,
     sample_realization,
 )
-from conftest import A1, C_NODE
+from conftest import A1, C_NODE, NETWORK_FILE, REPO_ROOT
 
 from helpers import (
     SYMBOLS,
@@ -665,6 +671,114 @@ def test_load_pattern_rejects_bad_json(tmp_path):
         load_pattern(path)
 
 
+# Run with the demo network on stdin: reading fd 0 would parse it.
+_FD_PROBE = """
+import sys
+from strucnet import load_network, load_pattern
+for load in (load_pattern, load_network):
+    try:
+        load(0)
+    except TypeError:
+        print(load.__name__, "TypeError")
+sys.stdout.write(sys.stdin.read())
+"""
+
+
+def test_loaders_reject_an_int_path_without_reading_stdin():
+    text = NETWORK_FILE.read_text()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _FD_PROBE], input=text, capture_output=True, text=True,
+        env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "load_pattern TypeError\nload_network TypeError\n" + text
+
+
+def _records() -> dict:
+    """One instance of every record type, each built afresh from the demo network."""
+    network = strucnet.load_network(NETWORK_FILE)
+    report = analyze(network)
+    check = report.network_check
+    return {
+        PatternMatrix: network.W,
+        strucnet.PatternGraph: strucnet.build_graph(check.patterns[0]),
+        strucnet.ColoringResult: check.plain,
+        strucnet.NodeSystem: network.nodes[0],
+        strucnet.StructuredNetwork: network,
+        strucnet.SystemCheck: check,
+        strucnet.AnalysisReport: report,
+        AuditConfig: AuditConfig(trials=3, seed=1),
+        AuditOutcome: AuditOutcome(trials_run=3, failures=1, first_failure=(2, "rank 7 < 12")),
+    }
+
+
+RECORD_TYPES = list(_records())
+MUTABLE_RECORDS = (strucnet.AnalysisReport, AuditOutcome)
+
+
+@pytest.mark.parametrize("kind", RECORD_TYPES, ids=lambda kind: kind.__name__)
+def test_records_compare_hash_and_print_by_field(kind):
+    first, second = _records()[kind], _records()[kind]
+    assert isinstance(first, Record) and first is not second
+    assert first == second and not first != second
+    values = tuple(getattr(first, name) for name in kind.__match_args__)
+    assert first != values and first != list(values)
+    for other in _records().values():
+        if type(other) is not kind:
+            assert first != other and not first == other
+    if kind in MUTABLE_RECORDS:
+        with pytest.raises(TypeError):
+            hash(first)
+    else:
+        assert hash(first) == hash(second) == hash(values)
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(kind.__match_args__, values))
+    assert repr(first) == f"{kind.__name__}({fields})"
+
+
+@pytest.mark.parametrize(
+    "kind", [kind for kind in RECORD_TYPES if kind not in MUTABLE_RECORDS],
+    ids=lambda kind: kind.__name__,
+)
+def test_frozen_records_refuse_assignment_and_deletion(kind):
+    record = _records()[kind]
+    assert isinstance(record, FrozenRecord)
+    before = {name: getattr(record, name) for name in kind.__match_args__}
+    for name in (*kind.__match_args__, "not_a_field"):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field {name!r}$"):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError, match=f"^cannot delete field {name!r}$"):
+            delattr(record, name)
+    assert {name: getattr(record, name) for name in kind.__match_args__} == before
+
+
+def test_record_constructors_keep_their_forms():
+    assert repr(AuditConfig()) == "AuditConfig(trials=100, seed=0)"
+    assert AuditOutcome() == AuditOutcome(0, 0, None)
+    outcome = AuditOutcome()
+    outcome.record(4, "rank 1 < 2")
+    assert outcome == AuditOutcome(trials_run=1, failures=1, first_failure=(4, "rank 1 < 2"))
+    coloring = strucnet.ColoringResult(forcing_sequence=((2, 1),), uncolored=frozenset())
+    assert coloring.seeds == frozenset() and coloring.colorable
+    assert repr(PatternMatrix.from_rows(2, [((1, STAR),)])) == (
+        "PatternMatrix(cols=2, row_nonzeros=(((1, '*'),),))"
+    )
+    network = strucnet.load_network(NETWORK_FILE)
+    rebuilt = strucnet.StructuredNetwork(nodes=list(network.nodes), W=network.W, H=network.H)
+    assert type(rebuilt.nodes) is tuple and rebuilt == network
+    assert weakref.ref(rebuilt)() is rebuilt
+    # cached views land in the instance dict next to the fields
+    matrix = network.W
+    assert list(vars(matrix)) == ["cols", "row_nonzeros"]
+    matrix.nonzeros
+    assert list(vars(matrix)) == ["cols", "row_nonzeros", "nonzeros"]
+    assert "to_dict" in vars(strucnet.AnalysisReport)
+    assert "from_tokens" in vars(PatternMatrix)
+
+
 def test_public_surface_is_pinned():
     assert sorted(strucnet.__all__) == [
         "ANY", "AnalysisReport", "AssumptionViolated", "ColoringResult",
@@ -683,5 +797,5 @@ def test_public_surface_is_pinned():
     assert not hasattr(PatternMatrix, "from_text")
     with pytest.raises(TypeError):
         PatternMatrix([[STAR]])
-    assert [field.name for field in dataclasses.fields(strucnet.NodeSystem)] == ["A", "B", "C"]
+    assert strucnet.NodeSystem.__match_args__ == ("A", "B", "C")
     assert not hasattr(strucnet.StructuredNetwork, "total_states")

@@ -72,6 +72,7 @@ class StructuredNetwork(FrozenRecord):
     def violations(self) -> tuple[str, ...]:
         """Located dimension and one-star messages; validate() returns a list copy."""
         violations: list[str] = []
+        passed = (set(), set())  # ids of the B, and the C, objects whose one-star check found nothing
         for k, node in enumerate(self.nodes, start=1):
             n, at = node.A.rows, f"node {k}, matrix"
             if node.A.rows != node.A.cols:
@@ -80,8 +81,12 @@ class StructuredNetwork(FrozenRecord):
                 violations.append(f"{at} B: has {node.B.rows} rows, expected {n} to match A")
             if node.C.cols != n:
                 violations.append(f"{at} C: has {node.C.cols} columns, expected {n} to match A")
-            violations.extend(_check_single_star(node.B, f"{at} B", by_row=False))
-            violations.extend(_check_single_star(node.C, f"{at} C", by_row=True))
+            for by_row, name, m in ((False, "B", node.B), (True, "C", node.C)):
+                if id(m) not in passed[by_row]:
+                    found = _check_single_star(m, f"{at} {name}", by_row)
+                    violations.extend(found)
+                    if not found:
+                        passed[by_row].add(id(m))
 
         r = sum(node.B.cols for node in self.nodes)
         p = sum(node.C.rows for node in self.nodes)
@@ -258,6 +263,7 @@ def node_necessary_check(
     with zeros, z is a left null vector of a realization of [A+BWC BH] (or
     its shift), as z_k^T B_k' = 0 cancels both BWC and BH; it vanishes on
     every forced row, so a state of node k stays uncolored in the verdict.
+    Colored nodes that hold the same A and B objects are colored once.
     Returns (node number, controllable) per node, numbered from 1.
     """
     require_valid(network)
@@ -265,13 +271,17 @@ def node_necessary_check(
     if verdict is not None and verdict.patterns[0].rows != states:
         raise DimensionMismatch(f"the verdict has {verdict.patterns[0].rows} states, not {states}")
     suspects = range(len(nodes)) if verdict is None else sorted(_failing(nodes, verdict))
-    picked = tuple(nodes[k] for k in suspects)
+    sharing: dict[tuple[int, int], list[int]] = {}  # (id(A), id(B)) -> the suspects that have them
+    for k in suspects:
+        sharing.setdefault((id(nodes[k].A), id(nodes[k].B)), []).append(k)
     failed = set()
-    if len(picked) == len(nodes):
+    if len(sharing) == len(nodes):
         failed = _failing(nodes, check_structured_system(network.A_blk, network.B_blk))
-    elif picked:  # the suspects' block diagonals are temporaries, not cached
+    elif sharing:  # one block per distinct pair; these block diagonals are temporaries
+        groups = list(sharing.values())
+        picked = [nodes[group[0]] for group in groups]
         blocks = block_diag([node.A for node in picked]), block_diag([node.B for node in picked])
-        failed = {suspects[k] for k in _failing(picked, check_structured_system(*blocks))}
+        failed = {k for p in _failing(picked, check_structured_system(*blocks)) for k in groups[p]}
     return [(k + 1, k not in failed) for k in range(len(nodes))]
 
 
@@ -389,7 +399,8 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
     ...]} (see PatternMatrix.from_json). The rows, and the columns, of all
     matrices together may not pass MAX_SPARSE_SIZE; the matrix that
     crosses it is named. Shape consistency beyond that is left to
-    validate().
+    validate(). Node matrices given as equal token grids share one
+    PatternMatrix, and each still counts toward that limit.
     """
     if not isinstance(obj, dict):
         raise NetworkFormatError(f"expected a JSON object, got {type(obj).__name__}")
@@ -398,13 +409,25 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
     if not isinstance(obj["nodes"], list) or not obj["nodes"]:
         raise NetworkFormatError("'nodes' must be a non-empty list")
     rows = cols = 0
+    shared: dict[tuple, PatternMatrix] = {}  # a node matrix's token grid, as tuples -> its pattern
 
-    def read(where: str, raw) -> PatternMatrix:
+    def read(where: str, raw, share: bool = False) -> PatternMatrix:
         nonlocal rows, cols
-        try:
-            matrix = PatternMatrix.from_json(raw)
-        except (PatternParseError, DimensionMismatch) as exc:
-            raise NetworkFormatError(f"{where}: {exc}") from None
+        key = matrix = None
+        # only list rows are keyed: tuple() of a str row would pose as a row of tokens
+        if share and type(raw) is list and set(map(type, raw)) == {list}:
+            key = tuple(map(tuple, raw))
+            try:
+                matrix = shared.get(key)
+            except TypeError:  # an unhashable token, which from_json names
+                key = None
+        if matrix is None:
+            try:
+                matrix = PatternMatrix.from_json(raw)
+            except (PatternParseError, DimensionMismatch) as exc:
+                raise NetworkFormatError(f"{where}: {exc}") from None
+            if key is not None:
+                shared[key] = matrix
         rows += matrix.rows
         cols += matrix.cols
         if rows > MAX_SPARSE_SIZE or cols > MAX_SPARSE_SIZE:
@@ -423,7 +446,7 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
         for name in ("A", "B", "C"):
             if name not in entry:
                 raise NetworkFormatError(f"nodes[{k}] is missing matrix '{name}'")
-            matrices[name] = read(f"nodes[{k}].{name}", entry[name])
+            matrices[name] = read(f"nodes[{k}].{name}", entry[name], share=True)
         nodes.append(NodeSystem(matrices["A"], matrices["B"], matrices["C"]))
     matrices = {}
     for name in ("W", "H"):

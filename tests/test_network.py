@@ -359,6 +359,89 @@ def test_node_screen_given_the_verdict_equals_the_full_screen(net):
     assert analyze(net).node_checks == full
 
 
+def test_node_screen_colors_a_repeated_node_once(monkeypatch):
+    # with no external input every state is left uncolored, so all three
+    # nodes are suspects; they hold one (A, B) pair, colored as one node
+    a, b = REPEATED_PAIRS[3]
+    net = StructuredNetwork(
+        (NodeSystem(a, b, C_NODE),) * 3, PatternMatrix.zeros(6, 6), PatternMatrix.zeros(6, 1)
+    )
+    verdict = is_network_controllable(net)
+    calls = []
+    original = network_module.check_structured_system
+
+    def spy(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(network_module, "check_structured_system", spy)
+    for given_verdict in (verdict, None):
+        calls.clear()
+        assert node_necessary_check(net, given_verdict) == [(1, False), (2, False), (3, False)]
+        assert calls == [(a, b)]
+
+
+def _copy(m: PatternMatrix) -> PatternMatrix:
+    return PatternMatrix.from_rows(m.cols, m.row_nonzeros)
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks(repeat_nodes=True))
+def test_shared_node_objects_give_the_answers_of_equal_copies(net):
+    # the screen and the one-star memo key on objects; equal copies must not
+    # change an answer
+    copies = StructuredNetwork(
+        [NodeSystem(_copy(node.A), _copy(node.B), _copy(node.C)) for node in net.nodes],
+        net.W,
+        net.H,
+    )
+    assert copies == net
+    assert node_necessary_check(copies) == node_necessary_check(net)
+    assert analyze(copies).to_dict() == analyze(net).to_dict()
+
+
+def test_a_shared_failing_block_is_reported_at_every_node_that_has_it():
+    # the B of nodes 1 and 3 has two stars in its column and the C of nodes 2
+    # and 3 a '?'; only blocks that passed are checked once
+    a, good_b, good_c = PatternMatrix.zeros(2, 2), parse("*\n0"), parse("* 0")
+    bad_b, bad_c = parse("*\n*"), parse("? 0")
+    pairs = ((bad_b, good_c), (good_b, bad_c), (bad_b, bad_c), (good_b, good_c))
+
+    def network(share: bool) -> StructuredNetwork:
+        nodes = [NodeSystem(a, b if share else _copy(b), c if share else _copy(c)) for b, c in pairs]
+        return StructuredNetwork(nodes, PatternMatrix.zeros(4, 4), pat_identity(4))
+
+    two_stars = "column 1 has 2 '*' entries, expected exactly one"
+    any_entry = "'?' entry at row 1, column 1 is not allowed"
+    no_star = "row 1 has 0 '*' entries, expected exactly one"
+    expected = [
+        f"node 1, matrix B: {two_stars}",
+        f"node 2, matrix C: {any_entry}",
+        f"node 2, matrix C: {no_star}",
+        f"node 3, matrix B: {two_stars}",
+        f"node 3, matrix C: {any_entry}",
+        f"node 3, matrix C: {no_star}",
+    ]
+    assert validate(network(share=True)) == validate(network(share=False)) == expected
+
+
+def test_a_block_that_passes_as_b_is_checked_again_as_c():
+    # the two equal grids parse to one object, which has one '*' per column
+    # but two in its row
+    wide = [["*", "*"]]
+    obj = {
+        "nodes": [
+            {"A": [["0"]], "B": wide, "C": [["*"]]},
+            {"A": [["0", "0"], ["0", "0"]], "B": [["*"], ["0"]], "C": wide},
+        ],
+        "W": [["0", "0"]] * 3,
+        "H": [["*"]] * 3,
+    }
+    net = network_from_dict(obj)
+    assert net.nodes[0].B is net.nodes[1].C
+    assert validate(net) == ["node 2, matrix C: row 1 has 2 '*' entries, expected exactly one"]
+
+
 @settings(max_examples=100, deadline=None)
 @given(networks(), st.booleans())
 def test_cached_views_equal_a_fresh_computation(net, broken):
@@ -624,6 +707,65 @@ def test_network_from_dict_layout_messages_are_exact(obj, message):
     with pytest.raises(NetworkFormatError) as excinfo:
         network_from_dict(obj)
     assert str(excinfo.value) == message
+
+
+def test_equal_dense_node_grids_share_one_pattern():
+    # equal grids, even as separate lists, give the node matrices one object;
+    # W, H and sparse node matrices are parsed one by one
+    dense_grid = [["0", "*"], ["*", "0"]]
+    sparse = {"shape": [2, 2], "entries": [[1, 2, "*"], [2, 1, "*"]]}
+    obj = {
+        "nodes": [
+            {"A": dense_grid, "B": dense_grid, "C": dense_grid},
+            {"A": sparse, "B": sparse, "C": sparse},
+            {"A": [list(row) for row in dense_grid], "B": dense_grid, "C": dense_grid},
+        ],
+        "W": dense_grid,
+        "H": dense_grid,
+    }
+    net = network_from_dict(obj)
+    first, second, third = net.nodes
+    assert first.A is first.B is first.C is third.A is third.C
+    assert second.A == second.B == first.A
+    assert second.A is not second.B and second.A is not first.A
+    assert net.W == net.H == first.A
+    assert net.W is not first.A and net.H is not first.A and net.W is not net.H
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_identical_nodes_each_count_toward_the_file_limit(sparse):
+    # four nodes of three 100,000-row matrices each: the fourth node's B
+    # crosses the limit, whether its grid is shared or each matrix is sparse
+    tall = {"shape": [100_000, 1], "entries": []} if sparse else [["0"]] * 100_000
+    obj = {"nodes": [{"A": tall, "B": tall, "C": tall}] * 4, "W": [["*"]], "H": [["*"]]}
+    with pytest.raises(NetworkFormatError) as excinfo:
+        network_from_dict(obj)
+    assert str(excinfo.value) == (
+        "nodes[3].B: brings the file to 1100000 rows, "
+        "over the limit of 1000000 for all matrices together"
+    )
+
+
+@pytest.mark.parametrize("token", ["x", ["*"], {"*": 1}, None], ids=["str", "list", "object", "null"])
+def test_a_repeated_bad_grid_is_reported_at_its_first_position(token):
+    good = {"A": [["0"]], "B": [["*"]], "C": [["*"]]}
+    bad = {"A": [["0"]], "B": [["*"]], "C": [["*", token]]}
+    obj = {"nodes": [good, bad, bad, {**bad, "C": [["*", token]]}], "W": [["0"] * 4] * 4, "H": [["*"]] * 4}
+    with pytest.raises(NetworkFormatError) as excinfo:
+        network_from_dict(obj)
+    assert str(excinfo.value) == (
+        f"nodes[1].C: row 1, column 2: invalid pattern token {token!r}, "
+        "expected one of '0', '*', '?'"
+    )
+
+
+def test_a_grid_of_string_rows_is_not_taken_for_an_equal_list_grid():
+    # tuple("0*") equals tuple(["0", "*"]), but only list rows are tokens
+    node = {"A": [["0"]], "B": [["*"]], "C": [["0", "*"]]}
+    obj = {"nodes": [node, {**node, "C": ["0*"]}], "W": [["0"] * 2] * 2, "H": [["*"]] * 2}
+    with pytest.raises(NetworkFormatError) as excinfo:
+        network_from_dict(obj)
+    assert str(excinfo.value) == "nodes[1].C: row 1: expected a list of tokens"
 
 
 def test_block_accessors(demo_network):

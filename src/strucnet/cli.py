@@ -4,8 +4,8 @@ Subcommands operate on JSON files (pattern grids or network objects) and
 print reports with machine-checkable certificates. Exit codes: 0 for a
 positive verdict (or a consistent audit), 1 for a negative one, 2 for
 input or usage errors and for an audit whose numeric rank test breaks
-down, and 141 when the reader of stdout goes away before the output is
-written.
+down or whose realizations exceed oracle.MAX_TRIAL_BYTES, and 141 when
+the reader of stdout goes away before the output is written.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ class NetworkFormatError(ValueError):
 
 
 class NumericBreakdown(ValueError):
-    """A numeric routine failed on a sampled realization; the message names the trial."""
+    """A numeric routine failed on a sampled realization, or refused its size; the message says which."""
 
 
 class AssumptionViolated(ValueError):

@@ -127,7 +127,7 @@ class StructuredNetwork(FrozenRecord):
                     col = col_block[j]
                     if symbol is STAR or col not in target:
                         target[col] = symbol
-            summaries.append(PatternMatrix._trusted(width, (sorted(row.items()) for row in rows)))
+            summaries.append(PatternMatrix._trusted(width, (tuple(sorted(row.items())) for row in rows)))
         return summaries[0], summaries[1]
 
 

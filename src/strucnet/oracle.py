@@ -10,6 +10,8 @@ class. This module imports numpy; `import strucnet` does not load it.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .errors import NumericBreakdown
@@ -25,6 +27,13 @@ RANK_TOLERANCE = 1e-8
 #: (see _ChunkSampler); a chunk holds at least one trial, so a network
 #: too large for two gets one trial per chunk, as without chunks.
 _CHUNK_BYTES = 1 << 19
+
+#: The most bytes one trial's arrays (see _ChunkSampler) may take. A larger
+#: network is refused before anything of that size is allocated: an
+#: allocation the system grants but cannot back may end in an out-of-memory
+#: kill rather than a MemoryError. 1 GiB admits up to 4,095 states of
+#: one-state nodes with one external input.
+MAX_TRIAL_BYTES = 1 << 30
 
 
 class AuditConfig(FrozenRecord):
@@ -118,24 +127,29 @@ class _ChunkSampler:
     _CHUNK_BYTES holds, at least one. A trial's share is its sampled
     patterns plus twice the n x nm Kalman matrix and the n x n state
     matrix (the Krylov blocks and their concatenation); numpy's and
-    LAPACK's scratch space comes on top.
+    LAPACK's scratch space comes on top. A network whose share exceeds
+    MAX_TRIAL_BYTES raises NumericBreakdown before its nonzeros are read.
     """
 
     def __init__(self, network: StructuredNetwork):
         patterns = (network.A_blk, network.B_blk, network.C_blk, network.W, network.H)
         self.shapes = [p.shape for p in patterns]
-        self.offsets = [0]
+        self.offsets = list(accumulate((rows * cols for rows, cols in self.shapes), initial=0))
+        n, m = network.A_blk.rows, network.H.cols
+        trial_bytes = 8 * (self.offsets[-1] + 2 * n * n * (m + 1))
+        if trial_bytes > MAX_TRIAL_BYTES:
+            raise NumericBreakdown(
+                f"audit refused: one trial of {n} states needs {trial_bytes} bytes, "
+                f"above the limit of {MAX_TRIAL_BYTES}"
+            )
+        self.per_chunk = max(1, _CHUNK_BYTES // trial_bytes)
         flat, star = [], []
-        for p in patterns:
-            base, cols = self.offsets[-1], p.cols
+        for p, base in zip(patterns, self.offsets):
             for i, j, symbol in p.nonzeros:
-                flat.append(base + i * cols + j)
+                flat.append(base + i * p.cols + j)
                 star.append(symbol is STAR)
-            self.offsets.append(base + p.rows * cols)
         self.flat = np.array(flat, dtype=np.intp)
         self.star = np.array(star, dtype=bool)
-        n, m = network.A_blk.rows, network.H.cols
-        self.per_chunk = max(1, _CHUNK_BYTES // (8 * (self.offsets[-1] + 2 * n * n * (m + 1))))
 
     def sample(self, seed: int, trials: range) -> list[np.ndarray]:
         """The stacked realizations, one (len(trials), rows, cols) array per pattern."""
@@ -184,7 +198,8 @@ def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
     arrays (see _CHUNK_BYTES) and give the outcome of one trial at a time.
     A trial whose rank computation fails raises NumericBreakdown naming
     that trial; arrays that cannot be allocated raise it naming the first
-    trial of their chunk.
+    trial of their chunk, and a network whose trial would take more than
+    MAX_TRIAL_BYTES raises it naming the states and bytes, before sampling.
     """
     require_valid(network)
     n = network.A_blk.rows

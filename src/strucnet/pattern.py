@@ -90,9 +90,9 @@ class PatternMatrix(FrozenRecord):
 
     from_rows is the checked constructor for outside input, and the
     sparse branch of from_json builds through it. from_tokens and the
-    algebra build their rows in order and in range, and wrap them
-    unchecked through _trusted. There is no public __init__: calling
-    PatternMatrix(...) raises TypeError.
+    algebra build their rows in order and in range, as tuples, and wrap
+    them unchecked through _trusted, which keeps the row objects. There is
+    no public __init__: calling PatternMatrix(...) raises TypeError.
     """
 
     __match_args__ = ("cols", "row_nonzeros")
@@ -108,17 +108,17 @@ class PatternMatrix(FrozenRecord):
         check takes O(rows + nonzeros) and a rejected pair is named by its
         1-based row and column.
         """
-        matrix = cls._trusted(cols, rows)
+        matrix = cls._trusted(cols, map(tuple, rows))
         if type(cols) is not int or cols < 1 or not matrix.row_nonzeros:
             raise DimensionMismatch("a pattern matrix needs at least one row and one column")
         _check_rows(cols, matrix.row_nonzeros)
         return matrix
 
     @classmethod
-    def _trusted(cls, cols: int, rows: Iterable[Sequence]) -> "PatternMatrix":
-        """Wrap rows the library built, valid by construction, without checking them."""
+    def _trusted(cls, cols: int, rows: Iterable[tuple]) -> "PatternMatrix":
+        """Wrap tuple rows the library built, valid by construction, as given and unchecked."""
         matrix = object.__new__(cls)
-        matrix.__dict__.update(cols=cols, row_nonzeros=tuple(map(tuple, rows)))
+        matrix.__dict__.update(cols=cols, row_nonzeros=tuple(rows))
         return matrix
 
     @property
@@ -301,7 +301,7 @@ def pat_add(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
         merged = dict(mrow)
         for j, symbol in nrow:
             merged[j] = ANY if j in merged else symbol
-        rows.append(sorted(merged.items()))
+        rows.append(tuple(sorted(merged.items())))
     return PatternMatrix._trusted(m.cols, rows)
 
 
@@ -322,6 +322,9 @@ def pat_mul(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     right = n.row_nonzeros
     rows = []
     for row in m.row_nonzeros:
+        if not row:  # no term: the empty row itself
+            rows.append(row)
+            continue
         if len(row) == 1:  # one term: row k of n, scaled by a
             k, a = row[0]
             rows.append(right[k] if a is STAR else tuple((j, ANY) for j, _ in right[k]))
@@ -330,7 +333,7 @@ def pat_mul(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
         for k, a in row:
             for j, b in right[k]:
                 acc[j] = ANY if j in acc or a is ANY else b
-        rows.append(sorted(acc.items()))
+        rows.append(tuple(sorted(acc.items())))
     return PatternMatrix._trusted(n.cols, rows)
 
 
@@ -422,14 +425,16 @@ def hstack(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
 
 
 def block_diag(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
-    """Block-diagonal pattern with zero off-diagonal blocks."""
+    """Block-diagonal pattern; the first block's rows and empty rows are shared, not copied."""
     blocks = list(blocks)
     if not blocks:
         raise DimensionMismatch("block_diag needs at least one block")
-    rows = []
-    col_off = 0
-    for block in blocks:
-        rows.extend([[(j + col_off, symbol) for j, symbol in row] for row in block.row_nonzeros])
+    rows = list(blocks[0].row_nonzeros)
+    col_off = blocks[0].cols
+    for block in blocks[1:]:
+        rows.extend(
+            [tuple([(j + col_off, s) for j, s in row]) if row else row for row in block.row_nonzeros]
+        )
         col_off += block.cols
     return PatternMatrix._trusted(col_off, rows)
 

@@ -22,7 +22,8 @@ one-entry edits, and a pattern from a grid of symbols (grid) or from
 token text (parse). So are the symbol tables the references fold with
 (SYMBOLS, sym_add, sym_mul) and the other names only tests call: the
 identity pattern, the class-membership test, the dense network writer,
-the Kalman and row-rank audits, the chain network, and the sweeps behind
+the Kalman and row-rank audits, the chain network, the simple-graph
+networks whose verdicts zero forcing publishes, and the sweeps behind
 the theorem that a pattern and its identity shift never both certify full
 row rank. The network audit one trial at a time is kept here as the
 reference that the chunked library audit must match exactly.
@@ -229,6 +230,86 @@ def chain_network(nodes: int) -> StructuredNetwork:
     w = PatternMatrix.from_rows(nodes, [()] + [((k, STAR),) for k in range(nodes - 1)])
     h = PatternMatrix.from_rows(1, [((0, STAR),)] + [()] * (nodes - 1))
     return StructuredNetwork((node,) * nodes, w, h)
+
+
+# Simple graphs on vertices 0..n-1, as (n, edges) with each edge listed once.
+def path_graph(n: int) -> tuple[int, list[tuple[int, int]]]:
+    return n, [(v, v + 1) for v in range(n - 1)]
+
+
+def cycle_graph(n: int) -> tuple[int, list[tuple[int, int]]]:
+    return n, [(v, (v + 1) % n) for v in range(n)]
+
+
+def complete_graph(n: int) -> tuple[int, list[tuple[int, int]]]:
+    return n, list(itertools.combinations(range(n), 2))
+
+
+def complete_bipartite_graph(m: int, n: int) -> tuple[int, list[tuple[int, int]]]:
+    """K_{m,n}: parts 0..m-1 and m..m+n-1."""
+    return m + n, [(u, v) for u in range(m) for v in range(m, m + n)]
+
+
+def hypercube_graph(d: int) -> tuple[int, list[tuple[int, int]]]:
+    """Q_d: vertices are d-bit words, adjacent when they differ in one bit."""
+    return 2**d, [(v, v | 1 << b) for v in range(2**d) for b in range(d) if not v >> b & 1]
+
+
+def petersen_graph() -> tuple[int, list[tuple[int, int]]]:
+    """Outer 5-cycle 0..4, spokes i - i+5, inner pentagram on 5..9."""
+    return 10, [(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)] + [
+        (i + 5, (i + 2) % 5 + 5) for i in range(5)
+    ]
+
+
+def graph_network(
+    graph: tuple[int, list[tuple[int, int]]],
+    driven: Iterable[int],
+    groups: Sequence[Sequence[int]] | None = None,
+) -> StructuredNetwork:
+    """The network of a simple graph that is controllable iff driven is a zero forcing set.
+
+    By default every vertex is a one-state node with A = [?] and B = C = [*],
+    W has a '*' for each edge in both directions, and H has one column per
+    driven vertex, with a '*' in its row; an empty driven set gets one
+    all-zero column. Then A + BWC has '?' on the diagonal and '*' on the
+    edges, its identity shift is the same pattern, and the color change
+    rule on [A+BWC BH] is zero forcing on the graph from the driven set.
+
+    groups, a partition of the vertices, gives the grouped MIMO form of the
+    same network: node k has the states groups[k] in that order, the edges
+    inside a group in its A, B = C = I, and the edges between groups in W.
+    Both forms decide the same pattern, with the states renumbered.
+    """
+    n, edges = graph
+    groups = [[v] for v in range(n)] if groups is None else groups
+    state = {v: i for i, v in enumerate(v for group in groups for v in group)}
+    assert sorted(state) == list(range(n)), "groups must partition the vertices"
+    group_of = {v: k for k, group in enumerate(groups) for v in group}
+    inner: list[list[tuple[int, int]]] = [[] for _ in groups]
+    cross: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+    for u, v in edges:
+        for a, b in ((u, v), (v, u)):
+            if group_of[a] == group_of[b]:
+                inner[group_of[a]].append((a, b))
+            else:
+                cross[state[a]].append((state[b], STAR))
+    nodes = []
+    for group, group_edges in zip(groups, inner):
+        local = {v: i for i, v in enumerate(group)}
+        rows: list[dict[int, str]] = [{i: ANY} for i in range(len(group))]
+        for a, b in group_edges:
+            rows[local[a]][local[b]] = STAR
+        identity = PatternMatrix.from_rows(len(group), [((i, STAR),) for i in range(len(group))])
+        a_k = PatternMatrix.from_rows(len(group), [sorted(row.items()) for row in rows])
+        nodes.append(NodeSystem(a_k, identity, identity))
+    columns = sorted(state[v] for v in set(driven))
+    h_rows: list[list[tuple[int, str]]] = [[] for _ in range(n)]
+    for c, i in enumerate(columns):
+        h_rows[i].append((c, STAR))
+    w = PatternMatrix.from_rows(n, [sorted(row) for row in cross])
+    h = PatternMatrix.from_rows(max(1, len(columns)), h_rows)
+    return StructuredNetwork(nodes, w, h)
 
 
 def enumerate_patterns(rows: int, cols: int):

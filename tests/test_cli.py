@@ -551,6 +551,23 @@ def test_audit_out_of_memory_is_error(capsys, monkeypatch, stage):
     assert err == "error: out of memory in trial 0 (seed 5) for 12 x 12 realizations\n"
 
 
+def test_audit_refuses_a_network_too_large_for_one_trial(capsys, tmp_path):
+    # a chain of 20,000 one-state nodes: one trial would take about 26 GB
+    n = 20_000
+    one = [["*"]]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({
+        "nodes": [{"A": [["0"]], "B": one, "C": one}] * n,
+        "W": {"shape": [n, n], "entries": [[k + 1, k, "*"] for k in range(1, n)]},
+        "H": {"shape": [n, 1], "entries": [[1, 1, "*"]]},
+    }))
+    code, out, err = run(capsys, "audit", path, "--trials", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: audit refused: one trial of 20000 states needs ")
+    assert err.endswith(" bytes, above the limit of 1073741824\n") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_audit_rejects_zero_trials(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["audit", str(NETWORK_FILE), "--trials", "0"])

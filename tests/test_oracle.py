@@ -1,5 +1,6 @@
 """Numeric rank oracle, sampling audits, and exhaustive sweeps (the last in helpers)."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -208,6 +209,41 @@ def test_audit_out_of_memory_names_the_first_trial_of_its_chunk(demo_network):
         with pytest.raises(NumericBreakdown) as excinfo:
             audit_network(demo_network, AuditConfig(trials=per_chunk + 5, seed=1))
     assert str(excinfo.value) == f"out of memory in trial {per_chunk} (seed 1) for 12 x 12 realizations"
+
+
+def trial_bytes(net: StructuredNetwork) -> int:
+    """The bytes of one trial's arrays: the five realizations, twice the Kalman matrix and A."""
+    n, m = net.A_blk.rows, net.H.cols
+    sampled = sum(p.rows * p.cols for p in (net.A_blk, net.B_blk, net.C_blk, net.W, net.H))
+    return 8 * (sampled + 2 * n * n * (m + 1))
+
+
+def test_audit_refuses_a_chain_too_large_for_one_trial_before_allocating_it():
+    net = chain_network(4000)  # 20,000 states
+    is_network_controllable(net)  # the block patterns exist already, as in `strucnet audit`
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericBreakdown) as excinfo:
+            audit_network(net, AuditConfig(trials=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20  # numpy reports its buffers to tracemalloc too
+    need = trial_bytes(net)
+    assert need > 16 * 10**9
+    assert str(excinfo.value) == (
+        f"audit refused: one trial of 20000 states needs {need} bytes, "
+        f"above the limit of {oracle.MAX_TRIAL_BYTES}"
+    )
+
+
+def test_audit_limit_admits_a_trial_of_exactly_its_size(demo_network):
+    need = trial_bytes(demo_network)
+    with mock.patch.object(oracle, "MAX_TRIAL_BYTES", need):
+        assert audit_network(demo_network, AuditConfig(trials=2)).trials_run == 2
+    with mock.patch.object(oracle, "MAX_TRIAL_BYTES", need - 1):
+        with pytest.raises(NumericBreakdown, match=f"^audit refused: one trial of 12 states needs {need} bytes"):
+            audit_network(demo_network, AuditConfig(trials=2))
 
 
 @settings(max_examples=50, deadline=None)

@@ -562,6 +562,48 @@ def test_network_views_give_rows_that_pass_the_check(network):
         assert_rows_pass_the_check(built)
 
 
+class MarkedRow(tuple):
+    """A row whose copy would be a plain tuple, so a shared row shows by identity.
+
+    Plain rows cannot show it: tuple() of a tuple and every empty tuple are
+    the same object whether or not a builder copies them.
+    """
+
+
+def marked(cols: int, rows) -> PatternMatrix:
+    """A pattern of MarkedRow rows, built without _trusted, which is tested on its own."""
+    matrix = object.__new__(PatternMatrix)
+    matrix.__dict__.update(cols=cols, row_nonzeros=tuple(map(MarkedRow, rows)))
+    return matrix
+
+
+def test_trusted_keeps_the_tuple_rows_it_is_given():
+    rows = [MarkedRow(((0, STAR), (2, ANY))), MarkedRow()]
+    built = PatternMatrix._trusted(3, rows)
+    assert type(built.row_nonzeros) is tuple
+    assert all(kept is row for kept, row in zip(built.row_nonzeros, rows, strict=True))
+
+
+def test_block_diag_shares_the_first_blocks_rows_and_every_empty_row():
+    m = marked(2, [((0, STAR),), (), ((0, ANY), (1, STAR))])
+    k = marked(3, [(), ((2, STAR),)])
+    built = block_diag([m, k])
+    assert all(kept is row for kept, row in zip(built.row_nonzeros, m.row_nonzeros))
+    assert built.row_nonzeros[3] is k.row_nonzeros[0]
+    assert built.row_nonzeros[4] == ((4, STAR),)
+    assert dense(built) == dense(block_diag_dense([m, k]))
+
+
+def test_pat_mul_passes_empty_rows_through_and_shares_single_star_rows():
+    m = marked(2, [(), ((1, STAR),), ((1, ANY),), ((0, STAR), (1, STAR))])
+    n = marked(3, [((0, STAR), (2, ANY)), ((1, STAR),)])
+    built = pat_mul(m, n)
+    assert built.row_nonzeros[0] is m.row_nonzeros[0] and built.row_nonzeros[0] == ()
+    assert built.row_nonzeros[1] is n.row_nonzeros[1]
+    assert built.row_nonzeros[2:] == (((1, ANY),), ((0, STAR), (1, STAR), (2, ANY)))
+    assert dense(built) == dense(pat_mul_fold(m, n))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda r: st.integers(1, 8).flatmap(lambda c: sparse_patterns(r, c))))
 @example(PatternMatrix.zeros(2, 3))

@@ -135,8 +135,8 @@ def _cmd_audit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2)
     network = load_network(args.path)
+    outcome = audit_network(network, cfg)  # first: refuses a network too large before its verdict
     verdict = is_network_controllable(network)
-    outcome = audit_network(network, cfg)
     consistent = not (verdict.controllable and outcome.failures > 0)
     payload = {
         "symbolic_controllable": verdict.controllable,

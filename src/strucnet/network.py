@@ -15,10 +15,10 @@ C block, no '?'). Under that restriction the symbolic products used here
 are class-exact, so colorability of the two assembled patterns decides
 strong structural controllability of the whole family. Two cheaper
 necessary conditions are also provided: every node system must itself be
-controllable (two colorings of the block pair decide all nodes), and the
+controllable (the two-pattern test on each pair (A_k, B_k)), and the
 per-block topology summary of (W, H) must be weakly colorable. A failing
 node's left null vector, padded with zeros, is the network's and vanishes
-on forced rows, so analyze colors only nodes the verdict left uncolored.
+on forced rows, so analyze tests only nodes the verdict left uncolored.
 
 A StructuredNetwork is frozen, so each view derived from it is computed
 once and shared by every stage; each stage still validates first.
@@ -252,18 +252,17 @@ def node_necessary_check(
     """Run the per-node controllability test; any failure rules the network out.
 
     A controllable network needs every node system (A_k, B_k) to be
-    controllable on its own, so this is a cheap necessary screen. The graph
-    of [A_blk B_blk] is the disjoint union of the node graphs and the color
-    change rule acts within each, so the two colorings of the block pair
-    decide all nodes: node k fails iff one of its states stays uncolored in
-    either. Given the verdict is_network_controllable(network), only nodes
-    owning a state it left uncolored are colored and the rest pass, with
-    the same answer: if node k fails, some realization has z_k != 0 with
-    z_k^T [A_k' B_k'] = 0 (or [M_k B_k'], M_k in the class of A_k+I). Padded
-    with zeros, z is a left null vector of a realization of [A+BWC BH] (or
-    its shift), as z_k^T B_k' = 0 cancels both BWC and BH; it vanishes on
-    every forced row, so a state of node k stays uncolored in the verdict.
-    Colored nodes that hold the same A and B objects are colored once.
+    controllable on its own, so this is a cheap necessary screen: each
+    suspect node's pair is decided by check_structured_system, and nodes
+    that hold the same A and B objects are decided once. With no verdict
+    every node is a suspect. Given the verdict
+    is_network_controllable(network), only nodes owning a state it left
+    uncolored are suspects and the rest pass, with the same answer: if
+    node k fails, some realization has z_k != 0 with z_k^T [A_k' B_k'] = 0
+    (or [M_k B_k'], M_k in the class of A_k+I). Padded with zeros, z is a
+    left null vector of a realization of [A+BWC BH] (or its shift), as
+    z_k^T B_k' = 0 cancels both BWC and BH; it vanishes on every forced
+    row, so a state of node k stays uncolored in the verdict.
     Returns (node number, controllable) per node, numbered from 1.
     """
     require_valid(network)
@@ -271,18 +270,14 @@ def node_necessary_check(
     if verdict is not None and verdict.patterns[0].rows != states:
         raise DimensionMismatch(f"the verdict has {verdict.patterns[0].rows} states, not {states}")
     suspects = range(len(nodes)) if verdict is None else sorted(_failing(nodes, verdict))
-    sharing: dict[tuple[int, int], list[int]] = {}  # (id(A), id(B)) -> the suspects that have them
+    passes = [True] * len(nodes)
+    decided: dict[tuple[int, int], bool] = {}  # (id(A), id(B)) -> that pair's answer
     for k in suspects:
-        sharing.setdefault((id(nodes[k].A), id(nodes[k].B)), []).append(k)
-    failed = set()
-    if len(sharing) == len(nodes):
-        failed = _failing(nodes, check_structured_system(network.A_blk, network.B_blk))
-    elif sharing:  # one block per distinct pair; these block diagonals are temporaries
-        groups = list(sharing.values())
-        picked = [nodes[group[0]] for group in groups]
-        blocks = block_diag([node.A for node in picked]), block_diag([node.B for node in picked])
-        failed = {k for p in _failing(picked, check_structured_system(*blocks)) for k in groups[p]}
-    return [(k + 1, k not in failed) for k in range(len(nodes))]
+        a, b = nodes[k].A, nodes[k].B
+        if (id(a), id(b)) not in decided:
+            decided[id(a), id(b)] = check_structured_system(a, b).controllable
+        passes[k] = decided[id(a), id(b)]
+    return list(enumerate(passes, start=1))
 
 
 def extract_topology(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:

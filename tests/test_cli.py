@@ -551,8 +551,13 @@ def test_audit_out_of_memory_is_error(capsys, monkeypatch, stage):
     assert err == "error: out of memory in trial 0 (seed 5) for 12 x 12 realizations\n"
 
 
-def test_audit_refuses_a_network_too_large_for_one_trial(capsys, tmp_path):
-    # a chain of 20,000 one-state nodes: one trial would take about 26 GB
+def test_audit_refuses_a_network_too_large_for_one_trial(capsys, tmp_path, monkeypatch):
+    # a chain of 20,000 one-state nodes: one trial would take about 26 GB;
+    # the refusal comes before the symbolic verdict, which is never computed
+    def no_verdict(network):
+        pytest.fail("audit decided a network it refuses")
+
+    monkeypatch.setattr(cli, "is_network_controllable", no_verdict)
     n = 20_000
     one = [["*"]]
     path = tmp_path / "chain.json"

@@ -302,7 +302,7 @@ REPEATED_PAIRS = ((A1, B_NODE), (A2, B_NODE), (A1, B_NODE), (A1, parse("0 0\n0 0
 
 
 def test_node_necessary_check_decides_repeated_nodes_one_by_one():
-    # the block coloring names each node on its own
+    # a node repeating an earlier pair gets that pair's own answer
     pairs = REPEATED_PAIRS
     nodes = tuple(NodeSystem(a, b, C_NODE) for a, b in pairs)
     net = StructuredNetwork(nodes, PatternMatrix.zeros(8, 8), filled(8, 1, STAR))
@@ -314,11 +314,23 @@ def test_node_necessary_check_decides_repeated_nodes_one_by_one():
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(networks(), networks(repeat_nodes=True)))
 def test_node_screen_equals_the_per_node_test(net):
-    # the two colorings of the block pair decide each node as its own pair would
+    # every node gets the answer of its own pair, repeated objects or not
     assert node_necessary_check(net) == [
         (k, check_structured_system(node.A, node.B).controllable)
         for k, node in enumerate(net.nodes, start=1)
     ]
+
+
+def _spy_on_the_pair_test(monkeypatch) -> list:
+    calls = []
+    original = network_module.check_structured_system
+
+    def spy(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(network_module, "check_structured_system", spy)
+    return calls
 
 
 def test_node_screen_given_the_verdict_colors_only_the_suspect_nodes(monkeypatch, demo_network):
@@ -328,14 +340,7 @@ def test_node_screen_given_the_verdict_colors_only_the_suspect_nodes(monkeypatch
     net = StructuredNetwork(nodes, PatternMatrix.zeros(8, 8), pat_identity(8))
     positive, negative = is_network_controllable(demo_network), is_network_controllable(net)
     assert positive.controllable and not negative.controllable
-    calls = []
-    original = network_module.check_structured_system
-
-    def spy(a, b):
-        calls.append((a, b))
-        return original(a, b)
-
-    monkeypatch.setattr(network_module, "check_structured_system", spy)
+    calls = _spy_on_the_pair_test(monkeypatch)
     assert node_necessary_check(demo_network, positive) == [(1, True), (2, True), (3, True)]
     assert calls == []
     assert node_necessary_check(net, negative) == [(1, True), (2, True), (3, True), (4, False)]
@@ -359,22 +364,38 @@ def test_node_screen_given_the_verdict_equals_the_full_screen(net):
     assert analyze(net).node_checks == full
 
 
+def test_node_screen_decides_each_distinct_suspect_pair_once(monkeypatch):
+    # only node 1 gets external inputs, so the verdict colors it and leaves
+    # nodes 2-4 uncolored: two suspects share (A2, B_NODE), node 4 fails
+    pairs = ((A1, B_NODE), (A2, B_NODE), (A2, B_NODE), REPEATED_PAIRS[3])
+    nodes = tuple(NodeSystem(a, b, C_NODE) for a, b in pairs)
+    net = StructuredNetwork(nodes, PatternMatrix.zeros(8, 8), parse("* 0\n0 *" + "\n0 0" * 6))
+    verdict = is_network_controllable(net)
+    calls = _spy_on_the_pair_test(monkeypatch)
+    assert node_necessary_check(net, verdict) == [(1, True), (2, True), (3, True), (4, False)]
+    assert len(calls) == 2
+    for (a, b), (want_a, want_b) in zip(calls, (pairs[1], pairs[3])):
+        assert a is want_a and b is want_b
+
+
+def test_node_screen_without_a_verdict_decides_every_node_on_its_own(monkeypatch, demo_network):
+    calls = _spy_on_the_pair_test(monkeypatch)
+    assert node_necessary_check(demo_network) == [(1, True), (2, True), (3, True)]
+    assert len(calls) == len(demo_network.nodes)
+    for (a, b), node in zip(calls, demo_network.nodes):
+        assert a is node.A and b is node.B
+    assert (demo_network.A_blk, demo_network.B_blk) not in calls
+
+
 def test_node_screen_colors_a_repeated_node_once(monkeypatch):
     # with no external input every state is left uncolored, so all three
-    # nodes are suspects; they hold one (A, B) pair, colored as one node
+    # nodes are suspects; they hold one (A, B) pair, decided once
     a, b = REPEATED_PAIRS[3]
     net = StructuredNetwork(
         (NodeSystem(a, b, C_NODE),) * 3, PatternMatrix.zeros(6, 6), PatternMatrix.zeros(6, 1)
     )
     verdict = is_network_controllable(net)
-    calls = []
-    original = network_module.check_structured_system
-
-    def spy(a, b):
-        calls.append((a, b))
-        return original(a, b)
-
-    monkeypatch.setattr(network_module, "check_structured_system", spy)
+    calls = _spy_on_the_pair_test(monkeypatch)
     for given_verdict in (verdict, None):
         calls.clear()
         assert node_necessary_check(net, given_verdict) == [(1, False), (2, False), (3, False)]

@@ -28,9 +28,9 @@ from .network import (
     extract_topology,
     is_network_controllable,
     load_network,
-    require_valid,
     topology_dict,
     topology_necessary_check,
+    validate,
 )
 from .pattern import PatternMatrix, hstack, load_pattern
 
@@ -150,7 +150,7 @@ def _cmd_audit(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     network = load_network(args.path)
-    require_valid(network)  # every view, also the raw [W H], needs a valid network
+    validate(network)  # every view, also the raw [W H], needs a valid network
     coloring = None  # the interconnection graph is drawn uncolored
     if args.which == "interconnection":
         pattern = hstack(network.W, network.H)

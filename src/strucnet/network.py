@@ -21,7 +21,7 @@ node's left null vector, padded with zeros, is the network's and vanishes
 on forced rows, so analyze tests only nodes the verdict left uncolored.
 
 A StructuredNetwork is frozen, so each view derived from it is computed
-once and shared by every stage; each stage still validates first.
+once and shared by every stage; each stage first calls validate.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class StructuredNetwork(FrozenRecord):
 
     @cached_property
     def violations(self) -> tuple[str, ...]:
-        """Located dimension and one-star messages; validate() returns a list copy."""
+        """Located dimension and one-star messages, empty when the network is valid."""
         violations: list[str] = []
         passed = (set(), set())  # ids of the B, and the C, objects whose one-star check found nothing
         for k, node in enumerate(self.nodes, start=1):
@@ -182,22 +182,17 @@ def _check_single_star(m: PatternMatrix, where: str, by_row: bool) -> list[str]:
     return violations
 
 
-def validate(network: StructuredNetwork) -> list[str]:
+def validate(network: StructuredNetwork) -> None:
     """Check dimensions and the one-star input/output restriction.
 
-    Returns a fresh list of messages such as "node 2, matrix C: row 1 has
-    0 '*' entries, expected exactly one", empty when each node has a
-    square A with matching B and C, each B column and C row holds a single
-    '*', and W, H agree with the block sizes the nodes induce.
+    Raises AssumptionViolated with network.violations, messages such as
+    "node 2, matrix C: row 1 has 0 '*' entries, expected exactly one",
+    unless each node has a square A with matching B and C, each B column
+    and C row holds a single '*', and W, H agree with the block sizes the
+    nodes induce. Every stage calls it first.
     """
-    return list(network.violations)
-
-
-def require_valid(network: StructuredNetwork) -> None:
-    """Raise AssumptionViolated unless validate() finds nothing."""
-    violations = validate(network)
-    if violations:
-        raise AssumptionViolated(violations)
+    if network.violations:
+        raise AssumptionViolated(network.violations)
 
 
 def assemble(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
@@ -207,7 +202,7 @@ def assemble(network: StructuredNetwork) -> tuple[PatternMatrix, PatternMatrix]:
     condition (C has one '*' per row, B one per column), so the pattern
     products are class-exact and either association gives the same grid.
     """
-    require_valid(network)
+    validate(network)
     b_blk = network.B_blk
     coupling = pat_mul(b_blk, pat_mul(network.W, network.C_blk))
     return pat_add(network.A_blk, coupling), pat_mul(b_blk, network.H)
@@ -265,7 +260,7 @@ def node_necessary_check(
     row, so a state of node k stays uncolored in the verdict.
     Returns (node number, controllable) per node, numbered from 1.
     """
-    require_valid(network)
+    validate(network)
     nodes, states = network.nodes, network.A_blk.rows
     if verdict is not None and verdict.patterns[0].rows != states:
         raise DimensionMismatch(f"the verdict has {verdict.patterns[0].rows} states, not {states}")
@@ -288,7 +283,7 @@ def extract_topology(network: StructuredNetwork) -> tuple[PatternMatrix, Pattern
     the nonzeros of W and H sends each to its block through the
     input->node and output->node maps; the network keeps the result.
     """
-    require_valid(network)
+    validate(network)
     return network.topology
 
 
@@ -371,11 +366,11 @@ def _coloring_text(label: str, coloring: ColoringResult) -> str:
 
 
 def analyze(network: StructuredNetwork) -> AnalysisReport:
-    """Validate, then run the full test and the necessary screens.
+    """Run the full test and the necessary screens on a valid network.
 
-    An invalid network raises AssumptionViolated, as every stage does.
+    An invalid network raises AssumptionViolated, as at every stage.
     """
-    require_valid(network)
+    validate(network)
     verdict = is_network_controllable(network)
     return AnalysisReport(
         network_check=verdict,
@@ -393,9 +388,9 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
     rows or the sparse object {"shape": [r, c], "entries": [[i, j, token],
     ...]} (see PatternMatrix.from_json). The rows, and the columns, of all
     matrices together may not pass MAX_SPARSE_SIZE; the matrix that
-    crosses it is named. Shape consistency beyond that is left to
-    validate(). Node matrices given as equal token grids share one
-    PatternMatrix, and each still counts toward that limit.
+    crosses it is named. Shape consistency beyond that is checked by
+    validate, at each stage. Node matrices given as equal token grids
+    share one PatternMatrix, and each still counts toward that limit.
     """
     if not isinstance(obj, dict):
         raise NetworkFormatError(f"expected a JSON object, got {type(obj).__name__}")

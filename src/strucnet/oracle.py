@@ -15,7 +15,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import NumericBreakdown
-from .network import StructuredNetwork, require_valid
+from .network import StructuredNetwork, validate
 from .pattern import STAR, FrozenRecord, Record, _realization_values
 
 
@@ -201,7 +201,7 @@ def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
     trial of their chunk, and a network whose trial would take more than
     MAX_TRIAL_BYTES raises it naming the states and bytes, before sampling.
     """
-    require_valid(network)
+    validate(network)
     n = network.A_blk.rows
     sampler = _ChunkSampler(network)
     outcome = AuditOutcome()

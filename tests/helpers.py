@@ -217,11 +217,13 @@ def audit_network_reference(network: StructuredNetwork, cfg: AuditConfig) -> Aud
     return outcome
 
 
-def chain_network(nodes: int) -> StructuredNetwork:
+def chain_network(nodes: int, diagonal: bool = False) -> StructuredNetwork:
     """A chain of identical 5-state nodes: each node's states form a path
     from its input to its output, node k feeds node k + 1, and the single
-    external input drives node 1."""
-    path = PatternMatrix.from_rows(5, [()] + [((i, STAR),) for i in range(4)])
+    external input drives node 1. With diagonal, each node's A also holds
+    a '*' at every (i, i)."""
+    loop = [((i, STAR),) if diagonal else () for i in range(5)]
+    path = PatternMatrix.from_rows(5, [loop[0]] + [((i, STAR),) + loop[i + 1] for i in range(4)])
     node = NodeSystem(
         A=path,
         B=PatternMatrix.from_rows(1, [((0, STAR),)] + [()] * 4),

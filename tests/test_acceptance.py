@@ -20,7 +20,6 @@ from strucnet import (
     load_pattern,
     node_necessary_check,
     topology_necessary_check,
-    validate,
     weak_color_change,
 )
 from conftest import INTERCONNECTION_FILE, NETWORK_FILE
@@ -146,7 +145,7 @@ def test_criterion_6_necessary_condition_implications(random_suite):
     counterexamples = 0
     controllable = 0
     for network, verdict in zip(networks, verdicts):
-        assert validate(network) == []
+        assert network.violations == ()
         if not verdict:
             continue
         controllable += 1

@@ -30,6 +30,7 @@ from strucnet import (
     validate,
 )
 from strucnet import network as network_module
+from strucnet.oracle import AuditConfig, audit_network
 from strucnet.pattern import Record, block_diag, hstack, pat_add, pat_mul
 from conftest import (
     A1,
@@ -72,8 +73,16 @@ def test_fixture_file_matches_transcription(demo_network):
     assert demo_network == build_demo_network()
 
 
+def rejected(net: StructuredNetwork) -> list[str]:
+    """The violations of the AssumptionViolated that validate(net) raises."""
+    with pytest.raises(AssumptionViolated) as excinfo:
+        validate(net)
+    return excinfo.value.violations
+
+
 def test_validate_demo_network(demo_network):
-    assert validate(demo_network) == []
+    assert validate(demo_network) is None
+    assert demo_network.violations == ()
 
 
 def test_validate_flags_double_star_column():
@@ -81,7 +90,7 @@ def test_validate_flags_double_star_column():
     net = StructuredNetwork(
         (NodeSystem(A1, bad_b, C_NODE),), PatternMatrix.zeros(2, 2), pat_identity(2)
     )
-    violations = validate(net)
+    violations = rejected(net)
     assert len(violations) == 1
     assert violations[0].startswith("node 1, matrix B: column 1 ")
 
@@ -91,7 +100,7 @@ def test_validate_flags_any_in_output_pattern():
     net = StructuredNetwork(
         (NodeSystem(A1, B_NODE, bad_c),), PatternMatrix.zeros(2, 2), pat_identity(2)
     )
-    violations = validate(net)
+    violations = rejected(net)
     assert any(v.startswith("node 1, matrix C: '?'") for v in violations)
     # the '?' also leaves row 1 without its single star
     assert any(v.startswith("node 1, matrix C: row 1 ") for v in violations)
@@ -130,7 +139,7 @@ def test_validate_one_star_messages_are_exact(b, c, expected):
     net = StructuredNetwork(
         (NodeSystem(A1, b, c),), PatternMatrix.zeros(2, 2), pat_identity(2)
     )
-    assert validate(net) == expected
+    assert rejected(net) == expected
 
 
 def test_validate_flags_dimension_problems():
@@ -140,7 +149,7 @@ def test_validate_flags_dimension_problems():
         PatternMatrix.zeros(5, 5),
         PatternMatrix.zeros(3, 1),
     )
-    assert validate(net) == [
+    assert rejected(net) == [
         "node 1, matrix A: must be square, got (2, 3)",
         "node 1, matrix B: has 3 rows, expected 2 to match A",
         "node 1, matrix C: has 3 columns, expected 2 to match A",
@@ -435,15 +444,15 @@ def test_a_shared_failing_block_is_reported_at_every_node_that_has_it():
     two_stars = "column 1 has 2 '*' entries, expected exactly one"
     any_entry = "'?' entry at row 1, column 1 is not allowed"
     no_star = "row 1 has 0 '*' entries, expected exactly one"
-    expected = [
+    expected = (
         f"node 1, matrix B: {two_stars}",
         f"node 2, matrix C: {any_entry}",
         f"node 2, matrix C: {no_star}",
         f"node 3, matrix B: {two_stars}",
         f"node 3, matrix C: {any_entry}",
         f"node 3, matrix C: {no_star}",
-    ]
-    assert validate(network(share=True)) == validate(network(share=False)) == expected
+    )
+    assert network(share=True).violations == network(share=False).violations == expected
 
 
 def test_a_block_that_passes_as_b_is_checked_again_as_c():
@@ -460,26 +469,22 @@ def test_a_block_that_passes_as_b_is_checked_again_as_c():
     }
     net = network_from_dict(obj)
     assert net.nodes[0].B is net.nodes[1].C
-    assert validate(net) == ["node 2, matrix C: row 1 has 2 '*' entries, expected exactly one"]
+    assert net.violations == ("node 2, matrix C: row 1 has 2 '*' entries, expected exactly one",)
 
 
 @settings(max_examples=100, deadline=None)
 @given(networks(), st.booleans())
 def test_cached_views_equal_a_fresh_computation(net, broken):
     # a broken network's node 1 has input columns without a '*', which
-    # validate reports; the network keeps its views either way
+    # violations lists; the network keeps its views either way
     if broken:
         first = net.nodes[0]
         bad = NodeSystem(first.A, PatternMatrix.zeros(*first.B.shape), first.C)
         net = StructuredNetwork((bad, *net.nodes[1:]), net.W, net.H)
-    violations = validate(net)
-    assert violations == validate(StructuredNetwork(net.nodes, net.W, net.H))
+    violations = net.violations
+    assert violations == StructuredNetwork(net.nodes, net.W, net.H).violations
     assert bool(violations) == broken
-    snapshot = tuple(violations)
-    violations.append("extra")
-    assert tuple(validate(net)) == snapshot
-    validate(net).clear()
-    assert tuple(validate(net)) == snapshot
+    assert net.violations is violations
     for name in ("A", "B", "C"):
         view = getattr(net, f"{name}_blk")
         assert view == block_diag_dense([getattr(node, name) for node in net.nodes])
@@ -614,7 +619,7 @@ def test_necessary_conditions_follow_from_controllability():
     controllable_seen = 0
     for _ in range(200):
         net = random_network(rng)
-        assert validate(net) == []
+        assert net.violations == ()
         if is_network_controllable(net).controllable:
             controllable_seen += 1
             # without a verdict, so the screen runs in full
@@ -642,14 +647,51 @@ def test_analyze_demo(demo_network):
 
 
 def test_analyze_invalid_network_reports_only_violations():
-    """analyze raises, like every stage, with exactly the violations validate lists."""
+    """analyze raises, like every stage, with exactly the network's violations."""
     bad_b = PatternMatrix.zeros(4, 2)
     net = StructuredNetwork(
         (NodeSystem(A1, bad_b, C_NODE),), PatternMatrix.zeros(2, 2), pat_identity(2)
     )
     with pytest.raises(AssumptionViolated) as excinfo:
         analyze(net)
-    assert excinfo.value.violations == validate(net) != []
+    assert excinfo.value.violations == list(net.violations) != []
+
+
+@pytest.mark.parametrize(
+    "stage",
+    [
+        validate,
+        analyze,
+        assemble,
+        is_network_controllable,
+        node_necessary_check,
+        extract_topology,
+        topology_necessary_check,
+        lambda net: audit_network(net, AuditConfig(trials=1)),
+    ],
+    ids=[
+        "validate",
+        "analyze",
+        "assemble",
+        "is_network_controllable",
+        "node_necessary_check",
+        "extract_topology",
+        "topology_necessary_check",
+        "audit_network",
+    ],
+)
+def test_every_stage_raises_the_network_violations_in_order(stage, demo_network):
+    # node 2's B has two stars in column 2, and W is one column short
+    nodes = (NodeSystem(A1, B_NODE, C_NODE), NodeSystem(A2, with_entry(B_NODE, 3, 1, STAR), C_NODE))
+    net = StructuredNetwork(nodes, PatternMatrix.zeros(4, 3), PatternMatrix.zeros(4, 1))
+    assert net.violations == (
+        "node 2, matrix B: column 2 has 2 '*' entries, expected exactly one",
+        "matrix W: has shape (4, 3), expected (4, 4) from node blocks",
+    )
+    with pytest.raises(AssumptionViolated) as excinfo:
+        stage(net)
+    assert excinfo.value.violations == list(net.violations)
+    assert validate(demo_network) is None
 
 
 def test_pattern_rows_leave_the_collector():

@@ -165,6 +165,20 @@ def test_audit_network_rejects_invalid_network():
         audit_network(net, AuditConfig(trials=1))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 8: the audit falsely fails certified chains (9/10 trials at 30 states, "
+    "10/10 at 100), which CI's audit benchmark gate `3 * failed <= attempted` tolerates",
+)
+def test_audit_passes_the_certified_benchmark_chains():
+    # the audit workload's chains of 6 and 20 nodes: 5-state paths with a '*' diagonal
+    for nodes in (6, 20):
+        net = chain_network(nodes, diagonal=True)
+        assert is_network_controllable(net).controllable
+        assert audit_network(net, AuditConfig(trials=10, seed=0)).failures == 0, f"{nodes} nodes"
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     networks(),

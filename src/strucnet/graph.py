@@ -21,10 +21,10 @@ from collections import deque
 from functools import cached_property
 
 from .errors import DimensionMismatch
-from .pattern import STAR, FrozenRecord, PatternMatrix
+from .pattern import STAR, PatternMatrix, Record
 
 
-class PatternGraph(FrozenRecord):
+class PatternGraph(Record):
     """Digraph of a validated pattern; row i's nonzeros are vertex i's in-edges."""
 
     __match_args__ = ("pattern",)
@@ -45,7 +45,7 @@ class PatternGraph(FrozenRecord):
         return frozenset((j + 1, i + 1) for i, j, symbol in self.pattern.nonzeros if symbol is not STAR)
 
 
-class ColoringResult(FrozenRecord):
+class ColoringResult(Record):
     """Outcome of a forcing run: a replayable certificate and what it left white.
 
     forcing_sequence lists (forcer, forced) pairs in the order they were

@@ -18,10 +18,12 @@ necessary conditions are also provided: every node system must itself be
 controllable (the two-pattern test on each pair (A_k, B_k)), and the
 per-block topology summary of (W, H) must be weakly colorable. A failing
 node's left null vector, padded with zeros, is the network's and vanishes
-on forced rows, so analyze tests only nodes the verdict left uncolored.
+on forced rows, so the node screen tests only nodes the verdict left
+uncolored.
 
-A StructuredNetwork is frozen, so each view derived from it is computed
-once and shared by every stage; each stage first calls validate.
+A StructuredNetwork is frozen, so each view derived from it, the verdict
+included, is computed once and shared by every stage; each stage first
+calls validate.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .pattern import (
     ANY,
     MAX_SPARSE_SIZE,
     STAR,
-    FrozenRecord,
     PatternMatrix,
     Record,
     block_diag,
@@ -48,7 +49,7 @@ from .pattern import (
 )
 
 
-class NodeSystem(FrozenRecord):
+class NodeSystem(Record):
     """One node: state pattern A, input pattern B, output pattern C. Reports number nodes from 1."""
 
     __match_args__ = ("A", "B", "C")
@@ -57,7 +58,7 @@ class NodeSystem(FrozenRecord):
         self.__dict__.update(A=A, B=B, C=C)
 
 
-class StructuredNetwork(FrozenRecord):
+class StructuredNetwork(Record):
     """N node systems plus interconnection patterns W (r x p) and H (r x m).
 
     nodes may be any iterable and is kept as a tuple.
@@ -130,8 +131,13 @@ class StructuredNetwork(FrozenRecord):
             summaries.append(PatternMatrix._trusted(width, (tuple(sorted(row.items())) for row in rows)))
         return summaries[0], summaries[1]
 
+    @cached_property
+    def verdict(self) -> SystemCheck:
+        """The two-pattern test of the compact pair; see is_network_controllable."""
+        return check_structured_system(*assemble(self))
 
-class SystemCheck(FrozenRecord):
+
+class SystemCheck(Record):
     """Verdict of the two-pattern rank test, with coloring certificates.
 
     plain certifies the unshifted pattern [A B]; shifted certifies
@@ -230,9 +236,10 @@ def check_structured_system(a: PatternMatrix, b: PatternMatrix) -> SystemCheck:
 def is_network_controllable(network: StructuredNetwork) -> SystemCheck:
     """Decide strong structural controllability of the whole network.
 
-    The network is controllable iff its compact pair (A+BWC, BH) is.
+    The network is controllable iff its compact pair (A+BWC, BH) is. The
+    network keeps the verdict, so every call returns the same object.
     """
-    return check_structured_system(*assemble(network))
+    return network.verdict
 
 
 def _failing(nodes: tuple[NodeSystem, ...], check: SystemCheck) -> set[int]:
@@ -241,33 +248,28 @@ def _failing(nodes: tuple[NodeSystem, ...], check: SystemCheck) -> set[int]:
     return {bisect_right(ends, v - 1) for v in check.plain.uncolored | check.shifted.uncolored}
 
 
-def node_necessary_check(
-    network: StructuredNetwork, verdict: SystemCheck | None = None
-) -> list[tuple[int, bool]]:
+def node_necessary_check(network: StructuredNetwork) -> list[tuple[int, bool]]:
     """Run the per-node controllability test; any failure rules the network out.
 
     A controllable network needs every node system (A_k, B_k) to be
-    controllable on its own, so this is a cheap necessary screen: each
-    suspect node's pair is decided by check_structured_system, and nodes
-    that hold the same A and B objects are decided once. With no verdict
-    every node is a suspect. Given the verdict
-    is_network_controllable(network), only nodes owning a state it left
-    uncolored are suspects and the rest pass, with the same answer: if
-    node k fails, some realization has z_k != 0 with z_k^T [A_k' B_k'] = 0
-    (or [M_k B_k'], M_k in the class of A_k+I). Padded with zeros, z is a
-    left null vector of a realization of [A+BWC BH] (or its shift), as
-    z_k^T B_k' = 0 cancels both BWC and BH; it vanishes on every forced
-    row, so a state of node k stays uncolored in the verdict.
-    Returns (node number, controllable) per node, numbered from 1.
+    controllable on its own, so this is a cheap necessary screen. Only
+    nodes owning a state that the verdict is_network_controllable(network)
+    left uncolored are suspects; each suspect's pair is decided by
+    check_structured_system, nodes that hold the same A and B objects are
+    decided once, and the rest pass, with the answer they would get: if
+    node k fails, some realization has z_k != 0 with
+    z_k^T [A_k' B_k'] = 0 (or [M_k B_k'], M_k in the class of A_k+I).
+    Padded with zeros, z is a left null vector of a realization of
+    [A+BWC BH] (or its shift), as z_k^T B_k' = 0 cancels both BWC and BH;
+    it vanishes on every forced row, so a state of node k stays uncolored
+    in the verdict. Returns (node number, controllable) per node, numbered
+    from 1.
     """
     validate(network)
-    nodes, states = network.nodes, network.A_blk.rows
-    if verdict is not None and verdict.patterns[0].rows != states:
-        raise DimensionMismatch(f"the verdict has {verdict.patterns[0].rows} states, not {states}")
-    suspects = range(len(nodes)) if verdict is None else sorted(_failing(nodes, verdict))
+    nodes = network.nodes
     passes = [True] * len(nodes)
     decided: dict[tuple[int, int], bool] = {}  # (id(A), id(B)) -> that pair's answer
-    for k in suspects:
+    for k in sorted(_failing(nodes, is_network_controllable(network))):
         a, b = nodes[k].A, nodes[k].B
         if (id(a), id(b)) not in decided:
             decided[id(a), id(b)] = check_structured_system(a, b).controllable
@@ -309,10 +311,12 @@ class AnalysisReport(Record):
         topology: tuple[PatternMatrix, PatternMatrix],
         topology_coloring: ColoringResult,
     ):
-        self.network_check = network_check
-        self.node_checks = node_checks
-        self.topology = topology
-        self.topology_coloring = topology_coloring
+        self.__dict__.update(
+            network_check=network_check,
+            node_checks=node_checks,
+            topology=topology,
+            topology_coloring=topology_coloring,
+        )
 
     @property
     def controllable(self) -> bool:
@@ -371,10 +375,9 @@ def analyze(network: StructuredNetwork) -> AnalysisReport:
     An invalid network raises AssumptionViolated, as at every stage.
     """
     validate(network)
-    verdict = is_network_controllable(network)
     return AnalysisReport(
-        network_check=verdict,
-        node_checks=node_necessary_check(network, verdict),
+        network_check=is_network_controllable(network),
+        node_checks=node_necessary_check(network),
         topology=extract_topology(network),
         topology_coloring=topology_necessary_check(network),
     )

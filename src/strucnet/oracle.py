@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NumericBreakdown
 from .network import StructuredNetwork, validate
-from .pattern import STAR, FrozenRecord, Record, _realization_values
+from .pattern import STAR, Record, _realization_values
 
 
 #: A singular value counts toward the numeric rank when it exceeds this
@@ -36,7 +36,7 @@ _CHUNK_BYTES = 1 << 19
 MAX_TRIAL_BYTES = 1 << 30
 
 
-class AuditConfig(FrozenRecord):
+class AuditConfig(Record):
     """Trial count and base seed of an audit run."""
 
     __match_args__ = ("trials", "seed")
@@ -60,16 +60,7 @@ class AuditOutcome(Record):
     def __init__(
         self, trials_run: int = 0, failures: int = 0, first_failure: tuple[int, str] | None = None
     ):
-        self.trials_run = trials_run
-        self.failures = failures
-        self.first_failure = first_failure
-
-    def record(self, trial: int, failure: str | None):
-        self.trials_run += 1
-        if failure is not None:
-            self.failures += 1
-            if self.first_failure is None:
-                self.first_failure = (trial, failure)
+        self.__dict__.update(trials_run=trials_run, failures=failures, first_failure=first_failure)
 
     def to_dict(self) -> dict:
         return {
@@ -204,9 +195,12 @@ def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
     validate(network)
     n = network.A_blk.rows
     sampler = _ChunkSampler(network)
-    outcome = AuditOutcome()
+    failed: list[tuple[int, int]] = []  # (trial, rank) of each trial below full rank
     for start in range(0, cfg.trials, sampler.per_chunk):
         trials = range(start, min(start + sampler.per_chunk, cfg.trials))
-        for trial, rank in zip(trials, _ranks(sampler, cfg, trials, n)):
-            outcome.record(trial, f"controllability rank {rank} < {n}" if rank < n else None)
-    return outcome
+        ranks = _ranks(sampler, cfg, trials, n)
+        failed += [(trial, rank) for trial, rank in zip(trials, ranks) if rank < n]
+    if not failed:
+        return AuditOutcome(cfg.trials)
+    trial, rank = failed[0]
+    return AuditOutcome(cfg.trials, len(failed), (trial, f"controllability rank {rank} < {n}"))

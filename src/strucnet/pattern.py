@@ -39,11 +39,13 @@ _SYMBOL_OF_TOKEN = {"*": STAR, "?": ANY}
 
 
 class Record:
-    """A record of the fields that __match_args__ names, in that order.
+    """An immutable record of the fields that __match_args__ names, in that order.
 
     Records compare equal when they are of the same class and their fields
-    are equal, and their repr lists the fields. A mutable record is not
-    hashable; FrozenRecord adds hashing and refuses assignment.
+    are equal, hash by their fields, and their repr lists the fields. A
+    field cannot be assigned or deleted: __init__ fills the instance
+    __dict__ directly, and functools.cached_property stores its values
+    there too, so cached views still work.
     """
 
     __match_args__: tuple[str, ...] = ()
@@ -60,14 +62,6 @@ class Record:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
         return f"{type(self).__qualname__}({fields})"
 
-
-class FrozenRecord(Record):
-    """An immutable record: hashed by its fields, which cannot be assigned or deleted.
-
-    __init__ fills the instance __dict__ directly, and functools.cached_property
-    stores its values there too, so cached views still work.
-    """
-
     def __hash__(self) -> int:
         return hash(self._values())
 
@@ -78,7 +72,7 @@ class FrozenRecord(Record):
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class PatternMatrix(FrozenRecord):
+class PatternMatrix(Record):
     """Immutable pattern matrix, stored as the sorted nonzeros of each row.
 
     cols is the column count; row_nonzeros holds, for each row, the

@@ -189,23 +189,21 @@ def audit_rank(m: PatternMatrix, cfg: AuditConfig) -> AuditOutcome:
     """
     if m.rows > m.cols:
         raise DimensionMismatch(f"row-rank audit needs rows <= cols, got {m.shape}")
-    outcome = AuditOutcome()
+    failures = []
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, trial])
         values = sample_realization(m, rng)
         rank = _numeric_rank(values)
-        failure = None
         if rank < m.rows:
-            failure = f"numeric row rank {rank} < {m.rows}"
-        outcome.record(trial, failure)
-    return outcome
+            failures.append((trial, f"numeric row rank {rank} < {m.rows}"))
+    return AuditOutcome(cfg.trials, len(failures), failures[0] if failures else None)
 
 
 def audit_network_reference(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
     """Reference network audit: one trial at a time, five sample_realization
     calls on the trial's generator and one Kalman rank per trial."""
     n = network.A_blk.rows
-    outcome = AuditOutcome()
+    failures = []
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, trial])
         a, b, c, w, h = (
@@ -213,8 +211,9 @@ def audit_network_reference(network: StructuredNetwork, cfg: AuditConfig) -> Aud
             for m in (network.A_blk, network.B_blk, network.C_blk, network.W, network.H)
         )
         rank = _controllability_rank(a + b @ w @ c, b @ h)
-        outcome.record(trial, f"controllability rank {rank} < {n}" if rank < n else None)
-    return outcome
+        if rank < n:
+            failures.append((trial, f"controllability rank {rank} < {n}"))
+    return AuditOutcome(cfg.trials, len(failures), failures[0] if failures else None)
 
 
 def chain_network(nodes: int, diagonal: bool = False) -> StructuredNetwork:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -9,7 +10,14 @@ import weakref
 import numpy as np
 import pytest
 
-from strucnet import AnalysisReport, PatternMatrix, is_network_controllable, load_network
+from strucnet import (
+    AnalysisReport,
+    PatternMatrix,
+    analyze,
+    is_network_controllable,
+    load_network,
+    network_from_dict,
+)
 from strucnet import cli
 from strucnet.cli import build_parser, main
 from conftest import (
@@ -818,3 +826,26 @@ def test_missing_subcommand_rejected(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    """The bodies of the README's fenced blocks tagged lang, in order."""
+    text = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{lang}\n(.*?)^```$", text, re.MULTILINE | re.DOTALL)
+
+
+def test_readme_examples_run_and_match_the_cli(capsys, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)
+    [example] = _readme_blocks("python")
+    exec(example, {})
+    assert capsys.readouterr().out.startswith(analyze(load_network(NETWORK_FILE)).to_text())
+    [topo] = _readme_blocks("text")
+    assert run(capsys, "topo", "fixtures/three_node_network.json") == (0, topo, "")
+    # the sparse patterns excerpt elides its entries with "..."
+    blocks = [json.loads(block) for block in _readme_blocks("json") if "..." not in block]
+    assert len(blocks) == 3
+    for obj in blocks:
+        if isinstance(obj, dict) and "nodes" in obj:
+            network_from_dict(obj)
+        else:
+            PatternMatrix.from_json(obj)

@@ -323,22 +323,26 @@ def test_node_necessary_check_decides_repeated_nodes_one_by_one():
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(networks(), networks(repeat_nodes=True)))
 def test_node_screen_equals_the_per_node_test(net):
-    # every node gets the answer of its own pair, repeated objects or not
-    assert node_necessary_check(net) == [
+    # every node gets the answer of its own pair, repeated objects or not,
+    # though only nodes that own a state the verdict left uncolored can fail
+    expected = [
         (k, check_structured_system(node.A, node.B).controllable)
         for k, node in enumerate(net.nodes, start=1)
     ]
+    assert node_necessary_check(net) == expected
+    assert analyze(net).node_checks == expected
 
 
-def _spy_on_the_pair_test(monkeypatch) -> list:
+def _spy(monkeypatch, name: str) -> list:
+    """The argument tuples of every later call of the network module's function name."""
     calls = []
-    original = network_module.check_structured_system
+    original = getattr(network_module, name)
 
-    def spy(a, b):
-        calls.append((a, b))
-        return original(a, b)
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(network_module, "check_structured_system", spy)
+    monkeypatch.setattr(network_module, name, spy)
     return calls
 
 
@@ -349,28 +353,11 @@ def test_node_screen_given_the_verdict_colors_only_the_suspect_nodes(monkeypatch
     net = StructuredNetwork(nodes, PatternMatrix.zeros(8, 8), pat_identity(8))
     positive, negative = is_network_controllable(demo_network), is_network_controllable(net)
     assert positive.controllable and not negative.controllable
-    calls = _spy_on_the_pair_test(monkeypatch)
-    assert node_necessary_check(demo_network, positive) == [(1, True), (2, True), (3, True)]
+    calls = _spy(monkeypatch, "check_structured_system")
+    assert node_necessary_check(demo_network) == [(1, True), (2, True), (3, True)]
     assert calls == []
-    assert node_necessary_check(net, negative) == [(1, True), (2, True), (3, True), (4, False)]
+    assert node_necessary_check(net) == [(1, True), (2, True), (3, True), (4, False)]
     assert calls == [REPEATED_PAIRS[3]]
-
-
-def test_node_screen_rejects_the_verdict_of_another_network(demo_network):
-    other = StructuredNetwork(
-        (NodeSystem(A1, B_NODE, C_NODE),), PatternMatrix.zeros(2, 2), pat_identity(2)
-    )
-    with pytest.raises(DimensionMismatch, match="the verdict has 4 states, not 12"):
-        node_necessary_check(demo_network, is_network_controllable(other))
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.one_of(networks(), networks(repeat_nodes=True)))
-def test_node_screen_given_the_verdict_equals_the_full_screen(net):
-    # only nodes that own a state the verdict left uncolored can fail
-    full = node_necessary_check(net)
-    assert node_necessary_check(net, is_network_controllable(net)) == full
-    assert analyze(net).node_checks == full
 
 
 def test_node_screen_decides_each_distinct_suspect_pair_once(monkeypatch):
@@ -379,21 +366,12 @@ def test_node_screen_decides_each_distinct_suspect_pair_once(monkeypatch):
     pairs = ((A1, B_NODE), (A2, B_NODE), (A2, B_NODE), REPEATED_PAIRS[3])
     nodes = tuple(NodeSystem(a, b, C_NODE) for a, b in pairs)
     net = StructuredNetwork(nodes, PatternMatrix.zeros(8, 8), parse("* 0\n0 *" + "\n0 0" * 6))
-    verdict = is_network_controllable(net)
-    calls = _spy_on_the_pair_test(monkeypatch)
-    assert node_necessary_check(net, verdict) == [(1, True), (2, True), (3, True), (4, False)]
+    is_network_controllable(net)  # the network keeps it, so the spy sees only the screen's pairs
+    calls = _spy(monkeypatch, "check_structured_system")
+    assert node_necessary_check(net) == [(1, True), (2, True), (3, True), (4, False)]
     assert len(calls) == 2
     for (a, b), (want_a, want_b) in zip(calls, (pairs[1], pairs[3])):
         assert a is want_a and b is want_b
-
-
-def test_node_screen_without_a_verdict_decides_every_node_on_its_own(monkeypatch, demo_network):
-    calls = _spy_on_the_pair_test(monkeypatch)
-    assert node_necessary_check(demo_network) == [(1, True), (2, True), (3, True)]
-    assert len(calls) == len(demo_network.nodes)
-    for (a, b), node in zip(calls, demo_network.nodes):
-        assert a is node.A and b is node.B
-    assert (demo_network.A_blk, demo_network.B_blk) not in calls
 
 
 def test_node_screen_colors_a_repeated_node_once(monkeypatch):
@@ -403,12 +381,10 @@ def test_node_screen_colors_a_repeated_node_once(monkeypatch):
     net = StructuredNetwork(
         (NodeSystem(a, b, C_NODE),) * 3, PatternMatrix.zeros(6, 6), PatternMatrix.zeros(6, 1)
     )
-    verdict = is_network_controllable(net)
-    calls = _spy_on_the_pair_test(monkeypatch)
-    for given_verdict in (verdict, None):
-        calls.clear()
-        assert node_necessary_check(net, given_verdict) == [(1, False), (2, False), (3, False)]
-        assert calls == [(a, b)]
+    is_network_controllable(net)
+    calls = _spy(monkeypatch, "check_structured_system")
+    assert node_necessary_check(net) == [(1, False), (2, False), (3, False)]
+    assert calls == [(a, b)]
 
 
 def _copy(m: PatternMatrix) -> PatternMatrix:
@@ -495,6 +471,21 @@ def test_cached_views_equal_a_fresh_computation(net, broken):
     else:
         assert extract_topology(net) == topology_per_block(net)
         assert extract_topology(net) is net.topology
+        verdict = is_network_controllable(net)
+        fresh = StructuredNetwork(net.nodes, net.W, net.H)
+        assert verdict == check_structured_system(*assemble(fresh))
+        assert verdict.patterns == assembled_per_block(net)
+        assert is_network_controllable(net) is verdict is net.verdict
+
+
+def test_every_stage_reads_the_one_verdict(monkeypatch):
+    calls = _spy(monkeypatch, "assemble")
+    net = load_network(NETWORK_FILE)
+    verdict = is_network_controllable(net)
+    assert is_network_controllable(net) is verdict
+    assert analyze(net).network_check is verdict
+    assert node_necessary_check(net) == [(1, True), (2, True), (3, True)]
+    assert calls == [(net,)]
 
 
 def chain_network(num_nodes: int, size: int) -> StructuredNetwork:
@@ -622,7 +613,6 @@ def test_necessary_conditions_follow_from_controllability():
         assert net.violations == ()
         if is_network_controllable(net).controllable:
             controllable_seen += 1
-            # without a verdict, so the screen runs in full
             assert all(ok for _, ok in node_necessary_check(net))
             assert topology_necessary_check(net).colorable
     assert controllable_seen >= 10

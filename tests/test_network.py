@@ -323,14 +323,26 @@ def test_node_necessary_check_decides_repeated_nodes_one_by_one():
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(networks(), networks(repeat_nodes=True)))
 def test_node_screen_equals_the_per_node_test(net):
-    # every node gets the answer of its own pair, repeated objects or not,
-    # though only nodes that own a state the verdict left uncolored can fail
-    expected = [
+    # every node gets the answer of its own pair, repeated objects or not
+    assert node_necessary_check(net) == [
         (k, check_structured_system(node.A, node.B).controllable)
         for k, node in enumerate(net.nodes, start=1)
     ]
-    assert node_necessary_check(net) == expected
-    assert analyze(net).node_checks == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(networks(), networks(repeat_nodes=True)))
+def test_node_screen_given_the_verdict_equals_the_full_screen(net):
+    # only nodes that own a state the verdict left uncolored can fail, so
+    # screening the suspects of the kept verdict gives every node's own answer
+    full = [
+        (k, check_structured_system(node.A, node.B).controllable)
+        for k, node in enumerate(net.nodes, start=1)
+    ]
+    verdict = is_network_controllable(net)
+    assert node_necessary_check(net) == full
+    assert net.verdict is verdict
+    assert analyze(net).node_checks == full
 
 
 def _spy(monkeypatch, name: str) -> list:

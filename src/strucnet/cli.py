@@ -155,7 +155,7 @@ def _cmd_export_dot(args) -> int:
     if args.which == "interconnection":
         pattern = hstack(network.W, network.H)
         if pattern.rows > pattern.cols:  # a tall [W H] is drawn on vertices 1..r
-            pattern = PatternMatrix.from_rows(pattern.rows, pattern.row_nonzeros)
+            pattern = hstack(pattern, PatternMatrix.zeros(pattern.rows, pattern.rows - pattern.cols))
     elif args.which == "topology":
         pattern = hstack(*extract_topology(network))
         coloring = weak_color_change(build_graph(pattern))

@@ -82,31 +82,17 @@ class PatternMatrix(Record):
     hashing use this form, and the algebra below works on it in time
     linear in the nonzeros; no dense grid is kept.
 
-    from_rows is the checked constructor for outside input, and the
-    sparse branch of from_json builds through it. from_tokens and the
-    algebra build their rows in order and in range, as tuples, and wrap
-    them unchecked through _trusted, which keeps the row objects. There is
-    no public __init__: calling PatternMatrix(...) raises TypeError.
+    Outside input comes in through one checked reader per JSON form:
+    from_tokens reads a token grid and from_json the sparse object (it
+    hands a grid to from_tokens). Both readers, zeros and the algebra
+    build their rows in order and in range, as tuples, and wrap them
+    unchecked through _trusted, which keeps the row objects. There is no
+    public __init__: calling PatternMatrix(...) raises TypeError.
     """
 
     __match_args__ = ("cols", "row_nonzeros")
     cols: int
     row_nonzeros: tuple[tuple[tuple[int, str], ...], ...]
-
-    @classmethod
-    def from_rows(cls, cols: int, rows: Iterable[Sequence[tuple[int, str]]]) -> "PatternMatrix":
-        """Build from the column count and each row's (column, symbol) pairs.
-
-        Columns are 0-based and strictly increasing within a row; symbols
-        are STAR or ANY, and an equal but distinct str is rejected. The
-        check takes O(rows + nonzeros) and a rejected pair is named by its
-        1-based row and column.
-        """
-        matrix = cls._trusted(cols, map(tuple, rows))
-        if type(cols) is not int or cols < 1 or not matrix.row_nonzeros:
-            raise DimensionMismatch("a pattern matrix needs at least one row and one column")
-        _check_rows(cols, matrix.row_nonzeros)
-        return matrix
 
     @classmethod
     def _trusted(cls, cols: int, rows: Iterable[tuple]) -> "PatternMatrix":
@@ -176,6 +162,11 @@ class PatternMatrix(Record):
         positions in any order, each at most once, tokens '*' or '?', every
         position not listed '0'. An entry may also be a tuple, as to_sparse
         gives it.
+
+        Each entry is checked once, in list order, for its form, range and
+        token, and the first bad one is named by its index. Then each row
+        is sorted, and the first position listed twice, in row-major
+        order, is named by its 1-based row and column.
         """
         if not isinstance(obj, dict):
             return cls.from_tokens(obj)
@@ -218,9 +209,12 @@ class PatternMatrix(Record):
                 )
             by_row.setdefault(i - 1, []).append((j - 1, symbol))
         rows: list = [()] * num_rows  # rows without an entry share the empty tuple
-        for i, row in by_row.items():  # a repeated position is left for from_rows to name
-            rows[i] = sorted(row, key=itemgetter(0))
-        return cls.from_rows(cols, rows)
+        for i in sorted(by_row):  # row-major, so the first repeated position is named
+            row = rows[i] = tuple(sorted(by_row[i], key=itemgetter(0)))
+            if len(dict(row)) < len(row):
+                j = next(a for (a, _), (b, _) in zip(row, row[1:]) if a == b)
+                raise PatternParseError(f"row {i + 1}, column {j + 1} appears twice")
+        return cls._trusted(cols, rows)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "PatternMatrix":
@@ -253,29 +247,6 @@ class PatternMatrix(Record):
 #: have together. Sparse rows are stored one by one, so the declared
 #: shapes, not the file size, set the memory a sparse file takes.
 MAX_SPARSE_SIZE = 10**6
-
-
-def _check_rows(cols: int, rows: tuple) -> None:
-    """Raise for the first pair that is not (column, '*'|'?') in range and in order."""
-    for i, row in enumerate(rows, start=1):
-        last = -1
-        for pair in row:
-            if type(pair) is not tuple or len(pair) != 2 or type(pair[0]) is not int:
-                raise PatternParseError(f"row {i}: {pair!r} is not a (column, symbol) pair")
-            j, symbol = pair
-            if not last < j < cols:
-                if not 0 <= j < cols:
-                    raise DimensionMismatch(f"row {i}: column {j + 1} is out of range 1..{cols}")
-                if j == last:
-                    raise PatternParseError(f"row {i}, column {j + 1} appears twice")
-                raise PatternParseError(
-                    f"row {i}: column {j + 1} follows column {last + 1}, columns must increase"
-                )
-            if symbol is not STAR and symbol is not ANY:
-                raise PatternParseError(
-                    f"row {i}, column {j + 1}: {symbol!r} is not a nonzero pattern symbol"
-                )
-            last = j
 
 
 def pat_add(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:

@@ -16,10 +16,11 @@ stream of a realization. The hypothesis strategies for random patterns
 and random networks are shared here as well.
 
 The library keeps a pattern only as the sparse nonzeros of its rows and
-builds one only through PatternMatrix.from_rows, so the dense views tests
-read and write are built here: the grid, its token rows, slices,
-one-entry edits, and a pattern from a grid of symbols (grid) or from
-token text (parse). So are the symbol tables the references fold with
+reads one from outside only as a token grid or a sparse object, so the
+dense views tests read and write are built here: the grid, its token
+rows, slices, one-entry edits, and a pattern from a grid of symbols
+(grid), from token text (parse) or from each row's (column, symbol)
+pairs (from_pairs). So are the symbol tables the references fold with
 (SYMBOLS, sym_add, sym_mul) and the other names only tests call: the
 identity pattern, the class-membership test, the dense network writer,
 the Kalman and row-rank audits, the chain network, the simple-graph
@@ -86,9 +87,15 @@ def sym_mul(a: str, b: str) -> str:
 
 
 def grid(rows: Sequence[Sequence[str]]) -> PatternMatrix:
-    """The pattern of a dense grid of symbols, built by the checked constructor."""
-    nonzeros = ([(j, s) for j, s in enumerate(row) if s is not ZERO] for row in rows)
-    return PatternMatrix.from_rows(len(rows[0]), nonzeros)
+    """The pattern of a dense grid of symbols, which are its tokens."""
+    return PatternMatrix.from_tokens(rows)
+
+
+def from_pairs(cols: int, rows: Iterable[Iterable[tuple[int, str]]]) -> PatternMatrix:
+    """The pattern whose row i holds the 0-based (column, symbol) pairs rows[i], read in sparse form."""
+    rows = list(rows)
+    entries = [[i, j + 1, s] for i, row in enumerate(rows, start=1) for j, s in row]
+    return PatternMatrix.from_json({"shape": [len(rows), cols], "entries": entries})
 
 
 def parse(text: str) -> PatternMatrix:
@@ -131,7 +138,7 @@ def pat_identity(n: int) -> PatternMatrix:
     """The n-by-n pattern with '*' on the diagonal and '0' elsewhere."""
     if n < 1:
         raise DimensionMismatch(f"identity size must be positive, got {n}")
-    return PatternMatrix.from_rows(n, (((i, STAR),) for i in range(n)))
+    return from_pairs(n, (((i, STAR),) for i in range(n)))
 
 
 def is_member(values: np.ndarray, m: PatternMatrix) -> bool:
@@ -222,14 +229,14 @@ def chain_network(nodes: int, diagonal: bool = False) -> StructuredNetwork:
     external input drives node 1. With diagonal, each node's A also holds
     a '*' at every (i, i)."""
     loop = [((i, STAR),) if diagonal else () for i in range(5)]
-    path = PatternMatrix.from_rows(5, [loop[0]] + [((i, STAR),) + loop[i + 1] for i in range(4)])
+    path = from_pairs(5, [loop[0]] + [((i, STAR),) + loop[i + 1] for i in range(4)])
     node = NodeSystem(
         A=path,
-        B=PatternMatrix.from_rows(1, [((0, STAR),)] + [()] * 4),
-        C=PatternMatrix.from_rows(5, [((4, STAR),)]),
+        B=from_pairs(1, [((0, STAR),)] + [()] * 4),
+        C=from_pairs(5, [((4, STAR),)]),
     )
-    w = PatternMatrix.from_rows(nodes, [()] + [((k, STAR),) for k in range(nodes - 1)])
-    h = PatternMatrix.from_rows(1, [((0, STAR),)] + [()] * (nodes - 1))
+    w = from_pairs(nodes, [()] + [((k, STAR),) for k in range(nodes - 1)])
+    h = from_pairs(1, [((0, STAR),)] + [()] * (nodes - 1))
     return StructuredNetwork((node,) * nodes, w, h)
 
 
@@ -301,15 +308,15 @@ def graph_network(
         rows: list[dict[int, str]] = [{i: ANY} for i in range(len(group))]
         for a, b in group_edges:
             rows[local[a]][local[b]] = STAR
-        identity = PatternMatrix.from_rows(len(group), [((i, STAR),) for i in range(len(group))])
-        a_k = PatternMatrix.from_rows(len(group), [sorted(row.items()) for row in rows])
+        identity = from_pairs(len(group), [((i, STAR),) for i in range(len(group))])
+        a_k = from_pairs(len(group), [sorted(row.items()) for row in rows])
         nodes.append(NodeSystem(a_k, identity, identity))
     columns = sorted(state[v] for v in set(driven))
     h_rows: list[list[tuple[int, str]]] = [[] for _ in range(n)]
     for c, i in enumerate(columns):
         h_rows[i].append((c, STAR))
-    w = PatternMatrix.from_rows(n, [sorted(row) for row in cross])
-    h = PatternMatrix.from_rows(max(1, len(columns)), h_rows)
+    w = from_pairs(n, [sorted(row) for row in cross])
+    h = from_pairs(max(1, len(columns)), h_rows)
     return StructuredNetwork(nodes, w, h)
 
 

@@ -237,11 +237,27 @@ def _set(obj, where, value):
             {"shape": [4, 4], "entries": [[1, 1]]},
             "nodes[0].A: entries[0]: expected [row, column, token], got [1, 1]",
         ),
+        (  # every entry is checked before any position is compared
+            "A",
+            {"shape": [4, 4], "entries": [[2, 3, "*"], [2, 3, "?"], [1, 1, "x"]]},
+            "nodes[0].A: entries[2]: invalid pattern token 'x', expected '*' or '?'",
+        ),
+        (  # the first repeat in row-major order, not in list order
+            "A",
+            {"shape": [4, 4], "entries": [[3, 2, "*"], [3, 2, "*"], [1, 4, "?"], [1, 4, "*"]]},
+            "nodes[0].A: row 1, column 4 appears twice",
+        ),
+        (
+            "A",
+            {"shape": [4, 4], "entries": [[1, 1, "*"], [5, 1, "*"], [1, 2, "x"]]},
+            "nodes[0].A: entries[1]: position (5, 1) is outside the shape [4, 4]",
+        ),
     ],
     ids=[
         "no-entries", "no-shape", "zero-shape", "bool-shape", "short-shape", "huge-shape",
         "entries-object", "row-range", "column-range", "duplicate", "zero-token", "list-token",
-        "bool-index", "short-entry",
+        "bool-index", "short-entry", "token-after-repeat", "repeats-in-rows-3-and-1",
+        "two-bad-entries",
     ],
 )
 def test_bad_sparse_matrix_is_located(tmp_path, capsys, where, value, message):

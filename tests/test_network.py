@@ -48,6 +48,7 @@ from helpers import (
     assembled_per_block,
     block_diag_dense,
     filled,
+    from_pairs,
     grid,
     input_block,
     interconnection_block,
@@ -400,7 +401,7 @@ def test_node_screen_colors_a_repeated_node_once(monkeypatch):
 
 
 def _copy(m: PatternMatrix) -> PatternMatrix:
-    return PatternMatrix.from_rows(m.cols, m.row_nonzeros)
+    return from_pairs(m.cols, m.row_nonzeros)
 
 
 @settings(max_examples=100, deadline=None)
@@ -506,12 +507,12 @@ def chain_network(num_nodes: int, size: int) -> StructuredNetwork:
     The single external input drives the first state of node 1; each node
     reads its last state and drives the first state of the next node.
     """
-    a = PatternMatrix.from_rows(size, [()] + [((s, STAR),) for s in range(size - 1)])
-    b = PatternMatrix.from_rows(1, [((0, STAR),)] + [()] * (size - 1))
-    c = PatternMatrix.from_rows(size, [((size - 1, STAR),)])
+    a = from_pairs(size, [()] + [((s, STAR),) for s in range(size - 1)])
+    b = from_pairs(1, [((0, STAR),)] + [()] * (size - 1))
+    c = from_pairs(size, [((size - 1, STAR),)])
     nodes = (NodeSystem(a, b, c),) * num_nodes
-    w = PatternMatrix.from_rows(num_nodes, [()] + [((k, STAR),) for k in range(num_nodes - 1)])
-    h = PatternMatrix.from_rows(1, [((0, STAR),)] + [()] * (num_nodes - 1))
+    w = from_pairs(num_nodes, [()] + [((k, STAR),) for k in range(num_nodes - 1)])
+    h = from_pairs(1, [((0, STAR),)] + [()] * (num_nodes - 1))
     return StructuredNetwork(nodes, w, h)
 
 

@@ -26,7 +26,6 @@ from strucnet.network import analyze, is_network_controllable
 from strucnet.oracle import AuditConfig, AuditOutcome
 from strucnet.pattern import (
     Record,
-    _check_rows,
     block_diag,
     hstack,
     pat_add,
@@ -501,7 +500,7 @@ def test_block_diag_matches_dense_reference(blocks):
 @example(ZERO_ROW_AND_COLUMN)
 @example(PatternMatrix.zeros(2, 3))
 def test_sparse_and_dense_forms_agree(m):
-    sparse = PatternMatrix.from_rows(m.cols, m.row_nonzeros)
+    sparse = PatternMatrix.from_json(m.to_sparse())
     assert set(vars(sparse)) == {"cols", "row_nonzeros"}  # no dense grid is kept
     cells = dense(sparse)
     from_grid = grid(cells)
@@ -510,15 +509,21 @@ def test_sparse_and_dense_forms_agree(m):
         (i, j, cells[i][j]) for i in range(m.rows) for j in range(m.cols) if cells[i][j] is not ZERO
     )
     assert PatternMatrix.from_tokens(tokens(m)) == m
-    assert PatternMatrix.from_json(m.to_sparse()) == m
 
 
 def assert_rows_pass_the_check(m):
-    """m's rows are what from_rows accepts: tuples of in-range, increasing (column, '*'|'?') pairs."""
+    """m's rows hold the row invariant: tuples of (column, symbol) pairs whose
+    int columns strictly increase within 0..cols-1, each symbol STAR or ANY itself."""
     assert m.rows >= 1 and m.cols >= 1
-    assert type(m.row_nonzeros) is tuple and all(type(row) is tuple for row in m.row_nonzeros)
-    _check_rows(m.cols, m.row_nonzeros)
-    assert PatternMatrix.from_rows(m.cols, m.row_nonzeros) == m
+    assert type(m.row_nonzeros) is tuple
+    for row in m.row_nonzeros:
+        assert type(row) is tuple
+        assert all(type(pair) is tuple and len(pair) == 2 for pair in row)
+        columns = [j for j, _ in row]
+        assert all(type(j) is int for j in columns)
+        assert columns == sorted(set(columns)) and all(0 <= j < m.cols for j in columns)
+        assert all(symbol is STAR or symbol is ANY for _, symbol in row)
+    assert PatternMatrix.from_json(m.to_sparse()) == m
 
 
 @settings(max_examples=200, deadline=None)
@@ -536,7 +541,7 @@ def assert_rows_pass_the_check(m):
 )
 @example((ZERO_ROW_AND_COLUMN, ZERO_ROW_AND_COLUMN, PatternMatrix.zeros(4, 1), [["0"] * 4] * 3))
 def test_unchecked_builders_give_rows_that_pass_the_check(operands):
-    # the builders wrap their rows without _check_rows; each result must pass it
+    # the builders wrap their rows unchecked; each result must hold the row invariant
     m, n, k, token_grid = operands
     r, c = m.shape
     for built in (
@@ -627,28 +632,21 @@ def test_from_json_names_a_short_tuple_entry():
     assert str(excinfo.value) == "entries[1]: expected [row, column, token], got (2, 2)"
 
 
-@pytest.mark.parametrize(
-    "cols, rows, error, message",
-    [
-        (0, [()], DimensionMismatch, "a pattern matrix needs at least one row and one column"),
-        (3, [], DimensionMismatch, "a pattern matrix needs at least one row and one column"),
-        (True, [()], DimensionMismatch, "a pattern matrix needs at least one row and one column"),
-        (3, [(), [[1, STAR]]], PatternParseError, "row 2: [1, '*'] is not a (column, symbol) pair"),
-        (3, [[(1.0, STAR)]], PatternParseError, "row 1: (1.0, '*') is not a (column, symbol) pair"),
-        (3, [[(True, STAR)]], PatternParseError, "row 1: (True, '*') is not a (column, symbol) pair"),
-        (3, [[(0, STAR, ANY)]], PatternParseError, "row 1: (0, '*', '?') is not a (column, symbol) pair"),
-        (3, [[(0, STAR), (3, ANY)]], DimensionMismatch, "row 1: column 4 is out of range 1..3"),
-        (3, [(), [(-1, STAR)]], DimensionMismatch, "row 2: column 0 is out of range 1..3"),
-        (3, [[(1, STAR), (1, ANY)]], PatternParseError, "row 1, column 2 appears twice"),
-        (3, [[(2, STAR), (0, ANY)]], PatternParseError, "row 1: column 1 follows column 3, columns must increase"),
-        (3, [[(0, ZERO)]], PatternParseError, "row 1, column 1: '0' is not a nonzero pattern symbol"),
-        (3, [[(1, "x")]], PatternParseError, "row 1, column 2: 'x' is not a nonzero pattern symbol"),
-    ],
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(lambda r: st.integers(1, 6).flatmap(lambda c: sparse_patterns(r, c))),
+    st.data(),
 )
-def test_from_rows_rejects_malformed_rows(cols, rows, error, message):
-    with pytest.raises(error) as excinfo:
-        PatternMatrix.from_rows(cols, rows)
-    assert str(excinfo.value) == message
+def test_sparse_reader_ignores_entry_order_and_names_a_repeated_entry(m, data):
+    shape = [m.rows, m.cols]
+    entries = data.draw(st.permutations([list(entry) for entry in m.to_sparse()["entries"]]))
+    assert PatternMatrix.from_json({"shape": shape, "entries": entries}) == m
+    if entries:  # one copy of an entry, with either token, is named by its position
+        i, j, _ = data.draw(st.sampled_from(entries))
+        token = data.draw(st.sampled_from("*?"))
+        with pytest.raises(PatternParseError) as excinfo:
+            PatternMatrix.from_json({"shape": shape, "entries": [*entries, [i, j, token]]})
+        assert str(excinfo.value) == f"row {i}, column {j} appears twice"
 
 
 def test_pattern_text_form_round_trip(tmp_path):
@@ -700,9 +698,6 @@ def test_outside_tokens_are_stored_as_the_shared_symbols():
         symbols = [symbol for _, _, symbol in m.nonzeros]
         assert len(symbols) == 3
         assert all(s is shared for s, shared in zip(symbols, (STAR, ANY, STAR)))
-    with pytest.raises(PatternParseError) as excinfo:
-        PatternMatrix.from_rows(3, [[(0, STAR)], [(1, star)]])
-    assert str(excinfo.value) == "row 2, column 2: '*' is not a nonzero pattern symbol"
 
 
 def test_load_pattern_rejects_bad_json(tmp_path):
@@ -799,7 +794,7 @@ def test_record_constructors_keep_their_forms():
     )
     coloring = strucnet.ColoringResult(forcing_sequence=((2, 1),), uncolored=frozenset())
     assert coloring.seeds == frozenset() and coloring.colorable
-    assert repr(PatternMatrix.from_rows(2, [((1, STAR),)])) == (
+    assert repr(PatternMatrix.from_json({"shape": [1, 2], "entries": [[1, 2, "*"]]})) == (
         "PatternMatrix(cols=2, row_nonzeros=(((1, '*'),),))"
     )
     network = strucnet.load_network(NETWORK_FILE)

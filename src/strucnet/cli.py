@@ -22,7 +22,7 @@ from .errors import (
     NumericBreakdown,
     PatternParseError,
 )
-from .graph import build_graph, export_dot, is_full_row_rank, weak_color_change
+from .graph import build_graph, export_dot, is_full_row_rank
 from .network import (
     analyze,
     extract_topology,
@@ -158,7 +158,7 @@ def _cmd_export_dot(args) -> int:
             pattern = hstack(pattern, PatternMatrix.zeros(pattern.rows, pattern.rows - pattern.cols))
     elif args.which == "topology":
         pattern = hstack(*extract_topology(network))
-        coloring = weak_color_change(build_graph(pattern))
+        coloring = topology_necessary_check(network)
     else:
         check = is_network_controllable(network)
         plain, shifted = check.patterns
@@ -189,12 +189,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:  # stdout closed early, as under `| head`: not an input error
         sys.stdout = None  # the interpreter skips a None stdout when it flushes at exit
         return 141  # 128 + SIGPIPE
-    except AssumptionViolated as exc:
-        for violation in exc.violations:
-            print(f"error: {violation}", file=sys.stderr)
-        return 2
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except _INPUT_ERRORS as exc:  # an invalid network lists each of its violations
+        for line in getattr(exc, "violations", [exc]):
+            print(f"error: {line}", file=sys.stderr)
         return 2
 
 

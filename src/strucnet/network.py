@@ -33,7 +33,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .errors import AssumptionViolated, DimensionMismatch, NetworkFormatError, PatternParseError
-from .graph import ColoringResult, build_graph, color_change, weak_color_change
+from .graph import ColoringResult, build_graph, is_full_row_rank, weak_color_change
 from .pattern import (
     ANY,
     MAX_SPARSE_SIZE,
@@ -218,7 +218,7 @@ def check_structured_system(a: PatternMatrix, b: PatternMatrix) -> SystemCheck:
     """Decide strong structural controllability of the pair (a, b).
 
     The pair is controllable for every realization iff both [a b] and
-    [a+I b] have full row rank, i.e. both graphs are colorable.
+    [a+I b] have full row rank, which is_full_row_rank decides.
     """
     if a.rows != a.cols:
         raise DimensionMismatch(f"state pattern must be square, got {a.shape}")
@@ -228,9 +228,7 @@ def check_structured_system(a: PatternMatrix, b: PatternMatrix) -> SystemCheck:
         )
     plain = hstack(a, b)
     shifted = pat_shift(plain)
-    return SystemCheck(
-        color_change(build_graph(plain)), color_change(build_graph(shifted)), (plain, shifted)
-    )
+    return SystemCheck(is_full_row_rank(plain), is_full_row_rank(shifted), (plain, shifted))
 
 
 def is_network_controllable(network: StructuredNetwork) -> SystemCheck:

@@ -155,17 +155,12 @@ class _ChunkSampler:
         ]
 
 
-def _chunk_ranks(sampler: _ChunkSampler, seed: int, trials: range) -> list[int]:
-    """Controllability rank of each trial's realization of A + B W C and B H."""
-    a, b, c, w, h = sampler.sample(seed, trials)
-    return _controllability_rank(a + b @ w @ c, b @ h).tolist()
-
-
 def _ranks(sampler: _ChunkSampler, cfg: AuditConfig, trials: range, n: int) -> list[int]:
-    """The ranks of one chunk. A numeric breakdown reruns it trial by trial,
-    so the error names the trial that breaks down."""
+    """Controllability rank of each trial's A + B W C and B H in one chunk. A numeric
+    breakdown reruns the chunk trial by trial, so the error names the trial that breaks down."""
     try:
-        return _chunk_ranks(sampler, cfg.seed, trials)
+        a, b, c, w, h = sampler.sample(cfg.seed, trials)
+        return _controllability_rank(a + b @ w @ c, b @ h).tolist()
     except np.linalg.LinAlgError as exc:
         if len(trials) == 1:
             raise NumericBreakdown(

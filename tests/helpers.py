@@ -10,10 +10,12 @@ check them. So do the dense references for the sparse library code: the
 left-to-right fold over every inner index that defines the pattern
 product, the entrywise grid forms of the pattern sum, the identity
 shift, hstack and block_diag, the per-block slicing of W and H that
-defines the topology summary, the block-by-block assembly of the network
-patterns, and the one-entry-at-a-time sampler that fixes the random
-stream of a realization. The hypothesis strategies for random patterns
-and random networks are shared here as well.
+defines the topology summary, and the block-by-block assembly of the
+network patterns. The random stream of a realization is fixed by the
+library's strucnet.pattern.sample_realization, which audit_rank and
+audit_network_reference call. The hypothesis strategies for random
+patterns, random networks and damaged input files are shared here as
+well.
 
 The library keeps a pattern only as the sparse nonzeros of its rows and
 reads one from outside only as a token grid or a sparse object, so the
@@ -32,6 +34,7 @@ reference that the chunked library audit must match exactly.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from collections import deque
 from enum import Enum
@@ -438,6 +441,50 @@ def networks(draw, repeat_nodes: bool = False):
     r = sum(node.B.cols for node in nodes)
     p = sum(node.C.rows for node in nodes)
     return StructuredNetwork(nodes, random_pattern(rng, r, p, (0.6, 0.3, 0.1)), single_star_cols(rng, r, 1))
+
+
+#: Values a mutated input file carries where a token, a grid, a sparse
+#: object, a list or a number belongs: non-tokens, empty and ragged grids,
+#: and sparse objects with a missing key, a zero, boolean or too large
+#: shape, an out-of-range entry or a four-item entry.
+BAD_JSON_VALUES = (
+    True, None, 2.5, float("nan"), 2**70, "", "x",
+    [], [[]], [["*", "0"], ["*"]], [["*"], []],
+    {"entries": []}, {"shape": [1, 1]},
+    {"shape": [0, 1], "entries": []}, {"shape": [True, 1], "entries": []},
+    {"shape": [1, 1], "entries": [[2, 1, "*"]]}, {"shape": [1, 1], "entries": [[1, 1, "*", "*"]]},
+    {"shape": [10**7, 1], "entries": []},
+)
+
+
+def _json_slots(value):
+    """Yield (container, key) for every value nested in value, depth first."""
+    if isinstance(value, (dict, list)):
+        for key in list(value) if isinstance(value, dict) else range(len(value)):
+            yield value, key
+            yield from _json_slots(value[key])
+
+
+@st.composite
+def mutated_json(draw, objects: Sequence):
+    """A copy of one of the JSON values (network objects or pattern files)
+    with one to three nested values replaced by one of BAD_JSON_VALUES,
+    deleted, or duplicated in place (a list item; a dict value drawn for
+    duplication is replaced)."""
+    obj = copy.deepcopy(draw(st.sampled_from(objects)))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = list(_json_slots(obj))
+        if not slots:
+            break
+        container, key = draw(st.sampled_from(slots))
+        action = draw(st.sampled_from(("replace", "delete", "duplicate")))
+        if action == "delete":
+            del container[key]
+        elif action == "duplicate" and isinstance(container, list):
+            container.insert(key, copy.deepcopy(container[key]))
+        else:
+            container[key] = copy.deepcopy(draw(st.sampled_from(BAD_JSON_VALUES)))
+    return obj
 
 
 def pat_mul_fold(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:

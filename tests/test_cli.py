@@ -1,5 +1,7 @@
 """Exit codes, report formats, and determinism of the command line."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from strucnet import (
     AnalysisReport,
@@ -29,7 +32,7 @@ from conftest import (
     SPARSE_NETWORK_FILE,
 )
 
-from helpers import network_to_dict, random_network
+from helpers import mutated_json, network_to_dict, random_network
 
 
 CERTIFICATE_KEYS = ["colorable", "derived_set", "forcing_sequence", "uncolored"]
@@ -318,6 +321,54 @@ def test_over_long_integer_is_input_error(tmp_path, capsys, command):
     code, out, err = run(capsys, command, bad)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+NETWORK_OBJECTS = [
+    json.loads(path.read_text())
+    for path in (NETWORK_FILE, NO_INPUT_NETWORK_FILE, NODE_FAIL_NETWORK_FILE, SPARSE_NETWORK_FILE)
+]
+
+_INTERCONNECTION_GRID = json.loads(INTERCONNECTION_FILE.read_text())
+PATTERN_OBJECTS = [_INTERCONNECTION_GRID, PatternMatrix.from_json(_INTERCONNECTION_GRID).to_sparse()]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _assert_clean_exits(path, obj, commands):
+    """Each command on the file gives a verdict or one clean input error: exit 2
+    writes nothing to stdout and only error lines to stderr."""
+    path.write_text(json.dumps(obj))
+    for command in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([*command, str(path)])
+        assert code in (0, 1, 2), command
+        if code == 2:
+            assert out.getvalue() == "", command
+            lines = err.getvalue().splitlines()
+            assert lines and all(line.startswith("error: ") for line in lines), command
+        elif "--json" in command:
+            json.loads(out.getvalue())
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=mutated_json(NETWORK_OBJECTS))
+def test_mutated_networks_exit_cleanly(fuzz_dir, obj):
+    views = ("assembled", "assembled-shifted", "interconnection", "topology")
+    commands = (
+        ["check"], ["check", "--json"], ["topo"], ["topo", "--json"], ["rank"], ["audit", "--trials", "2"],
+        *(["export-dot", "--which", which] for which in views),
+    )
+    _assert_clean_exits(fuzz_dir / "network.json", obj, commands)
+
+
+@settings(max_examples=100, deadline=None)
+@given(obj=mutated_json(PATTERN_OBJECTS))
+def test_mutated_patterns_exit_cleanly(fuzz_dir, obj):
+    _assert_clean_exits(fuzz_dir / "pattern.json", obj, (["rank"], ["rank", "--json"]))
 
 
 def test_check_missing_file(capsys):
@@ -628,14 +679,20 @@ def _dot(num_vertices, filled, star_edges, any_edges):
 
 def test_export_dot_topology(capsys):
     # [W~ H~] is 3 x 5; the weak rule's derived set (the seeds 4, 5 plus
-    # every node they reach) is drawn filled
+    # every node they reach) is drawn filled. The node-fail network differs
+    # from the demo only inside node 3, so its topology is the demo's
     edges = {(1, 2), (2, 3), (4, 1), (5, 1)}
-    code, out, err = run(capsys, "export-dot", NETWORK_FILE, "--which", "topology")
-    assert (code, err) == (0, "")
-    assert out == _dot(5, {1, 2, 3, 4, 5}, edges, set())
-    code, out, err = run(capsys, "export-dot", NO_INPUT_NETWORK_FILE, "--which", "topology")
-    assert (code, err) == (0, "")
-    assert out == _dot(5, {4, 5}, {(1, 2), (2, 3)}, set())
+    expected = {
+        NETWORK_FILE: _dot(5, {1, 2, 3, 4, 5}, edges, set()),
+        NO_INPUT_NETWORK_FILE: _dot(5, {4, 5}, {(1, 2), (2, 3)}, set()),
+        NODE_FAIL_NETWORK_FILE: _dot(5, {1, 2, 3, 4, 5}, edges, set()),
+    }
+    for path, dot in expected.items():
+        code, out, err = run(capsys, "export-dot", path, "--which", "topology")
+        assert (code, err, out) == (0, "", dot)
+        filled = {int(line.split()[0]) for line in out.splitlines() if "fillcolor=black" in line}
+        screen = json.loads(run(capsys, "topo", path, "--json")[1])
+        assert filled == set(screen["derived_set"])
 
 
 def test_export_dot_interconnection(capsys):

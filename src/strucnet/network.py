@@ -240,12 +240,6 @@ def is_network_controllable(network: StructuredNetwork) -> SystemCheck:
     return network.verdict
 
 
-def _failing(nodes: tuple[NodeSystem, ...], check: SystemCheck) -> set[int]:
-    """Positions in nodes of the owners of the states that check left uncolored."""
-    ends = list(accumulate(node.A.rows for node in nodes))
-    return {bisect_right(ends, v - 1) for v in check.plain.uncolored | check.shifted.uncolored}
-
-
 def node_necessary_check(network: StructuredNetwork) -> list[tuple[int, bool]]:
     """Run the per-node controllability test; any failure rules the network out.
 
@@ -265,9 +259,12 @@ def node_necessary_check(network: StructuredNetwork) -> list[tuple[int, bool]]:
     """
     validate(network)
     nodes = network.nodes
+    verdict = is_network_controllable(network)
+    ends = list(accumulate(node.A.rows for node in nodes))  # one past each node's last state
+    suspects = {bisect_right(ends, v - 1) for v in verdict.plain.uncolored | verdict.shifted.uncolored}
     passes = [True] * len(nodes)
     decided: dict[tuple[int, int], bool] = {}  # (id(A), id(B)) -> that pair's answer
-    for k in sorted(_failing(nodes, is_network_controllable(network))):
+    for k in sorted(suspects):
         a, b = nodes[k].A, nodes[k].B
         if (id(a), id(b)) not in decided:
             decided[id(a), id(b)] = check_structured_system(a, b).controllable

@@ -74,23 +74,14 @@ class AuditOutcome(Record):
         }
 
 
-def _numeric_rank(matrix: np.ndarray) -> np.ndarray:
-    """Rank as the number of singular values above RANK_TOLERANCE relative to the largest.
-
-    matrix may be a stack (..., rows, cols); the result holds one rank per
-    slice, and a single matrix gives one integer.
-    """
-    sigma = np.linalg.svd(matrix, compute_uv=False)
-    return np.count_nonzero(sigma > RANK_TOLERANCE * sigma[..., :1], axis=-1)
-
-
 def _controllability_rank(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Numeric rank of [B, AB, ..., A^(n-1) B] with per-column normalization.
 
     Normalizing the columns keeps the powers of A from drowning the early
-    blocks, which matters once n grows past a handful of states. a and b
-    may be stacks (..., n, n) and (..., n, m) of pairs; the result holds
-    one rank per pair.
+    blocks, which matters once n grows past a handful of states. The rank
+    is the number of singular values above RANK_TOLERANCE relative to the
+    largest. a and b may be stacks (..., n, n) and (..., n, m) of pairs;
+    the result holds one rank per pair, and a single pair gives one integer.
     """
     n = a.shape[-1]
     blocks = [b]
@@ -101,7 +92,8 @@ def _controllability_rank(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ctrb = np.concatenate(blocks, axis=-1)
     norms = np.linalg.norm(ctrb, axis=-2, keepdims=True)
     np.divide(ctrb, norms, out=ctrb, where=norms > 0.0)
-    return _numeric_rank(ctrb)
+    sigma = np.linalg.svd(ctrb, compute_uv=False)
+    return np.count_nonzero(sigma > RANK_TOLERANCE * sigma[..., :1], axis=-1)
 
 
 class _ChunkSampler:

@@ -51,7 +51,7 @@ from strucnet import (
     StructuredNetwork,
     is_full_row_rank,
 )
-from strucnet.oracle import AuditConfig, AuditOutcome, _controllability_rank, _numeric_rank
+from strucnet.oracle import RANK_TOLERANCE, AuditConfig, AuditOutcome, _controllability_rank
 from strucnet.pattern import (
     ANY,
     STAR,
@@ -193,9 +193,10 @@ def kalman_controllable(a, b) -> bool:
 def audit_rank(m: PatternMatrix, cfg: AuditConfig) -> AuditOutcome:
     """Sample realizations of m and test numeric full row rank.
 
-    When the coloring certifies full row rank, any failure here is an
-    inconsistency; in the other direction a zero failure count proves
-    nothing.
+    The rank counts the singular values above RANK_TOLERANCE relative to
+    the largest, the audit's own threshold. When the coloring certifies
+    full row rank, any failure here is an inconsistency; in the other
+    direction a zero failure count proves nothing.
     """
     if m.rows > m.cols:
         raise DimensionMismatch(f"row-rank audit needs rows <= cols, got {m.shape}")
@@ -203,7 +204,8 @@ def audit_rank(m: PatternMatrix, cfg: AuditConfig) -> AuditOutcome:
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, trial])
         values = sample_realization(m, rng)
-        rank = _numeric_rank(values)
+        sigma = np.linalg.svd(values, compute_uv=False)
+        rank = np.count_nonzero(sigma > RANK_TOLERANCE * sigma[..., :1])
         if rank < m.rows:
             failures.append((trial, f"numeric row rank {rank} < {m.rows}"))
     return AuditOutcome(cfg.trials, len(failures), failures[0] if failures else None)

@@ -32,7 +32,7 @@ from conftest import (
     SPARSE_NETWORK_FILE,
 )
 
-from helpers import mutated_json, network_to_dict, random_network
+from helpers import mutated_json, network_to_dict, networks, random_network
 
 
 CERTIFICATE_KEYS = ["colorable", "derived_set", "forcing_sequence", "uncolored"]
@@ -693,6 +693,31 @@ def test_export_dot_topology(capsys):
         filled = {int(line.split()[0]) for line in out.splitlines() if "fillcolor=black" in line}
         screen = json.loads(run(capsys, "topo", path, "--json")[1])
         assert filled == set(screen["derived_set"])
+
+
+@settings(max_examples=50, deadline=None)
+@given(net=networks())
+def test_export_dot_topology_draws_the_topo_report(fuzz_dir, net):
+    # the drawing has one vertex per column of [W~ H~], an edge from column
+    # to row per entry of W~ and of H~ (whose columns follow W~'s), and the
+    # weak rule's derived set filled
+    path = fuzz_dir / "topology.json"
+    path.write_text(json.dumps(network_to_dict(net)))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["topo", "--json", str(path)]) in (0, 1)
+        screen = json.loads(out.getvalue())
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(["export-dot", "--which", "topology", str(path)]) == 0
+    n = screen["W"]["shape"][1]
+    edges = {"*": set(), "?": set()}
+    for i, j, token in screen["W"]["entries"]:
+        edges[token].add((j, i))
+    for i, j, token in screen["H"]["entries"]:
+        edges[token].add((n + j, i))
+    expected = _dot(n + screen["H"]["shape"][1], set(screen["derived_set"]), edges["*"], edges["?"])
+    assert (err.getvalue(), out.getvalue()) == ("", expected)
 
 
 def test_export_dot_interconnection(capsys):

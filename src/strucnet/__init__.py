@@ -16,6 +16,7 @@ from .errors import (
     NetworkFormatError,
     NumericBreakdown,
     PatternParseError,
+    StrucnetError,
 )
 from .graph import (
     ColoringResult,
@@ -65,6 +66,7 @@ __all__ = [
     "PatternMatrix",
     "PatternParseError",
     "STAR",
+    "StrucnetError",
     "StructuredNetwork",
     "SystemCheck",
     "ZERO",

@@ -15,13 +15,7 @@ import functools
 import json
 import sys
 
-from .errors import (
-    AssumptionViolated,
-    DimensionMismatch,
-    NetworkFormatError,
-    NumericBreakdown,
-    PatternParseError,
-)
+from .errors import StrucnetError
 from .graph import build_graph, export_dot, is_full_row_rank
 from .network import (
     analyze,
@@ -34,15 +28,6 @@ from .network import (
 )
 from .pattern import PatternMatrix, hstack, load_pattern
 
-_INPUT_ERRORS = (
-    AssumptionViolated,
-    DimensionMismatch,
-    NetworkFormatError,
-    NumericBreakdown,
-    PatternParseError,
-    OSError,
-)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -54,21 +39,25 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="full controllability analysis of a network file")
     check.add_argument("path", help="network JSON file")
     check.add_argument("--json", action="store_true", help="emit the report as JSON")
+    check.set_defaults(handler=_cmd_check)
 
     rank = sub.add_parser("rank", help="full-row-rank certificate for a pattern file")
     rank.add_argument(
         "path", help='pattern JSON file: an array of token rows or a sparse {"shape", "entries"} object'
     )
     rank.add_argument("--json", action="store_true", help="emit the certificate as JSON")
+    rank.set_defaults(handler=_cmd_rank)
 
     topo = sub.add_parser("topo", help="extract and test the interconnection topology")
     topo.add_argument("path", help="network JSON file")
     topo.add_argument("--json", action="store_true", help="emit the report as JSON")
+    topo.set_defaults(handler=_cmd_topo)
 
     audit = sub.add_parser("audit", help="numeric sampling audit of the symbolic verdict")
     audit.add_argument("path", help="network JSON file")
     audit.add_argument("--trials", type=int, default=100)
     audit.add_argument("--seed", type=int, default=0)
+    audit.set_defaults(handler=_cmd_audit)
 
     dot = sub.add_parser("export-dot", help="emit a DOT rendering of one of the graphs")
     dot.add_argument("path", help="network JSON file")
@@ -77,6 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["assembled", "assembled-shifted", "interconnection", "topology"],
         default="assembled",
     )
+    dot.set_defaults(handler=_cmd_export_dot)
     return parser
 
 
@@ -129,11 +119,7 @@ def _cmd_topo(args) -> int:
 def _cmd_audit(args) -> int:
     from .oracle import AuditConfig, audit_network  # loads numpy, which only audit needs
 
-    try:
-        cfg = AuditConfig(trials=args.trials, seed=args.seed)
-    except ValueError as exc:  # a bad option value is a usage error
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+    cfg = AuditConfig(trials=args.trials, seed=args.seed)  # before the file is read
     network = load_network(args.path)
     outcome = audit_network(network, cfg)  # first: refuses a network too large before its verdict
     verdict = is_network_controllable(network)
@@ -170,26 +156,17 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "rank": _cmd_rank,
-    "topo": _cmd_topo,
-    "audit": _cmd_audit,
-    "export-dot": _cmd_export_dot,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        code = _HANDLERS[args.command](args)
+        code = args.handler(args)
         if sys.stdout is not None:  # None when started with stdout closed
             sys.stdout.flush()  # a reader that went away shows here, not at exit
         return code
     except BrokenPipeError:  # stdout closed early, as under `| head`: not an input error
         sys.stdout = None  # the interpreter skips a None stdout when it flushes at exit
         return 141  # 128 + SIGPIPE
-    except _INPUT_ERRORS as exc:  # an invalid network lists each of its violations
+    except (StrucnetError, OSError) as exc:  # an invalid network lists each of its violations
         for line in getattr(exc, "violations", [exc]):
             print(f"error: {line}", file=sys.stderr)
         return 2

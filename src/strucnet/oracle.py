@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import NumericBreakdown
+from .errors import NumericBreakdown, StrucnetError
 from .network import StructuredNetwork, validate
 from .pattern import STAR, Record, _realization_values
 
@@ -44,11 +44,11 @@ class AuditConfig(Record):
     def __init__(self, trials: int = 100, seed: int = 0):
         for name, value in (("trials", trials), ("seed", seed)):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+                raise StrucnetError(f"{name} must be an int, got {value!r}")
         if trials < 1:
-            raise ValueError(f"trials must be >= 1, got {trials}")
+            raise StrucnetError(f"trials must be >= 1, got {trials}")
         if seed < 0:
-            raise ValueError(f"seed must be non-negative, got {seed}")
+            raise StrucnetError(f"seed must be non-negative, got {seed}")
         self.__dict__.update(trials=trials, seed=seed)
 
 

@@ -25,7 +25,8 @@ rows, slices, one-entry edits, and a pattern from a grid of symbols
 pairs (from_pairs). So are the symbol tables the references fold with
 (SYMBOLS, sym_add, sym_mul) and the other names only tests call: the
 identity pattern, the class-membership test, the dense network writer,
-the Kalman and row-rank audits, the chain network, the simple-graph
+the Kalman and row-rank audits, the chain network (also as a file's
+JSON object of one-state nodes), the simple-graph
 networks whose verdicts zero forcing publishes, and the sweeps behind
 the theorem that a pattern and its identity shift never both certify full
 row rank. The network audit one trial at a time is kept here as the
@@ -243,6 +244,18 @@ def chain_network(nodes: int, diagonal: bool = False) -> StructuredNetwork:
     w = from_pairs(nodes, [()] + [((k, STAR),) for k in range(nodes - 1)])
     h = from_pairs(1, [((0, STAR),)] + [()] * (nodes - 1))
     return StructuredNetwork((node,) * nodes, w, h)
+
+
+def chain_object(nodes: int) -> dict:
+    """A chain of one-state nodes as a network file's JSON object: node k
+    feeds node k + 1, the single external input drives node 1, and W and H
+    are written sparse, so the object grows with nodes, not nodes²."""
+    one = [["*"]]
+    return {
+        "nodes": [{"A": [["0"]], "B": one, "C": one}] * nodes,
+        "W": {"shape": [nodes, nodes], "entries": [[k + 1, k, "*"] for k in range(1, nodes)]},
+        "H": {"shape": [nodes, 1], "entries": [[1, 1, "*"]]},
+    }
 
 
 # Simple graphs on vertices 0..n-1, as (n, edges) with each edge listed once.

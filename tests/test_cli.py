@@ -16,12 +16,13 @@ from hypothesis import given, settings
 from strucnet import (
     AnalysisReport,
     PatternMatrix,
+    StrucnetError,
     analyze,
     is_network_controllable,
     load_network,
     network_from_dict,
 )
-from strucnet import cli
+from strucnet import cli, errors
 from strucnet.cli import build_parser, main
 from conftest import (
     INTERCONNECTION_FILE,
@@ -32,7 +33,7 @@ from conftest import (
     SPARSE_NETWORK_FILE,
 )
 
-from helpers import mutated_json, network_to_dict, networks, random_network
+from helpers import chain_object, mutated_json, network_to_dict, networks, random_network
 
 
 CERTIFICATE_KEYS = ["colorable", "derived_set", "forcing_sequence", "uncolored"]
@@ -350,7 +351,7 @@ def _assert_clean_exits(path, obj, commands):
             assert out.getvalue() == "", command
             lines = err.getvalue().splitlines()
             assert lines and all(line.startswith("error: ") for line in lines), command
-        elif "--json" in command:
+        elif "--json" in command or command[0] == "audit":  # audit always prints one JSON object
             json.loads(out.getvalue())
 
 
@@ -432,14 +433,8 @@ def test_topo_demo_network(capsys):
 def test_topo_text_grows_with_nonzeros_not_nodes(tmp_path, capsys):
     # a chain of 2,000 one-state nodes: the dense N x N grid of W~ took 8 MB
     n = 2000
-    one = [["*"]]
-    net = {
-        "nodes": [{"A": [["0"]], "B": one, "C": one} for _ in range(n)],
-        "W": {"shape": [n, n], "entries": [[k + 1, k, "*"] for k in range(1, n)]},
-        "H": {"shape": [n, 1], "entries": [[1, 1, "*"]]},
-    }
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps(net))
+    path.write_text(json.dumps(chain_object(n)))
     code, out, _ = run(capsys, "topo", path)
     assert code == 0
     assert len(out.encode()) < 200_000
@@ -498,15 +493,8 @@ def test_broken_pipe_exits_141_without_an_error_line(monkeypatch, capsys, argv, 
 
 def test_broken_pipe_in_a_fresh_process_is_quiet(tmp_path):
     # about 340 KB of report, more than a pipe holds, so the write fails once the reader is gone
-    n = 2000
-    one = [["*"]]
-    net = {
-        "nodes": [{"A": [["0"]], "B": one, "C": one} for _ in range(n)],
-        "W": {"shape": [n, n], "entries": [[k + 1, k, "*"] for k in range(1, n)]},
-        "H": {"shape": [n, 1], "entries": [[1, 1, "*"]]},
-    }
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps(net))
+    path.write_text(json.dumps(chain_object(2000)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
@@ -633,14 +621,8 @@ def test_audit_refuses_a_network_too_large_for_one_trial(capsys, tmp_path, monke
         pytest.fail("audit decided a network it refuses")
 
     monkeypatch.setattr(cli, "is_network_controllable", no_verdict)
-    n = 20_000
-    one = [["*"]]
     path = tmp_path / "chain.json"
-    path.write_text(json.dumps({
-        "nodes": [{"A": [["0"]], "B": one, "C": one}] * n,
-        "W": {"shape": [n, n], "entries": [[k + 1, k, "*"] for k in range(1, n)]},
-        "H": {"shape": [n, 1], "entries": [[1, 1, "*"]]},
-    }))
+    path.write_text(json.dumps(chain_object(20_000)))
     code, out, err = run(capsys, "audit", path, "--trials", "1")
     assert (code, out) == (2, "")
     assert err.startswith("error: audit refused: one trial of 20000 states needs ")
@@ -649,9 +631,8 @@ def test_audit_refuses_a_network_too_large_for_one_trial(capsys, tmp_path, monke
 
 
 def test_audit_rejects_zero_trials(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["audit", str(NETWORK_FILE), "--trials", "0"])
-    assert excinfo.value.code == 2
+    code, out, err = run(capsys, "audit", NETWORK_FILE, "--trials", "0")
+    assert (code, out, err) == (2, "", "error: trials must be >= 1, got 0\n")
 
 
 def test_audit_rejects_tol_as_unknown_option(capsys):
@@ -662,9 +643,26 @@ def test_audit_rejects_tol_as_unknown_option(capsys):
 
 
 def test_audit_rejects_negative_seed(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["audit", str(NETWORK_FILE), "--seed", "-3"])
-    assert excinfo.value.code == 2
+    code, out, err = run(capsys, "audit", NETWORK_FILE, "--seed", "-3")
+    assert (code, out, err) == (2, "", "error: seed must be non-negative, got -3\n")
+
+
+def test_every_toolkit_error_class_is_a_strucnet_error():
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, BaseException)]
+    assert len(classes) >= 6 and issubclass(StrucnetError, ValueError)  # the five and their base
+    assert all(issubclass(c, StrucnetError) for c in classes)
+
+
+def test_a_new_strucnet_error_needs_no_entry_in_the_cli(monkeypatch, capsys):
+    # main prints any StrucnetError, also a subclass it has never heard of
+    class Refused(StrucnetError):
+        pass
+
+    def refuse(path):
+        raise Refused(f"{path}: refused")
+
+    monkeypatch.setattr(cli, "load_network", refuse)
+    assert run(capsys, "check", "net.json") == (2, "", "error: net.json: refused\n")
 
 
 def _dot(num_vertices, filled, star_edges, any_edges):

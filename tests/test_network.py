@@ -47,6 +47,7 @@ from conftest import (
 from helpers import (
     assembled_per_block,
     block_diag_dense,
+    chain_network,
     filled,
     from_pairs,
     grid,
@@ -501,21 +502,6 @@ def test_every_stage_reads_the_one_verdict(monkeypatch):
     assert calls == [(net,)]
 
 
-def chain_network(num_nodes: int, size: int) -> StructuredNetwork:
-    """A path of num_nodes nodes, each a path of size states.
-
-    The single external input drives the first state of node 1; each node
-    reads its last state and drives the first state of the next node.
-    """
-    a = from_pairs(size, [()] + [((s, STAR),) for s in range(size - 1)])
-    b = from_pairs(1, [((0, STAR),)] + [()] * (size - 1))
-    c = from_pairs(size, [((size - 1, STAR),)])
-    nodes = (NodeSystem(a, b, c),) * num_nodes
-    w = from_pairs(num_nodes, [()] + [((k, STAR),) for k in range(num_nodes - 1)])
-    h = from_pairs(1, [((0, STAR),)] + [()] * (num_nodes - 1))
-    return StructuredNetwork(nodes, w, h)
-
-
 def _patterns_in(obj, found: list) -> list:
     """Every PatternMatrix reachable from obj through record fields, tuples and lists."""
     if isinstance(obj, PatternMatrix):
@@ -530,7 +516,7 @@ def _patterns_in(obj, found: list) -> list:
 
 
 def test_report_patterns_hold_only_sparse_rows():
-    report = analyze(chain_network(20, 5))
+    report = analyze(chain_network(20))
     report.to_dict()
     report.to_text()
     plain, shifted = report.network_check.patterns

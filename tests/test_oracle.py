@@ -15,6 +15,7 @@ from strucnet import (
     NodeSystem,
     NumericBreakdown,
     PatternMatrix,
+    StrucnetError,
     StructuredNetwork,
     is_full_row_rank,
     is_network_controllable,
@@ -44,9 +45,9 @@ from helpers import (
 def test_audit_config_validation():
     assert AuditConfig.__match_args__ == ("trials", "seed")
     AuditConfig(trials=1, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(StrucnetError):
         AuditConfig(trials=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(StrucnetError):
         AuditConfig(seed=-1)
 
 
@@ -56,7 +57,7 @@ def test_audit_config_validation():
 def test_audit_config_rejects_non_int(kwargs):
     # range() would raise a TypeError for these only once the audit runs
     name, value = next(iter(kwargs.items()))
-    with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+    with pytest.raises(StrucnetError, match=f"^{name} must be an int, got {value!r}$"):
         AuditConfig(**kwargs)
 
 

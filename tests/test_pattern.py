@@ -814,7 +814,7 @@ def test_public_surface_is_pinned():
     assert sorted(strucnet.__all__) == [
         "ANY", "AnalysisReport", "AssumptionViolated", "ColoringResult",
         "DimensionMismatch", "NetworkFormatError", "NodeSystem", "NumericBreakdown",
-        "PatternGraph", "PatternMatrix", "PatternParseError", "STAR",
+        "PatternGraph", "PatternMatrix", "PatternParseError", "STAR", "StrucnetError",
         "StructuredNetwork", "SystemCheck", "ZERO", "analyze", "assemble",
         "build_graph", "check_structured_system", "color_change", "export_dot",
         "extract_topology", "is_full_row_rank", "is_network_controllable", "load_network",

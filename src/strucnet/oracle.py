@@ -99,12 +99,16 @@ def _controllability_rank(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class _ChunkSampler:
     """Draws the realizations of a network's A_blk, B_blk, C_blk, W and H for a run of trials.
 
-    Trial t draws from its own generator, seeded with (seed, t), in one
-    call of two doubles per nonzero of the five patterns together. The
-    nonzeros take them pattern by pattern and row-major within each, the
-    stream of five sample_realization calls on that generator. The values
-    of all trials are then mapped and scattered at once into one zero
-    buffer, of which each pattern's stack of matrices is a view.
+    All trials share one stream, default_rng(seed), and each takes a fixed
+    segment of it: with K the nonzeros of the five patterns together, trial
+    t takes doubles t * 2K to (t + 1) * 2K - 1, two per nonzero. A chunk
+    jumps to its first trial's segment with bit_generator.advance (each
+    double is one PCG64 step) and draws its trials' segments in one call,
+    so a trial's values do not depend on the chunks or on the trial count.
+    The nonzeros take them pattern by pattern and row-major within each,
+    the stream of five sample_realization calls on that generator. The
+    values of all trials are then mapped and scattered at once into one
+    zero buffer, of which each pattern's stack of matrices is a view.
 
     per_chunk is how many trials one chunk evaluates: as many as
     _CHUNK_BYTES holds, at least one. A trial's share is its sampled
@@ -136,9 +140,9 @@ class _ChunkSampler:
 
     def sample(self, seed: int, trials: range) -> list[np.ndarray]:
         """The stacked realizations, one (len(trials), rows, cols) array per pattern."""
-        draws = np.empty((len(trials), 2 * len(self.flat)))
-        for row, trial in zip(draws, trials):
-            np.random.default_rng([seed, trial]).random(out=row)
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(trials.start * 2 * len(self.flat))
+        draws = rng.random((len(trials), 2 * len(self.flat)))
         buffer = np.zeros((len(trials), self.offsets[-1]))
         buffer[:, self.flat] = _realization_values(self.star, draws[:, 0::2], draws[:, 1::2])
         return [
@@ -168,9 +172,10 @@ def _ranks(sampler: _ChunkSampler, cfg: AuditConfig, trials: range, n: int) -> l
 def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
     """Sample full network realizations and run the Kalman test on each.
 
-    Each trial draws A, B, C, W, H from their pattern classes with a seed
-    derived from (cfg.seed, trial), forms A + B W C and B H numerically,
-    and tests controllability. The block patterns are the ones the network
+    Each trial draws A, B, C, W, H from their pattern classes, taking its
+    own fixed segment of the one stream default_rng(cfg.seed) (see
+    _ChunkSampler), forms A + B W C and B H numerically, and tests
+    controllability. The block patterns are the ones the network
     keeps for the symbolic verdict. Trials are independent, so the outcome
     does not depend on execution order: they run in chunks of stacked
     arrays (see _CHUNK_BYTES) and give the outcome of one trial at a time.

@@ -315,10 +315,12 @@ def pat_shift(m: PatternMatrix) -> PatternMatrix:
     rows = []
     for i, row in enumerate(m.row_nonzeros):
         k = bisect_left(row, (i,))  # (i,) sorts before (i, symbol): no symbols are compared
+        shifted = list(row)
         if k < len(row) and row[k][0] == i:
-            rows.append(row[:k] + ((i, ANY),) + row[k + 1 :])
+            shifted[k] = (i, ANY)
         else:
-            rows.append(row[:k] + ((i, STAR),) + row[k:])
+            shifted.insert(k, (i, STAR))
+        rows.append(tuple(shifted))
     return PatternMatrix._trusted(m.cols, rows)
 
 

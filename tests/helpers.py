@@ -214,11 +214,12 @@ def audit_rank(m: PatternMatrix, cfg: AuditConfig) -> AuditOutcome:
 
 def audit_network_reference(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
     """Reference network audit: one trial at a time, five sample_realization
-    calls on the trial's generator and one Kalman rank per trial."""
+    calls per trial on the one generator default_rng(cfg.seed), and one
+    Kalman rank per trial."""
     n = network.A_blk.rows
     failures = []
+    rng = np.random.default_rng(cfg.seed)
     for trial in range(cfg.trials):
-        rng = np.random.default_rng([cfg.seed, trial])
         a, b, c, w, h = (
             sample_realization(m, rng)
             for m in (network.A_blk, network.B_blk, network.C_blk, network.W, network.H)

@@ -22,7 +22,7 @@ from strucnet import (
     load_network,
     network_from_dict,
 )
-from strucnet import cli, errors
+from strucnet import cli, errors, oracle
 from strucnet.cli import build_parser, main
 from conftest import (
     INTERCONNECTION_FILE,
@@ -574,28 +574,23 @@ def test_audit_numeric_breakdown_is_error(capsys, monkeypatch):
 
 
 def test_audit_numeric_breakdown_names_a_later_trial(capsys, monkeypatch):
-    # only trial 4 draws NaN, and only an SVD input holding NaN breaks down;
-    # all seven trials share one chunk, which is rerun one trial at a time
-    real_rng, real_svd = np.random.default_rng, np.linalg.svd
+    # only trial 4's realization holds NaN, and only an SVD input holding NaN
+    # breaks down; all seven trials share one chunk, which is rerun one trial
+    # at a time
+    real_sample, real_svd = oracle._ChunkSampler.sample, np.linalg.svd
 
-    class NanDraws:
-        def __init__(self, seed):
-            self.rng = real_rng(seed)
-
-        def random(self, *args, **kwargs):
-            draws = self.rng.random(*args, **kwargs)
-            draws[...] = np.nan
-            return draws
-
-    def rng(seed):
-        return NanDraws(seed) if seed == [5, 4] else real_rng(seed)
+    def sample(self, seed, trials):
+        stacked = real_sample(self, seed, trials)
+        if 4 in trials:
+            stacked[0][trials.index(4)] = np.nan
+        return stacked
 
     def svd(matrix, *args, **kwargs):
         if np.isnan(matrix).any():
             raise np.linalg.LinAlgError("SVD did not converge")
         return real_svd(matrix, *args, **kwargs)
 
-    monkeypatch.setattr(np.random, "default_rng", rng)
+    monkeypatch.setattr(oracle._ChunkSampler, "sample", sample)
     monkeypatch.setattr(np.linalg, "svd", svd)
     code, out, err = run(capsys, "audit", NETWORK_FILE, "--trials", "7", "--seed", "5")
     assert (code, out) == (2, "")
@@ -932,7 +927,12 @@ def _readme_blocks(lang: str) -> list[str]:
 
 def test_readme_examples_run_and_match_the_cli(capsys, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
-    [example] = _readme_blocks("python")
+    recipe, example = _readme_blocks("python")
+    # the recipe redraws one audit trial alone: the values the audit's sampler gives it
+    trial = {}
+    exec(recipe, trial)
+    stacked = oracle._ChunkSampler(trial["network"]).sample(trial["S"], range(trial["T"], trial["T"] + 1))
+    assert all(np.array_equal(trial[name], values[0]) for name, values in zip("abcwh", stacked))
     exec(example, {})
     assert capsys.readouterr().out.startswith(analyze(load_network(NETWORK_FILE)).to_text())
     [topo] = _readme_blocks("text")

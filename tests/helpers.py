@@ -30,15 +30,18 @@ JSON object of one-state nodes), the simple-graph
 networks whose verdicts zero forcing publishes, and the sweeps behind
 the theorem that a pattern and its identity shift never both certify full
 row rank. The network audit one trial at a time is kept here as the
-reference that the chunked library audit must match exactly.
+reference that the chunked library audit must match exactly. So is the
+environment of a fresh interpreter that imports the library from src.
 """
 
 from __future__ import annotations
 
 import copy
 import itertools
+import os
 from collections import deque
 from enum import Enum
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -247,16 +250,27 @@ def chain_network(nodes: int, diagonal: bool = False) -> StructuredNetwork:
     return StructuredNetwork((node,) * nodes, w, h)
 
 
-def chain_object(nodes: int) -> dict:
-    """A chain of one-state nodes as a network file's JSON object: node k
-    feeds node k + 1, the single external input drives node 1, and W and H
-    are written sparse, so the object grows with nodes, not nodes²."""
+def chain_object(nodes: int, node: dict | None = None) -> dict:
+    """A chain of single-input, single-output nodes as a network file's JSON
+    object: node k feeds node k + 1, the single external input drives node
+    1, and W and H are written sparse, so the object grows with nodes, not
+    nodes². Every node is the JSON object node, by default one state with
+    A = [0] and B = C = [*]."""
     one = [["*"]]
     return {
-        "nodes": [{"A": [["0"]], "B": one, "C": one}] * nodes,
+        "nodes": [node or {"A": [["0"]], "B": one, "C": one}] * nodes,
         "W": {"shape": [nodes, nodes], "entries": [[k + 1, k, "*"] for k in range(1, nodes)]},
         "H": {"shape": [nodes, 1], "entries": [[1, 1, "*"]]},
     }
+
+
+def fresh_process_env() -> dict[str, str]:
+    """os.environ with the repository's src first on PYTHONPATH, for a child
+    interpreter that must import this checkout's strucnet."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src, *filter(None, [env.get("PYTHONPATH")])])
+    return env
 
 
 # Simple graphs on vertices 0..n-1, as (n, edges) with each edge listed once.

@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -33,7 +32,14 @@ from conftest import (
     SPARSE_NETWORK_FILE,
 )
 
-from helpers import chain_object, mutated_json, network_to_dict, networks, random_network
+from helpers import (
+    chain_object,
+    fresh_process_env,
+    mutated_json,
+    network_to_dict,
+    networks,
+    random_network,
+)
 
 
 CERTIFICATE_KEYS = ["colorable", "derived_set", "forcing_sequence", "uncolored"]
@@ -60,13 +66,9 @@ def test_check_uncontrollable_network_prints_witness(capsys):
 
 
 def test_check_names_the_one_failing_node_in_a_fresh_process():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "strucnet.cli", "check", str(NODE_FAIL_NETWORK_FILE)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=fresh_process_env(), timeout=120,
     )
     assert (proc.returncode, proc.stderr) == (1, "")
     assert "controllable: no" in proc.stdout
@@ -160,10 +162,31 @@ def test_check_json_patterns_are_sparse(tmp_path, capsys):
             assert PatternMatrix.from_tokens(_dense(block)) == pattern
 
 
-@pytest.mark.parametrize("argv", [["check", "--json"], ["check"], ["topo", "--json"]])
+@pytest.mark.parametrize("argv", [["check", "--json"], ["check"], ["topo", "--json"], ["topo"]])
 def test_sparse_fixture_gives_the_dense_fixture_output(capsys, argv):
     assert load_network(SPARSE_NETWORK_FILE) == load_network(NETWORK_FILE)
     assert run(capsys, *argv, SPARSE_NETWORK_FILE) == run(capsys, *argv, NETWORK_FILE)
+
+
+@pytest.mark.parametrize(
+    "a, code", [([["0", "0"], ["*", "0"]], 0), ([["0", "0"], ["0", "0"]], 1)], ids=["lower", "zero"]
+)
+def test_two_state_chain_reads_the_same_dense_and_sparse(tmp_path, capsys, a, code):
+    # 2,000 two-state nodes: as equal dense grids the node matrices share one
+    # pattern, in sparse form each node has its own. With A = 0 no node is
+    # controllable on its own, so the node screen fails every node
+    node = {"A": a, "B": [["*"], ["0"]], "C": [["0", "*"]]}
+    reports = []
+    for form in (node, {name: PatternMatrix.from_json(grid).to_sparse() for name, grid in node.items()}):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(chain_object(2000, form)))
+        reports.append(run(capsys, "check", "--json", path))
+    assert reports[0] == reports[1]
+    exit_code, out, err = reports[0]
+    assert (exit_code, err) == (code, "")
+    checks = json.loads(out)["node_checks"]
+    assert len(checks) == 2000
+    assert all(check["controllable"] is (code == 0) for check in checks)
 
 
 @pytest.mark.parametrize("path", [NETWORK_FILE, NO_INPUT_NETWORK_FILE])
@@ -222,6 +245,11 @@ def _set(obj, where, value):
             "nodes[0].A: row 2, column 3 appears twice",
         ),
         (
+            "W",
+            {"shape": [6, 6], "entries": [[1, 1, "*"], [1, 1, "?"]]},
+            "W: row 1, column 1 appears twice",
+        ),
+        (
             "A",
             {"shape": [4, 4], "entries": [[1, 1, "*"], [2, 2, "0"]]},
             "nodes[0].A: entries[1]: invalid pattern token '0', expected '*' or '?'",
@@ -259,9 +287,9 @@ def _set(obj, where, value):
     ],
     ids=[
         "no-entries", "no-shape", "zero-shape", "bool-shape", "short-shape", "huge-shape",
-        "entries-object", "row-range", "column-range", "duplicate", "zero-token", "list-token",
-        "bool-index", "short-entry", "token-after-repeat", "repeats-in-rows-3-and-1",
-        "two-bad-entries",
+        "entries-object", "row-range", "column-range", "duplicate", "duplicate-in-W",
+        "zero-token", "list-token", "bool-index", "short-entry", "token-after-repeat",
+        "repeats-in-rows-3-and-1", "two-bad-entries",
     ],
 )
 def test_bad_sparse_matrix_is_located(tmp_path, capsys, where, value, message):
@@ -495,13 +523,9 @@ def test_broken_pipe_in_a_fresh_process_is_quiet(tmp_path):
     # about 340 KB of report, more than a pipe holds, so the write fails once the reader is gone
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(chain_object(2000)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
     proc = subprocess.Popen(
         [sys.executable, "-m", "strucnet.cli", "check", "--json", str(path)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=fresh_process_env(),
     )
     assert proc.stdout.read(1) == b"{"
     proc.stdout.close()
@@ -560,6 +584,46 @@ def test_audit_uncontrollable_network_is_consistent(capsys):
     assert payload["symbolic_controllable"] is False
     assert payload["audit"]["failures"] == 10
     assert payload["consistent"] is True
+
+
+_AUDIT_LINE = (
+    '{{"symbolic_controllable": {}, "audit": {{"trials_run": 5, "failures": {}, "first_failure": {}}}, '
+    '"consistent": true, "note": "sampling is a consistency check, not a proof"}}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "path, verdict, failures, first_failure",
+    [
+        (NETWORK_FILE, "true", 0, "null"),
+        (NO_INPUT_NETWORK_FILE, "false", 5, '{"trial": 0, "detail": "controllability rank 0 < 12"}'),
+        (NODE_FAIL_NETWORK_FILE, "false", 5, '{"trial": 0, "detail": "controllability rank 11 < 12"}'),
+    ],
+    ids=["demo", "no-input", "node-fail"],
+)
+def test_audit_of_each_network_fixture(capsys, path, verdict, failures, first_failure):
+    # the demo never fails, and both negative variants fail from trial 0
+    line = _AUDIT_LINE.format(verdict, failures, first_failure)
+    assert run(capsys, "audit", "--trials", "5", path) == (0, line, "")
+
+
+def test_audit_is_the_same_in_fresh_processes():
+    # 500 trials of the demo run in several chunks, each advancing the one
+    # stream to its first trial's segment; the string hash seed must not matter
+    argv = [
+        sys.executable, "-m", "strucnet.cli", "audit", "--trials", "500", "--seed", "7", str(NETWORK_FILE)
+    ]
+    procs = [
+        subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={**fresh_process_env(), "PYTHONHASHSEED": hash_seed},
+        )
+        for hash_seed in ("1", "2")
+    ]
+    (out1, err1), (out2, err2) = (proc.communicate(timeout=120) for proc in procs)
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert (err1, err2, out1) == ("", "", out2)
+    assert json.loads(out1)["audit"]["failures"] == 0
 
 
 def test_audit_numeric_breakdown_is_error(capsys, monkeypatch):
@@ -730,20 +794,32 @@ def _short_h(obj):
     return obj
 
 
+def _wide_w(obj):
+    for row in obj["W"]:
+        row.append("0")
+    return obj
+
+
 @pytest.mark.parametrize(
     "spoil, message",
     [
         (_two_stars_in_b, "error: node 1, matrix B: column 2 has 2 '*' entries, expected exactly one\n"),
         (_short_h, "error: matrix H: has 5 rows, expected 6 from node blocks\n"),
+        (_wide_w, "error: matrix W: has shape (6, 7), expected (6, 6) from node blocks\n"),
     ],
-    ids=["two-stars-in-B", "short-H"],
+    ids=["two-stars-in-B", "short-H", "wide-W"],
 )
 def test_export_dot_validates_every_view(tmp_path, capsys, spoil, message):
+    # every command that reads a network refuses it with the same one message
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(spoil(json.loads(NETWORK_FILE.read_text()))))
-    assert run(capsys, "check", bad) == (2, "", message)
-    for which in ("assembled", "assembled-shifted", "interconnection", "topology"):
-        assert run(capsys, "export-dot", bad, "--which", which) == (2, "", message)
+    commands = [["check"], ["check", "--json"], ["topo"], ["topo", "--json"], ["audit", "--trials", "2"]]
+    commands += [
+        ["export-dot", "--which", which]
+        for which in ("assembled", "assembled-shifted", "interconnection", "topology")
+    ]
+    for command in commands:
+        assert run(capsys, *command, bad) == (2, "", message), command
 
 
 def test_export_dot_tall_interconnection(tmp_path, capsys):
@@ -858,10 +934,7 @@ _ORACLE_PROBE = "import sys, strucnet.oracle; print('numpy' in sys.modules)"
 
 
 def test_only_audit_loads_numpy():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
+    env = fresh_process_env()
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, str(NETWORK_FILE), str(INTERCONNECTION_FILE)],
         capture_output=True, text=True, env=env, timeout=120,

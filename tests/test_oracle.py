@@ -1,6 +1,7 @@
 """Numeric rank oracle, sampling audits, and exhaustive sweeps (the last in helpers)."""
 
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,7 @@ from strucnet import (
     StructuredNetwork,
     is_full_row_rank,
     is_network_controllable,
+    network_from_dict,
 )
 from strucnet import oracle
 from strucnet.oracle import AuditConfig, AuditOutcome, audit_network
@@ -187,6 +189,60 @@ def test_audit_passes_a_certified_600_state_chain():
     net = chain_network(120, diagonal=True)
     assert is_network_controllable(net).controllable
     assert audit_network(net, AuditConfig(trials=1, seed=0)).failures == 0
+
+
+def _rows(text):
+    """A token grid from its rows, each row written as one string of tokens."""
+    return [list(row) for row in text.split()]
+
+
+# check-pool's pool-022 at workload seed 1: four 3-state nodes and one
+# external input, 12 states, certified controllable
+POOL_022 = {
+    "nodes": [
+        {"A": _rows("**0 **0 0*?"), "B": _rows("* 0 0"), "C": _rows("00* 00*")},
+        {"A": _rows("000 *00 0*?"), "B": _rows("* 0 0"), "C": _rows("00* 00*")},
+        {"A": _rows("*00 *?* 0*0"), "B": _rows("* 0 0"), "C": _rows("00* *00")},
+        {"A": _rows("000 *** 0**"), "B": _rows("* 0 0"), "C": _rows("00* *00")},
+    ],
+    "W": _rows("?00000*0 *0000000 **?0?**? 0**?*00*"),
+    "H": _rows("0 0 * 0"),
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 8")
+def test_audit_passes_the_smallest_known_false_alarm():
+    # trial 8 reads "controllability rank 11 < 12" under RANK_TOLERANCE
+    assert audit_network(network_from_dict(POOL_022), AuditConfig(trials=20, seed=0)).failures == 0
+
+
+def _rank_over_q(matrix) -> int:
+    """The rank of a matrix of Fractions, by elimination in exact arithmetic."""
+    rows = [list(row) for row in matrix]
+    rank = 0
+    for j in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            factor = rows[i][j] / rows[rank][j]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_the_false_alarm_realization_has_full_exact_rank():
+    # the doubles of trial 8 at seed 0 are rationals: over Q the Kalman
+    # matrix of A + B W C and B H has rank 12, so the verdict stands
+    net = network_from_dict(POOL_022)
+    assert is_network_controllable(net).controllable
+    exact = np.vectorize(Fraction, otypes=[object])
+    a, b, c, w, h = (exact(m[0]) for m in oracle._ChunkSampler(net).sample(0, range(8, 9)))
+    state, krylov = a + b @ w @ c, [b @ h]
+    for _ in range(11):
+        krylov.append(state @ krylov[-1])
+    assert _rank_over_q(np.hstack(krylov)) == 12
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import os
 import subprocess
 import sys
 import weakref
@@ -33,7 +32,7 @@ from strucnet.pattern import (
     pat_shift,
     sample_realization,
 )
-from conftest import A1, C_NODE, NETWORK_FILE, REPO_ROOT
+from conftest import A1, C_NODE, NETWORK_FILE
 
 from helpers import (
     SYMBOLS,
@@ -43,6 +42,7 @@ from helpers import (
     enumerate_patterns,
     exact_product_condition,
     filled,
+    fresh_process_env,
     grid,
     hstack_dense,
     is_member,
@@ -722,13 +722,9 @@ sys.stdout.write(sys.stdin.read())
 
 def test_loaders_reject_an_int_path_without_reading_stdin():
     text = NETWORK_FILE.read_text()
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(REPO_ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])]
-    )
     proc = subprocess.run(
         [sys.executable, "-c", _FD_PROBE], input=text, capture_output=True, text=True,
-        env=env, timeout=120,
+        env=fresh_process_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "load_pattern TypeError\nload_network TypeError\n" + text

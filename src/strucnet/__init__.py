@@ -10,14 +10,7 @@ needs numpy, and `import strucnet` does not load it. The pattern algebra
 sampler are imported from `strucnet.pattern`.
 """
 
-from .errors import (
-    AssumptionViolated,
-    DimensionMismatch,
-    NetworkFormatError,
-    NumericBreakdown,
-    PatternParseError,
-    StrucnetError,
-)
+from .errors import AssumptionViolated, StrucnetError
 from .graph import (
     ColoringResult,
     PatternGraph,
@@ -58,13 +51,9 @@ __all__ = [
     "AnalysisReport",
     "AssumptionViolated",
     "ColoringResult",
-    "DimensionMismatch",
-    "NetworkFormatError",
     "NodeSystem",
-    "NumericBreakdown",
     "PatternGraph",
     "PatternMatrix",
-    "PatternParseError",
     "STAR",
     "StrucnetError",
     "StructuredNetwork",

@@ -29,7 +29,9 @@ from .network import (
 from .pattern import PatternMatrix, hstack, load_pattern
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared; parse_args leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="strucnet",
         description="Strong structural controllability analysis of structured networks.",
@@ -68,12 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dot.set_defaults(handler=_cmd_export_dot)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built once per process; parse_args leaves it unchanged."""
-    return build_parser()
 
 
 def _cmd_check(args) -> int:
@@ -157,7 +153,7 @@ def _cmd_export_dot(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         code = args.handler(args)
         if sys.stdout is not None:  # None when started with stdout closed

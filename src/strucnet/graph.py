@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections import deque
 from functools import cached_property
 
-from .errors import DimensionMismatch
+from .errors import StrucnetError
 from .pattern import STAR, PatternMatrix, Record
 
 
@@ -86,7 +86,7 @@ class ColoringResult(Record):
 def build_graph(m: PatternMatrix) -> PatternGraph:
     """Digraph of a p-by-q pattern, defined for p <= q."""
     if m.rows > m.cols:
-        raise DimensionMismatch(f"graph is defined for patterns with rows <= cols, got {m.shape}")
+        raise StrucnetError(f"graph is defined for patterns with rows <= cols, got {m.shape}")
     return PatternGraph(m)
 
 

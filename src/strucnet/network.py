@@ -32,7 +32,7 @@ from bisect import bisect_right
 from functools import cached_property
 from itertools import accumulate
 
-from .errors import AssumptionViolated, DimensionMismatch, NetworkFormatError, PatternParseError
+from .errors import AssumptionViolated, StrucnetError
 from .graph import ColoringResult, build_graph, is_full_row_rank, weak_color_change
 from .pattern import (
     ANY,
@@ -221,9 +221,9 @@ def check_structured_system(a: PatternMatrix, b: PatternMatrix) -> SystemCheck:
     [a+I b] have full row rank, which is_full_row_rank decides.
     """
     if a.rows != a.cols:
-        raise DimensionMismatch(f"state pattern must be square, got {a.shape}")
+        raise StrucnetError(f"state pattern must be square, got {a.shape}")
     if b.rows != a.rows:
-        raise DimensionMismatch(
+        raise StrucnetError(
             f"input pattern has {b.rows} rows, expected {a.rows} to match the state pattern"
         )
     plain = hstack(a, b)
@@ -391,11 +391,11 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
     share one PatternMatrix, and each still counts toward that limit.
     """
     if not isinstance(obj, dict):
-        raise NetworkFormatError(f"expected a JSON object, got {type(obj).__name__}")
+        raise StrucnetError(f"expected a JSON object, got {type(obj).__name__}")
     if "nodes" not in obj:
-        raise NetworkFormatError("missing required key 'nodes'")
+        raise StrucnetError("missing required key 'nodes'")
     if not isinstance(obj["nodes"], list) or not obj["nodes"]:
-        raise NetworkFormatError("'nodes' must be a non-empty list")
+        raise StrucnetError("'nodes' must be a non-empty list")
     rows = cols = 0
     shared: dict[tuple, PatternMatrix] = {}  # a node matrix's token grid, as tuples -> its pattern
 
@@ -412,15 +412,15 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
         if matrix is None:
             try:
                 matrix = PatternMatrix.from_json(raw)
-            except (PatternParseError, DimensionMismatch) as exc:
-                raise NetworkFormatError(f"{where}: {exc}") from None
+            except StrucnetError as exc:
+                raise StrucnetError(f"{where}: {exc}") from None
             if key is not None:
                 shared[key] = matrix
         rows += matrix.rows
         cols += matrix.cols
         if rows > MAX_SPARSE_SIZE or cols > MAX_SPARSE_SIZE:
             total, axis = (rows, "rows") if rows > MAX_SPARSE_SIZE else (cols, "columns")
-            raise NetworkFormatError(
+            raise StrucnetError(
                 f"{where}: brings the file to {total} {axis}, "
                 f"over the limit of {MAX_SPARSE_SIZE} for all matrices together"
             )
@@ -429,21 +429,21 @@ def network_from_dict(obj: dict) -> StructuredNetwork:
     nodes = []
     for k, entry in enumerate(obj["nodes"]):
         if not isinstance(entry, dict):
-            raise NetworkFormatError(f"nodes[{k}] must be an object")
+            raise StrucnetError(f"nodes[{k}] must be an object")
         matrices = {}
         for name in ("A", "B", "C"):
             if name not in entry:
-                raise NetworkFormatError(f"nodes[{k}] is missing matrix '{name}'")
+                raise StrucnetError(f"nodes[{k}] is missing matrix '{name}'")
             matrices[name] = read(f"nodes[{k}].{name}", entry[name], share=True)
         nodes.append(NodeSystem(matrices["A"], matrices["B"], matrices["C"]))
     matrices = {}
     for name in ("W", "H"):
         if name not in obj:
-            raise NetworkFormatError(f"missing required key '{name}'")
+            raise StrucnetError(f"missing required key '{name}'")
         matrices[name] = read(name, obj[name])
     return StructuredNetwork(tuple(nodes), matrices["W"], matrices["H"])
 
 
 def load_network(path) -> StructuredNetwork:
     """Read a structured network from a JSON file."""
-    return network_from_dict(read_json(path, NetworkFormatError))
+    return network_from_dict(read_json(path))

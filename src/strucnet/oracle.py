@@ -14,7 +14,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import NumericBreakdown, StrucnetError
+from .errors import StrucnetError
 from .network import StructuredNetwork, validate
 from .pattern import STAR, Record, _realization_values
 
@@ -115,7 +115,7 @@ class _ChunkSampler:
     patterns plus twice the n x nm Kalman matrix and the n x n state
     matrix (the Krylov blocks and their concatenation); numpy's and
     LAPACK's scratch space comes on top. A network whose share exceeds
-    MAX_TRIAL_BYTES raises NumericBreakdown before its nonzeros are read.
+    MAX_TRIAL_BYTES raises StrucnetError before its nonzeros are read.
     """
 
     def __init__(self, network: StructuredNetwork):
@@ -125,7 +125,7 @@ class _ChunkSampler:
         n, m = network.A_blk.rows, network.H.cols
         trial_bytes = 8 * (self.offsets[-1] + 2 * n * n * (m + 1))
         if trial_bytes > MAX_TRIAL_BYTES:
-            raise NumericBreakdown(
+            raise StrucnetError(
                 f"audit refused: one trial of {n} states needs {trial_bytes} bytes, "
                 f"above the limit of {MAX_TRIAL_BYTES}"
             )
@@ -159,11 +159,11 @@ def _ranks(sampler: _ChunkSampler, cfg: AuditConfig, trials: range, n: int) -> l
         return _controllability_rank(a + b @ w @ c, b @ h).tolist()
     except np.linalg.LinAlgError as exc:
         if len(trials) == 1:
-            raise NumericBreakdown(
+            raise StrucnetError(
                 f"numeric breakdown in trial {trials[0]} (seed {cfg.seed}): {exc}"
             ) from None
     except MemoryError:
-        raise NumericBreakdown(
+        raise StrucnetError(
             f"out of memory in trial {trials[0]} (seed {cfg.seed}) for {n} x {n} realizations"
         ) from None
     return [rank for trial in trials for rank in _ranks(sampler, cfg, range(trial, trial + 1), n)]
@@ -179,7 +179,7 @@ def audit_network(network: StructuredNetwork, cfg: AuditConfig) -> AuditOutcome:
     keeps for the symbolic verdict. Trials are independent, so the outcome
     does not depend on execution order: they run in chunks of stacked
     arrays (see _CHUNK_BYTES) and give the outcome of one trial at a time.
-    A trial whose rank computation fails raises NumericBreakdown naming
+    A trial whose rank computation fails raises StrucnetError naming
     that trial; arrays that cannot be allocated raise it naming the first
     trial of their chunk, and a network whose trial would take more than
     MAX_TRIAL_BYTES raises it naming the states and bytes, before sampling.

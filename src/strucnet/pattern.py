@@ -25,7 +25,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import itemgetter
 
-from .errors import DimensionMismatch, PatternParseError
+from .errors import StrucnetError
 
 # numpy is imported inside the functions that use it, so the symbolic path
 # never loads it; the np.ndarray annotations stay unevaluated strings.
@@ -117,12 +117,12 @@ class PatternMatrix(Record):
         One pass over the tokens lists each row's nonzeros.
         """
         if not isinstance(grid, (list, tuple)):
-            raise PatternParseError(f"expected a list of rows, got {type(grid).__name__}")
+            raise StrucnetError(f"expected a list of rows, got {type(grid).__name__}")
         rows = []
         widths = []
         for i, raw_row in enumerate(grid):
             if not isinstance(raw_row, (list, tuple)):
-                raise PatternParseError(f"row {i + 1}: expected a list of tokens")
+                raise StrucnetError(f"row {i + 1}: expected a list of tokens")
             widths.append(len(raw_row))
             zeros = raw_row.count("0")
             if zeros == len(raw_row):
@@ -140,16 +140,16 @@ class PatternMatrix(Record):
             except (KeyError, TypeError):  # an unknown or unhashable token
                 for j, token in enumerate(raw_row):
                     if token != "0" and not (isinstance(token, str) and token in _SYMBOL_OF_TOKEN):
-                        raise PatternParseError(
+                        raise StrucnetError(
                             f"row {i + 1}, column {j + 1}: invalid pattern token {token!r}, "
                             "expected one of '0', '*', '?'"
                         ) from None
                 raise
         if not widths or not widths[0]:
-            raise DimensionMismatch("a pattern matrix needs at least one row and one column")
+            raise StrucnetError("a pattern matrix needs at least one row and one column")
         for i, width in enumerate(widths):
             if width != widths[0]:
-                raise DimensionMismatch(f"row {i + 1} has {width} entries, expected {widths[0]}")
+                raise StrucnetError(f"row {i + 1} has {width} entries, expected {widths[0]}")
         return cls._trusted(widths[0], rows)
 
     @classmethod
@@ -172,39 +172,39 @@ class PatternMatrix(Record):
             return cls.from_tokens(obj)
         for key in ("shape", "entries"):
             if key not in obj:
-                raise PatternParseError(f"sparse pattern is missing key {key!r}")
+                raise StrucnetError(f"sparse pattern is missing key {key!r}")
         shape, entries = obj["shape"], obj["entries"]
         if not (
             isinstance(shape, list)
             and len(shape) == 2
             and all(type(size) is int and size > 0 for size in shape)
         ):
-            raise PatternParseError(f"'shape' must be two positive integers, got {shape!r}")
+            raise StrucnetError(f"'shape' must be two positive integers, got {shape!r}")
         num_rows, cols = shape
         if max(shape) > MAX_SPARSE_SIZE:
-            raise DimensionMismatch(
+            raise StrucnetError(
                 f"'shape' {shape} exceeds the limit of {MAX_SPARSE_SIZE} rows or columns"
             )
         if not isinstance(entries, list):
-            raise PatternParseError(f"'entries' must be a list, got {type(entries).__name__}")
+            raise StrucnetError(f"'entries' must be a list, got {type(entries).__name__}")
         by_row: dict[int, list[tuple[int, str]]] = {}
         for k, entry in enumerate(entries):
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
-                raise PatternParseError(
+                raise StrucnetError(
                     f"entries[{k}]: expected [row, column, token], got {entry!r}"
                 )
             i, j, token = entry
             if type(i) is not int or type(j) is not int:
-                raise PatternParseError(
+                raise StrucnetError(
                     f"entries[{k}]: row and column must be integers, got {entry!r}"
                 )
             if not (1 <= i <= num_rows and 1 <= j <= cols):
-                raise DimensionMismatch(
+                raise StrucnetError(
                     f"entries[{k}]: position ({i}, {j}) is outside the shape {shape}"
                 )
             symbol = _SYMBOL_OF_TOKEN.get(token) if isinstance(token, str) else None
             if symbol is None:
-                raise PatternParseError(
+                raise StrucnetError(
                     f"entries[{k}]: invalid pattern token {token!r}, expected '*' or '?'"
                 )
             by_row.setdefault(i - 1, []).append((j - 1, symbol))
@@ -213,13 +213,13 @@ class PatternMatrix(Record):
             row = rows[i] = tuple(sorted(by_row[i], key=itemgetter(0)))
             if len(dict(row)) < len(row):
                 j = next(a for (a, _), (b, _) in zip(row, row[1:]) if a == b)
-                raise PatternParseError(f"row {i + 1}, column {j + 1} appears twice")
+                raise StrucnetError(f"row {i + 1}, column {j + 1} appears twice")
         return cls._trusted(cols, rows)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "PatternMatrix":
         if type(rows) is not int or rows < 1 or type(cols) is not int or cols < 1:
-            raise DimensionMismatch("a pattern matrix needs at least one row and one column")
+            raise StrucnetError("a pattern matrix needs at least one row and one column")
         return cls._trusted(cols, repeat((), rows))
 
     @cached_property
@@ -257,7 +257,7 @@ def pat_add(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     terms may cancel.
     """
     if m.shape != n.shape:
-        raise DimensionMismatch(f"cannot add patterns of shapes {m.shape} and {n.shape}")
+        raise StrucnetError(f"cannot add patterns of shapes {m.shape} and {n.shape}")
     rows = []
     for mrow, nrow in zip(m.row_nonzeros, n.row_nonzeros):
         if not nrow or not mrow:
@@ -281,7 +281,7 @@ def pat_mul(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     one step per row.
     """
     if m.cols != n.rows:
-        raise DimensionMismatch(
+        raise StrucnetError(
             f"cannot multiply patterns of shapes {m.shape} and {n.shape}"
         )
     right = n.row_nonzeros
@@ -311,7 +311,7 @@ def pat_shift(m: PatternMatrix) -> PatternMatrix:
     shift of [a b] with square a is [a+I b].
     """
     if m.rows > m.cols:
-        raise DimensionMismatch(f"cannot shift a pattern with more rows than columns, got {m.shape}")
+        raise StrucnetError(f"cannot shift a pattern with more rows than columns, got {m.shape}")
     rows = []
     for i, row in enumerate(m.row_nonzeros):
         k = bisect_left(row, (i,))  # (i,) sorts before (i, symbol): no symbols are compared
@@ -378,7 +378,7 @@ def sample_realization(m: PatternMatrix, seed) -> np.ndarray:
 def hstack(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     """Place two patterns side by side."""
     if m.rows != n.rows:
-        raise DimensionMismatch(
+        raise StrucnetError(
             f"cannot hstack patterns with {m.rows} and {n.rows} rows"
         )
     by = m.cols
@@ -395,7 +395,7 @@ def block_diag(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
     """Block-diagonal pattern; the first block's rows and empty rows are shared, not copied."""
     blocks = list(blocks)
     if not blocks:
-        raise DimensionMismatch("block_diag needs at least one block")
+        raise StrucnetError("block_diag needs at least one block")
     rows = list(blocks[0].row_nonzeros)
     col_off = blocks[0].cols
     for block in blocks[1:]:
@@ -406,8 +406,8 @@ def block_diag(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
     return PatternMatrix._trusted(col_off, rows)
 
 
-def read_json(path, error: type[ValueError]):
-    """Parse a UTF-8 JSON file; bad text, an over-long integer or deep nesting raises error.
+def read_json(path):
+    """Parse a UTF-8 JSON file; bad text, an over-long integer or deep nesting raises StrucnetError.
 
     path is opened as given. An int raises TypeError: it is never read as
     a file descriptor.
@@ -416,9 +416,9 @@ def read_json(path, error: type[ValueError]):
         with open(os.fspath(path), encoding="utf-8") as fh:
             return json.loads(fh.read())
     except (ValueError, RecursionError) as exc:
-        raise error(f"{path}: not valid JSON: {exc}") from None
+        raise StrucnetError(f"{path}: not valid JSON: {exc}") from None
 
 
 def load_pattern(path) -> PatternMatrix:
     """Read a pattern matrix from a JSON file, as a token grid or in sparse form."""
-    return PatternMatrix.from_json(read_json(path, PatternParseError))
+    return PatternMatrix.from_json(read_json(path))

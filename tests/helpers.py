@@ -49,9 +49,9 @@ from hypothesis import strategies as st
 
 from strucnet import (
     ColoringResult,
-    DimensionMismatch,
     NodeSystem,
     PatternGraph,
+    StrucnetError,
     StructuredNetwork,
     is_full_row_rank,
 )
@@ -144,7 +144,7 @@ def with_entry(m: PatternMatrix, i: int, j: int, symbol: str) -> PatternMatrix:
 def pat_identity(n: int) -> PatternMatrix:
     """The n-by-n pattern with '*' on the diagonal and '0' elsewhere."""
     if n < 1:
-        raise DimensionMismatch(f"identity size must be positive, got {n}")
+        raise StrucnetError(f"identity size must be positive, got {n}")
     return from_pairs(n, (((i, STAR),) for i in range(n)))
 
 
@@ -156,7 +156,7 @@ def is_member(values: np.ndarray, m: PatternMatrix) -> bool:
     """
     values = np.asarray(values, dtype=float)
     if values.shape != m.shape:
-        raise DimensionMismatch(
+        raise StrucnetError(
             f"value grid has shape {values.shape}, pattern has shape {m.shape}"
         )
     for i, row in enumerate(dense(m)):
@@ -203,7 +203,7 @@ def audit_rank(m: PatternMatrix, cfg: AuditConfig) -> AuditOutcome:
     direction a zero failure count proves nothing.
     """
     if m.rows > m.cols:
-        raise DimensionMismatch(f"row-rank audit needs rows <= cols, got {m.shape}")
+        raise StrucnetError(f"row-rank audit needs rows <= cols, got {m.shape}")
     failures = []
     for trial in range(cfg.trials):
         rng = np.random.default_rng([cfg.seed, trial])
@@ -521,7 +521,7 @@ def pat_mul_fold(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     """Reference pattern product: entry (i, j) folds sym_mul(m[i, k], n[k, j])
     with sym_add over every inner index k, left to right."""
     if m.cols != n.rows:
-        raise DimensionMismatch(
+        raise StrucnetError(
             f"cannot multiply patterns of shapes {m.shape} and {n.shape}"
         )
     n_cols = list(zip(*dense(n)))
@@ -540,7 +540,7 @@ def pat_mul_fold(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
 def pat_add_dense(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     """Reference pattern sum: sym_add of every pair of grid entries."""
     if m.shape != n.shape:
-        raise DimensionMismatch(f"cannot add patterns of shapes {m.shape} and {n.shape}")
+        raise StrucnetError(f"cannot add patterns of shapes {m.shape} and {n.shape}")
     return grid(
         tuple(
             tuple(sym_add(a, b) for a, b in zip(mrow, nrow))
@@ -552,7 +552,7 @@ def pat_add_dense(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
 def pat_shift_dense(m: PatternMatrix) -> PatternMatrix:
     """Reference m + [I 0]: sym_add of '*' to each diagonal grid entry."""
     if m.rows > m.cols:
-        raise DimensionMismatch(f"cannot shift a pattern with more rows than columns, got {m.shape}")
+        raise StrucnetError(f"cannot shift a pattern with more rows than columns, got {m.shape}")
     return grid(
         tuple(
             row[:i] + (sym_add(row[i], STAR),) + row[i + 1 :]
@@ -564,7 +564,7 @@ def pat_shift_dense(m: PatternMatrix) -> PatternMatrix:
 def hstack_dense(m: PatternMatrix, n: PatternMatrix) -> PatternMatrix:
     """Reference [m n]: each grid row of m followed by that of n."""
     if m.rows != n.rows:
-        raise DimensionMismatch(f"cannot hstack patterns with {m.rows} and {n.rows} rows")
+        raise StrucnetError(f"cannot hstack patterns with {m.rows} and {n.rows} rows")
     return grid(tuple(mrow + nrow for mrow, nrow in zip(dense(m), dense(n))))
 
 
@@ -572,7 +572,7 @@ def block_diag_dense(blocks: Sequence[PatternMatrix]) -> PatternMatrix:
     """Reference block diagonal: every block copied into a zero grid."""
     blocks = list(blocks)
     if not blocks:
-        raise DimensionMismatch("block_diag needs at least one block")
+        raise StrucnetError("block_diag needs at least one block")
     total_rows = sum(b.rows for b in blocks)
     total_cols = sum(b.cols for b in blocks)
     cells = [[ZERO] * total_cols for _ in range(total_rows)]
@@ -681,7 +681,7 @@ def _single_star_lines(lines: Iterable[tuple[str, ...]]) -> bool:
 def exact_product_condition(m: PatternMatrix, n: PatternMatrix) -> ProductExactness:
     """Check the single-star row/column conditions for a product m @ n."""
     if m.cols != n.rows:
-        raise DimensionMismatch(
+        raise StrucnetError(
             f"cannot multiply patterns of shapes {m.shape} and {n.shape}"
         )
     row_ok = _single_star_lines(dense(n))

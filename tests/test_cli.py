@@ -14,6 +14,7 @@ from hypothesis import given, settings
 
 from strucnet import (
     AnalysisReport,
+    AssumptionViolated,
     PatternMatrix,
     StrucnetError,
     analyze,
@@ -708,8 +709,8 @@ def test_audit_rejects_negative_seed(capsys):
 
 def test_every_toolkit_error_class_is_a_strucnet_error():
     classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, BaseException)]
-    assert len(classes) >= 6 and issubclass(StrucnetError, ValueError)  # the five and their base
-    assert all(issubclass(c, StrucnetError) for c in classes)
+    assert classes == [StrucnetError, AssumptionViolated]  # every refusal is the one type
+    assert issubclass(StrucnetError, ValueError) and issubclass(AssumptionViolated, StrucnetError)
 
 
 def test_a_new_strucnet_error_needs_no_entry_in_the_cli(monkeypatch, capsys):
@@ -884,7 +885,7 @@ def test_unknown_flag_rejected(capsys):
 
 
 def test_parser_is_reused_without_carrying_state(capsys):
-    assert build_parser() is not build_parser()  # the public builder stays fresh
+    assert build_parser() is build_parser()  # built once per process
     run(capsys, "audit", NETWORK_FILE, "--trials", "5")
     code, out, _ = run(capsys, "audit", NETWORK_FILE)
     assert code == 0

@@ -10,9 +10,9 @@ from strucnet import (
     STAR,
     ZERO,
     ColoringResult,
-    DimensionMismatch,
     PatternGraph,
     PatternMatrix,
+    StrucnetError,
     build_graph,
     color_change,
     export_dot,
@@ -70,7 +70,7 @@ def test_build_graph_no_edges():
 
 
 def test_build_graph_rejects_tall_patterns():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StrucnetError):
         build_graph(PatternMatrix.zeros(2, 1))
 
 

@@ -1,6 +1,8 @@
 """Network validation, assembly, controllability tests, topology, JSON IO."""
 
+import copy
 import gc
+import pickle
 
 import numpy as np
 import pytest
@@ -12,10 +14,9 @@ from strucnet import (
     STAR,
     ZERO,
     AssumptionViolated,
-    DimensionMismatch,
-    NetworkFormatError,
     NodeSystem,
     PatternMatrix,
+    StrucnetError,
     StructuredNetwork,
     analyze,
     assemble,
@@ -240,9 +241,9 @@ def test_check_structured_system_zero_input_pattern():
 
 
 def test_check_structured_system_shape_errors():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StrucnetError):
         check_structured_system(PatternMatrix.zeros(2, 3), PatternMatrix.zeros(2, 1))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StrucnetError):
         check_structured_system(pat_identity(2), PatternMatrix.zeros(3, 1))
 
 
@@ -683,6 +684,17 @@ def test_every_stage_raises_the_network_violations_in_order(stage, demo_network)
     assert validate(demo_network) is None
 
 
+def test_assumption_violated_survives_pickle_and_copy():
+    """A worker process sends the error back pickled: the list and its text stay whole."""
+    exc = AssumptionViolated(["node 1, matrix A: must be square", "matrix W: one column short"])
+    for clone in (pickle.loads(pickle.dumps(exc)), copy.copy(exc)):
+        assert type(clone) is AssumptionViolated
+        assert clone.violations == ["node 1, matrix A: must be square", "matrix W: one column short"]
+        assert str(clone) == str(exc) == (
+            "network fails validation: node 1, matrix A: must be square; matrix W: one column short"
+        )
+
+
 def test_pattern_rows_leave_the_collector():
     """Rows hold only ints and strs, so full collections untrack every level of them."""
     network = load_network(NETWORK_FILE)
@@ -721,11 +733,11 @@ def test_load_network_reads_fixture(demo_network):
 
 
 def test_network_from_dict_errors():
-    with pytest.raises(NetworkFormatError, match="nodes"):
+    with pytest.raises(StrucnetError, match="nodes"):
         network_from_dict({"W": [], "H": []})
-    with pytest.raises(NetworkFormatError, match=r"nodes\[0\]"):
+    with pytest.raises(StrucnetError, match=r"nodes\[0\]"):
         network_from_dict({"nodes": [{"A": [["0"]], "B": [["*"]]}], "W": [["0"]], "H": [["*"]]})
-    with pytest.raises(NetworkFormatError, match="row 1, column 2"):
+    with pytest.raises(StrucnetError, match="row 1, column 2"):
         network_from_dict(
             {
                 "nodes": [{"A": [["0", "x"]], "B": [["*"]], "C": [["*"]]}],
@@ -733,7 +745,7 @@ def test_network_from_dict_errors():
                 "H": [["*"]],
             }
         )
-    with pytest.raises(NetworkFormatError, match="'W'"):
+    with pytest.raises(StrucnetError, match="'W'"):
         network_from_dict({"nodes": [{"A": [["0"]], "B": [["*"]], "C": [["*"]]}], "H": [["*"]]})
 
 
@@ -756,7 +768,7 @@ def test_network_from_dict_errors():
     ids=["top-level-list", "empty-nodes", "non-list-nodes", "non-object-node", "non-list-grid", "non-list-row"],
 )
 def test_network_from_dict_layout_messages_are_exact(obj, message):
-    with pytest.raises(NetworkFormatError) as excinfo:
+    with pytest.raises(StrucnetError) as excinfo:
         network_from_dict(obj)
     assert str(excinfo.value) == message
 
@@ -790,7 +802,7 @@ def test_identical_nodes_each_count_toward_the_file_limit(sparse):
     # crosses the limit, whether its grid is shared or each matrix is sparse
     tall = {"shape": [100_000, 1], "entries": []} if sparse else [["0"]] * 100_000
     obj = {"nodes": [{"A": tall, "B": tall, "C": tall}] * 4, "W": [["*"]], "H": [["*"]]}
-    with pytest.raises(NetworkFormatError) as excinfo:
+    with pytest.raises(StrucnetError) as excinfo:
         network_from_dict(obj)
     assert str(excinfo.value) == (
         "nodes[3].B: brings the file to 1100000 rows, "
@@ -803,7 +815,7 @@ def test_a_repeated_bad_grid_is_reported_at_its_first_position(token):
     good = {"A": [["0"]], "B": [["*"]], "C": [["*"]]}
     bad = {"A": [["0"]], "B": [["*"]], "C": [["*", token]]}
     obj = {"nodes": [good, bad, bad, {**bad, "C": [["*", token]]}], "W": [["0"] * 4] * 4, "H": [["*"]] * 4}
-    with pytest.raises(NetworkFormatError) as excinfo:
+    with pytest.raises(StrucnetError) as excinfo:
         network_from_dict(obj)
     assert str(excinfo.value) == (
         f"nodes[1].C: row 1, column 2: invalid pattern token {token!r}, "
@@ -815,7 +827,7 @@ def test_a_grid_of_string_rows_is_not_taken_for_an_equal_list_grid():
     # tuple("0*") equals tuple(["0", "*"]), but only list rows are tokens
     node = {"A": [["0"]], "B": [["*"]], "C": [["0", "*"]]}
     obj = {"nodes": [node, {**node, "C": ["0*"]}], "W": [["0"] * 2] * 2, "H": [["*"]] * 2}
-    with pytest.raises(NetworkFormatError) as excinfo:
+    with pytest.raises(StrucnetError) as excinfo:
         network_from_dict(obj)
     assert str(excinfo.value) == "nodes[1].C: row 1: expected a list of tokens"
 

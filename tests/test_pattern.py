@@ -16,9 +16,8 @@ from strucnet import (
     ANY,
     STAR,
     ZERO,
-    DimensionMismatch,
     PatternMatrix,
-    PatternParseError,
+    StrucnetError,
     load_pattern,
 )
 from strucnet.network import analyze, is_network_controllable
@@ -90,7 +89,7 @@ def test_symbol_tokens_round_trip():
 
 
 def test_invalid_token_rejected():
-    with pytest.raises(PatternParseError, match="row 2, column 1"):
+    with pytest.raises(StrucnetError, match="row 2, column 1"):
         PatternMatrix.from_tokens([["0", "*"], ["x", "?"]])
 
 
@@ -124,7 +123,7 @@ def test_pat_add_node_state_plus_identity():
 
 
 def test_pat_add_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StrucnetError):
         pat_add(PatternMatrix.zeros(2, 2), PatternMatrix.zeros(2, 3))
 
 
@@ -148,7 +147,7 @@ def test_pat_mul_inner_sum_cancels_to_any():
 
 
 def test_pat_mul_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StrucnetError):
         pat_mul(PatternMatrix.zeros(2, 3), PatternMatrix.zeros(2, 3))
 
 
@@ -251,7 +250,7 @@ def test_pat_shift_diagonal_rule():
     assert pat_shift(parse("0 * ? 0\n* * ? ?\n? 0 ? *")) == parse(
         "* * ? 0\n* ? ? ?\n? 0 ? *"
     )
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StrucnetError):
         pat_shift(PatternMatrix.zeros(2, 1))
 
 
@@ -282,7 +281,7 @@ def test_exact_product_condition_neither():
 
 
 def test_exact_product_condition_shape_mismatch():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StrucnetError):
         exact_product_condition(PatternMatrix.zeros(2, 3), PatternMatrix.zeros(2, 2))
 
 
@@ -292,7 +291,7 @@ def test_is_member_basics():
     assert is_member(np.array([[0.0]]), grid([[ANY]]))
     assert is_member(np.array([[0.0]]), grid([[ZERO]]))
     assert not is_member(np.array([[0.25]]), grid([[ZERO]]))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StrucnetError):
         is_member(np.zeros((1, 2)), grid([[ZERO]]))
 
 
@@ -463,7 +462,7 @@ def test_hstack_shapes():
     stacked = hstack(pat_identity(2), PatternMatrix.zeros(2, 1))
     assert stacked.shape == (2, 3)
     assert stacked == parse("* 0 0\n0 * 0")
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StrucnetError):
         hstack(pat_identity(2), PatternMatrix.zeros(3, 1))
 
 
@@ -476,7 +475,7 @@ def test_block_diag_of_node_states(demo_network):
 
 
 def test_block_diag_rejects_empty_block_list():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StrucnetError):
         block_diag([])
 
 
@@ -622,12 +621,12 @@ def test_sparse_form_round_trips_with_tuple_entries(m):
 
 @pytest.mark.parametrize("rows, cols", [(0, 2), (2, 0), (2, True), (-1, 1), (True, 2), (2.0, 2)])
 def test_zeros_rejects_an_empty_shape(rows, cols):
-    with pytest.raises(DimensionMismatch, match="^a pattern matrix needs at least one row and one column$"):
+    with pytest.raises(StrucnetError, match="^a pattern matrix needs at least one row and one column$"):
         PatternMatrix.zeros(rows, cols)
 
 
 def test_from_json_names_a_short_tuple_entry():
-    with pytest.raises(PatternParseError) as excinfo:
+    with pytest.raises(StrucnetError) as excinfo:
         PatternMatrix.from_json({"shape": [2, 2], "entries": [(1, 1, "*"), (2, 2)]})
     assert str(excinfo.value) == "entries[1]: expected [row, column, token], got (2, 2)"
 
@@ -644,7 +643,7 @@ def test_sparse_reader_ignores_entry_order_and_names_a_repeated_entry(m, data):
     if entries:  # one copy of an entry, with either token, is named by its position
         i, j, _ = data.draw(st.sampled_from(entries))
         token = data.draw(st.sampled_from("*?"))
-        with pytest.raises(PatternParseError) as excinfo:
+        with pytest.raises(StrucnetError) as excinfo:
             PatternMatrix.from_json({"shape": shape, "entries": [*entries, [i, j, token]]})
         assert str(excinfo.value) == f"row {i}, column {j} appears twice"
 
@@ -658,13 +657,13 @@ def test_pattern_text_form_round_trip(tmp_path):
 
 
 def test_pattern_grid_must_be_rectangular():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StrucnetError):
         PatternMatrix.from_tokens([["0", "*"], ["0"]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StrucnetError):
         PatternMatrix.from_tokens([])
-    with pytest.raises(DimensionMismatch, match="^row 3 has 1 entries, expected 2$"):
+    with pytest.raises(StrucnetError, match="^row 3 has 1 entries, expected 2$"):
         PatternMatrix.from_tokens([["*", "0"], ["?", "*"], ["0"]])
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(StrucnetError):
         PatternMatrix.from_tokens([[]])
 
 
@@ -678,7 +677,7 @@ def test_from_tokens_matches_per_token_parse():
         assert dense(PatternMatrix.from_tokens(rows_of_tokens)) == expected
     # a row of "0" tokens and one "*" takes a shortcut; a bad token never does
     for bad, first in itertools.product((["x"], 0, None, " *", "**", True, 1.0), "?*0"):
-        with pytest.raises(PatternParseError) as excinfo:
+        with pytest.raises(StrucnetError) as excinfo:
             PatternMatrix.from_tokens([["0", "*"], [first, bad]])
         assert str(excinfo.value) == (
             f"row 2, column 2: invalid pattern token {bad!r}, expected one of '0', '*', '?'"
@@ -703,7 +702,7 @@ def test_outside_tokens_are_stored_as_the_shared_symbols():
 def test_load_pattern_rejects_bad_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("[[\"0\",")
-    with pytest.raises(PatternParseError):
+    with pytest.raises(StrucnetError):
         load_pattern(path)
 
 
@@ -808,9 +807,8 @@ def test_record_constructors_keep_their_forms():
 
 def test_public_surface_is_pinned():
     assert sorted(strucnet.__all__) == [
-        "ANY", "AnalysisReport", "AssumptionViolated", "ColoringResult",
-        "DimensionMismatch", "NetworkFormatError", "NodeSystem", "NumericBreakdown",
-        "PatternGraph", "PatternMatrix", "PatternParseError", "STAR", "StrucnetError",
+        "ANY", "AnalysisReport", "AssumptionViolated", "ColoringResult", "NodeSystem",
+        "PatternGraph", "PatternMatrix", "STAR", "StrucnetError",
         "StructuredNetwork", "SystemCheck", "ZERO", "analyze", "assemble",
         "build_graph", "check_structured_system", "color_change", "export_dot",
         "extract_topology", "is_full_row_rank", "is_network_controllable", "load_network",
